@@ -34,6 +34,7 @@ __all__ = [
     "logical_Y_measurement",
     "logical_Y_probabilities",
     "pauli_matrix",
+    "PauliOp",
 ]
 
 _I2 = np.eye(2, dtype=complex)
@@ -49,6 +50,36 @@ def pauli_matrix(label: str) -> np.ndarray:
     for ch in label:
         out = np.kron(out, _SINGLE[ch])
     return out
+
+
+# Nonzero entry of each row of the single-qubit matrices above.
+_ROW_PHASES = {"I": [1, 1], "X": [1, 1], "Y": [-1j, 1j], "Z": [1, -1]}
+
+
+class PauliOp:
+    """Pauli string applied as a basis permutation times a phase vector.
+
+    Row idx of pauli_matrix(label) has a single nonzero entry, phase[idx],
+    in column idx ^ x, where bit q of x (qubit 0 = most significant bit)
+    is set for an X or Y on qubit q.  That entry is +-1 or +-i, and the
+    dense product only adds exact zeros to it, so ``op @ a`` equals
+    ``pauli_matrix(label) @ a`` bit for bit.  Acts on axis 0 of a 1-D or
+    2-D array.
+    """
+
+    __slots__ = ("perm", "phase")
+
+    def __init__(self, label: str):
+        x = int("".join("1" if ch in "XY" else "0" for ch in label), 2)
+        self.perm = np.arange(2 ** len(label)) ^ x if x else None
+        phase = np.ones(1, dtype=complex)
+        for ch in label:
+            phase = np.kron(phase, np.array(_ROW_PHASES[ch], dtype=complex))
+        self.phase = phase
+
+    def __matmul__(self, a: np.ndarray) -> np.ndarray:
+        moved = a if self.perm is None else a[self.perm]
+        return (self.phase if a.ndim == 1 else self.phase[:, None]) * moved
 
 
 def _pauli_string(n: int, pos: int, ch: str) -> str:
@@ -236,18 +267,24 @@ def _full_lookup_table(code_name: str) -> dict:
 
 @lru_cache(maxsize=None)
 def stabilizer_matrices(code_name: str) -> tuple:
+    """Dense stabilizer matrices; the reference for stabilizer_ops."""
     return tuple(pauli_matrix(s) for s in _STABILIZERS[code_name])
 
 
 @lru_cache(maxsize=None)
+def stabilizer_ops(code_name: str) -> tuple:
+    return tuple(PauliOp(s) for s in _STABILIZERS[code_name])
+
+
+@lru_cache(maxsize=None)
 def correction_matrix(code_name: str, syndrome: tuple):
-    """(matrix, label, guaranteed): guaranteed is True when the syndrome
-    comes from a single correctable error, False for the best-effort
-    extension of the decoder table."""
+    """(op, label, guaranteed): op is the correction as a PauliOp;
+    guaranteed is True when the syndrome comes from a single correctable
+    error, False for the best-effort extension of the decoder table."""
     label = _full_lookup_table(code_name).get(syndrome)
     if label is None:
         return None, None, False
-    return pauli_matrix(label), label, syndrome in _lookup_table(code_name)
+    return PauliOp(label), label, syndrome in _lookup_table(code_name)
 
 
 # --- binomial recovery ------------------------------------------------------
@@ -319,9 +356,10 @@ def _recover_qubit_code(code, rho, mode, rng):
             m /= np.trace(m).real
             syndrome.append(bit)
         syndrome = tuple(syndrome)
-        corr, label, guaranteed = correction_matrix(code.name, syndrome)
-        if corr is None:
+        _, label, guaranteed = correction_matrix(code.name, syndrome)
+        if label is None:
             return (DensityMatrix(m), SyndromeResult(syndrome, "I (no table entry)", True))
+        corr = pauli_matrix(label)
         out = corr @ m @ corr.conj().T
         return (DensityMatrix(out), SyndromeResult(syndrome, label, not guaranteed))
     # averaged: split into syndrome sectors, correct each, re-sum
@@ -338,13 +376,14 @@ def _recover_qubit_code(code, rho, mode, rng):
     out = np.zeros((dim, dim), dtype=complex)
     bad_weight = 0.0
     for syn, m in sectors:
-        corr, _, guaranteed = correction_matrix(code.name, syn)
-        if corr is None:
+        _, label, guaranteed = correction_matrix(code.name, syn)
+        if label is None:
             bad_weight += np.trace(m).real
             out += m
             continue
         if not guaranteed:
             bad_weight += np.trace(m).real
+        corr = pauli_matrix(label)
         out += corr @ m @ corr.conj().T
     res = SyndromeResult(None, "averaged over syndromes",
                          bad_weight > 1e-12, bad_weight)

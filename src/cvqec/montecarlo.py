@@ -11,6 +11,14 @@ same random-number draw order: a branch decomposition (sum of a handful of
 carrier x displaced-data product terms) and a dense carrier x mode tensor.
 The branch path is the fast default; the dense path is the oracle.
 
+Qubit-carrier Paulis (stabilizers, corrections, dephasing flips) are
+applied as bit masks, a basis permutation idx -> idx ^ x times a phase,
+with qubit 0 the most significant bit (dvcodes.PauliOp); the dense
+dvcodes.pauli_matrix stays as their test oracle.  The confinement Kraus
+operators of the nine-qubit carrier are applied as a level selection.
+Both give the dense products bit for bit, since every dropped term is an
+exact zero.
+
 Reproducibility: trajectory i draws from a generator seeded with
 SeedSequence([root_seed, i]), so estimates are independent of worker count
 and chunking.
@@ -142,7 +150,7 @@ class _Context:
         self.data_engine = DisplacementEngine(n_trunc + 1)
 
         # carrier description
-        self.dephasing_ops: list[np.ndarray] = []
+        self.dephasing_ops: list[dvcodes.PauliOp] = []
         self.stabilizers: tuple = ()
         self.code_name = None
         self.binom_kraus = None
@@ -151,19 +159,19 @@ class _Context:
             g = np.array([1.0, 0.0], dtype=complex)
             e = np.array([0.0, 1.0], dtype=complex)
             if self.kind == "bare":
-                self.dephasing_ops = [np.diag([1.0, -1.0]).astype(complex)]
+                self.dephasing_ops = [dvcodes.PauliOp("Z")]
         elif self.kind == "three_qubit_phase":
             code = dvcodes.three_qubit_phase_code()
             g, e = code.logical_g, code.logical_e
             self.code_name = code.name
-            self.dephasing_ops = [dvcodes.pauli_matrix(dvcodes._pauli_string(3, j, "Z"))
+            self.dephasing_ops = [dvcodes.PauliOp(dvcodes._pauli_string(3, j, "Z"))
                                   for j in range(3)]
-            self.stabilizers = dvcodes.stabilizer_matrices(code.name)
+            self.stabilizers = dvcodes.stabilizer_ops(code.name)
         elif self.kind == "shor9":
             code = dvcodes.shor9_code()
             g, e = code.logical_g, code.logical_e
             self.code_name = code.name
-            self.stabilizers = dvcodes.stabilizer_matrices(code.name)
+            self.stabilizers = dvcodes.stabilizer_ops(code.name)
             self.n_modes = 9
             self.mode_engine = DisplacementEngine(_SHOR_MODE_DIM)
             self.confine = confinement_kraus(_SHOR_MODE_DIM)
@@ -180,6 +188,17 @@ class _Context:
 
 
 # --- joint-state representations --------------------------------------------
+
+
+def _confine_levels(t: np.ndarray, outcome: int) -> np.ndarray:
+    """Kraus operator ``outcome`` of confinement_kraus applied to axis 1 of
+    t: outcome 0 keeps levels {0, 1}, outcome j >= 1 moves level j + 1 to
+    |1> and leaves |0> empty."""
+    if outcome == 0:
+        return t[:, :2]
+    out = np.zeros_like(t[:, :2])
+    out[:, 1] = t[:, outcome + 1]
+    return out
 
 
 class _BranchState:
@@ -251,6 +270,12 @@ class _BranchState:
         self.c = [np.einsum("xy,lyr->lxr", op, v.reshape(left, dloc, right)).reshape(-1)
                   for v in self.c]
         self.local_dims[m] = op.shape[0]
+
+    def confine_mode(self, m: int, outcome: int):
+        left, dloc, right = self._mode_shape(m)
+        self.c = [_confine_levels(v.reshape(left, dloc, right), outcome).reshape(-1)
+                  for v in self.c]
+        self.local_dims[m] = 2
 
     def carrier_level_weights(self, m: int):
         left, dloc, right = self._mode_shape(m)
@@ -327,6 +352,12 @@ class _DenseState:
         self.psi = np.einsum("xy,lyrd->lxrd", op, t).reshape(-1, self.psi.shape[1])
         self.local_dims[m] = op.shape[0]
 
+    def confine_mode(self, m: int, outcome: int):
+        left, dloc, right = self._mode_shape(m)
+        t = self.psi.reshape(left, dloc, right, -1)
+        self.psi = _confine_levels(t, outcome).reshape(-1, self.psi.shape[1])
+        self.local_dims[m] = 2
+
     def carrier_level_weights(self, m: int):
         left, dloc, right = self._mode_shape(m)
         t = self.psi.reshape(left, dloc, right, -1)
@@ -376,7 +407,7 @@ def _ancilla_errors(ctx, state, rng) -> None:
             cum = np.concatenate(([w[0] + w[1]], w[2:])).cumsum()
             idx = int(np.searchsorted(cum, rng.random() * cum[-1]))
             idx = min(idx, len(ctx.confine) - 1)
-            state.apply_carrier_local(m, ctx.confine[idx])
+            state.confine_mode(m, idx)
 
 
 def _recovery(ctx, state, rng) -> bool:
@@ -430,10 +461,12 @@ def _one_trajectory(ctx: _Context, state) -> tuple[float, bool, bool]:
 
 
 def _worker_count() -> int:
+    """CVQEC_THREADS clamped to [1, cpu count]; 1 when unset or invalid."""
     try:
-        return max(int(os.environ.get("CVQEC_THREADS", "1")), 1)
+        requested = int(os.environ.get("CVQEC_THREADS", "1"))
     except ValueError:
         return 1
+    return min(max(requested, 1), os.cpu_count() or 1)
 
 
 def _run(plan: TrajectoryPlan, state_cls, engine_name: str) -> RunResult:

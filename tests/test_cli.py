@@ -90,6 +90,22 @@ class TestFig4:
         threaded = (tmp_path / "fig4_none_coherent_pphi.csv").read_bytes()
         assert serial == threaded
 
+    # Text written by the dense-matrix implementation of the qubit-carrier
+    # Paulis and confinement; the bit-mask path must reproduce it exactly.
+    @pytest.mark.parametrize("argv, name, text", [
+        (["--code", "shor", "--sweep", "sigma"], "fig4_shor_coherent_sigma.csv",
+         "sigma,infidelity,std_error,n,unrecoverable,complement\n"
+         "0.15,0.0171685174,0.00367272013,8,1,0\n"),
+        (["--code", "three_qubit", "--sweep", "pphi"],
+         "fig4_three_qubit_coherent_pphi.csv",
+         "pphi,infidelity,std_error,n,unrecoverable,complement\n"
+         "0.15,0.00824686661,0.00250492454,8,0,0\n"),
+    ])
+    def test_pinned_csv_text(self, tmp_path, argv, name, text):
+        assert main(["fig4", *argv, "--points", "0.15", "--trajectories", "8",
+                     "--seed", "5", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / name).read_text() == text
+
     def test_sweep_rows(self, tmp_path):
         assert main(["fig4", "--code", "none", "--trajectories", "40",
                      "--points", "0.0", "0.05", "0.1",

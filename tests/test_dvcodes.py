@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from cvqec.dvcodes import (binomial_code, binomial_recovery_kraus,
-                           correction_matrix, encode, get_code,
-                           logical_conditional_displacement,
+from cvqec.dvcodes import (_full_lookup_table, binomial_code,
+                           binomial_recovery_kraus, correction_matrix, encode,
+                           get_code, logical_conditional_displacement,
                            logical_flip_probability_three_qubit,
                            logical_Y_measurement, logical_Y_probabilities,
                            pauli_matrix, recover, shor9_code,
+                           stabilizer_matrices, stabilizer_ops,
                            three_qubit_phase_code)
 from cvqec.fock import (DensityMatrix, PureState, annihilation,
                         coherent_state, fidelity, fock_state)
@@ -74,6 +75,25 @@ class TestEncoding:
         code = three_qubit_phase_code()
         with pytest.raises(ValueError):
             encode(code, PureState(np.array([1.0, 0.0, 0.0])))
+
+
+class TestPauliOp:
+    @pytest.mark.parametrize("name", ["three_qubit_phase", "shor9"])
+    def test_matches_dense_bit_for_bit(self, name):
+        """Every stabilizer and every decoder correction, as applied by the
+        Monte Carlo engine, against the dense pauli_matrix product."""
+        cases = list(zip(stabilizer_ops(name), stabilizer_matrices(name)))
+        for syndrome, label in _full_lookup_table(name).items():
+            op, op_label, _ = correction_matrix(name, syndrome)
+            assert op_label == label
+            cases.append((op, pauli_matrix(label)))
+        dim = get_code(name).dim
+        rng = np.random.default_rng(7)
+        operands = [rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                    for shape in ((dim,), (dim, 5))]
+        for op, dense in cases:
+            for a in operands:
+                assert np.array_equal(op @ a, dense @ a)
 
 
 class TestShorRecovery:

@@ -1,14 +1,18 @@
 """Trajectory sampling: engine agreement, statistics, and reproducibility."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
-from cvqec.montecarlo import (ANCILLA_KINDS, EstimateWithError,
-                              TrajectoryPlan, branch_decomposition_run,
-                              estimate_qubit_var_p, run_concatenated,
-                              trajectory_fidelity, with_trajectories)
+from cvqec.channels import confinement_kraus
+from cvqec.montecarlo import (_SHOR_MODE_DIM, ANCILLA_KINDS,
+                              EstimateWithError, TrajectoryPlan, _BranchState,
+                              _Context, _DenseState, _worker_count,
+                              branch_decomposition_run, estimate_qubit_var_p,
+                              run_concatenated, trajectory_fidelity,
+                              with_trajectories)
 from cvqec.protocol import (exact_infidelity, optimal_alpha_qubit,
                             run_qubit_p_scheme)
 
@@ -71,6 +75,34 @@ class TestEngineAgreement:
         assert rb.engine == "branch" and rd.engine == "direct"
 
 
+def _carrier_array(state):
+    return np.stack(state.c) if isinstance(state, _BranchState) else state.psi
+
+
+class TestConfinement:
+    @pytest.mark.parametrize("state_cls", [_BranchState, _DenseState])
+    def test_level_selection_matches_kraus(self, state_cls):
+        """confine_mode(m, j) against the einsum with confinement Kraus j,
+        on a random carrier whose mode m holds all 14 levels."""
+        ctx = _Context(TrajectoryPlan(sigma=0.15, ancilla="shor9"))
+        dim = ctx.carrier_dim
+        rng = np.random.default_rng(11)
+        mix = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        kraus = confinement_kraus(_SHOR_MODE_DIM)
+        for m in (0, 4, 8):
+            spread = (rng.normal(size=(_SHOR_MODE_DIM, 2))
+                      + 1j * rng.normal(size=(_SHOR_MODE_DIM, 2)))
+            for outcome, k in enumerate(kraus):
+                ref, sel = state_cls(ctx), state_cls(ctx)
+                for state in (ref, sel):
+                    state.apply_carrier(mix)
+                    state.apply_carrier_local(m, spread)
+                ref.apply_carrier_local(m, k)
+                sel.confine_mode(m, outcome)
+                assert sel.local_dims == ref.local_dims
+                assert np.array_equal(_carrier_array(sel), _carrier_array(ref))
+
+
 class TestReproducibility:
     def test_same_seed_same_result(self):
         plan = TrajectoryPlan(sigma=0.1, ancilla="bare", p_phi=0.02,
@@ -94,6 +126,14 @@ class TestReproducibility:
         monkeypatch.setenv("CVQEC_THREADS", "4")
         threaded = branch_decomposition_run(plan)
         assert serial.infidelity.mean == threaded.infidelity.mean
+
+    def test_worker_count_is_clamped(self, monkeypatch):
+        monkeypatch.setenv("CVQEC_THREADS", "100000")
+        assert _worker_count() == (os.cpu_count() or 1)
+        monkeypatch.setenv("CVQEC_THREADS", "0")
+        assert _worker_count() == 1
+        monkeypatch.setenv("CVQEC_THREADS", "many")
+        assert _worker_count() == 1
 
 
 class TestStatistics:
