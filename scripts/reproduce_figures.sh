@@ -4,6 +4,11 @@
 # files with identical bytes.
 set -euo pipefail
 
+ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+export PYTHONPATH="$ROOT/src${PYTHONPATH:+:$PYTHONPATH}"
+# Run the CLI from this checkout; no install is needed.
+cvqec() { python3 -m cvqec.cli "$@"; }
+
 OUT="${1:-results}"
 SEED="${SEED:-0}"
 TRAJ="${TRAJ:-20000}"

@@ -10,6 +10,18 @@ the displacement distribution by an outcome-dependent filter.  The
 functions here compute the outcome probabilities, the conditional means
 (the counter-displacement to apply) and the post-correction variances of
 the filtered distributions, for both the qubit and the qudit scheme.
+
+Both are closed forms.  The qubit filter is ``(1 +/- sin(4 alpha b))/2``;
+the qudit filter is a Fejer kernel, the finite Fourier series
+``(1/d) sum_{|m|<d} (1 - |m|/d) e^{2 i m u}``, and the Gaussian moments
+of ``e^{i t b}`` are exact:
+``E[e^{itb}] = e^{-t^2 sigma^2/4}``,
+``E[b e^{itb}] = (i t sigma^2/2) e^{-t^2 sigma^2/4}`` and
+``E[b^2 e^{itb}] = (sigma^2/2 - t^2 sigma^4/4) e^{-t^2 sigma^2/4}``.
+Every qudit moment is therefore a sum of ``2d - 1`` terms.  The
+quadrature routines (:func:`integrate`, :class:`QuadratureSpec`) remain
+as a general-purpose oracle and for the Gauss-Hermite nodes used by
+``protocol.exact_infidelity``.
 """
 
 from __future__ import annotations
@@ -234,42 +246,26 @@ def qudit_filter(beta, alpha: float, d: int, l) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def _qudit_raw_moments_gh(sigma, alpha, d, l, spec):
-    c = 2.0 * d * alpha * sigma  # fastest oscillation in Hermite variable
-    nodes = min(max(spec.nodes, int(c * c / 2) + 64), MAX_GH_NODES)
-    t, w = _gh_nodes(nodes)
-    b = sigma * t
-    filt = qudit_filter(b, alpha, d, l)
-    n0 = float(np.sum(w * filt)) / _SQRT_PI
-    m1 = float(np.sum(w * filt * b)) / _SQRT_PI
-    m2 = float(np.sum(w * filt * b * b)) / _SQRT_PI
-    return n0, m1, m2
-
-
-def _qudit_raw_moments_adaptive(sigma, alpha, d, l, spec):
-    # Oscillatory regime: integrate over the Gaussian support extended to
-    # whole kernel periods, with scipy's adaptive rule per moment.
-    half = 8.0 * sigma + np.pi / alpha
-    out = []
-    for power in (0, 1, 2):
-        def f(b, power=power):
-            return gaussian_pdf(b, sigma) * qudit_filter(b, alpha, d, l) * b**power
-        val, err = _sciint.quad(f, -half, half, epsabs=spec.abs_tol,
-                                epsrel=spec.rel_tol, limit=800)
-        if err > max(spec.abs_tol, spec.rel_tol * abs(val)) * 100:
-            raise IntegrationError("qudit moment integral did not converge", val, err)
-        out.append(val)
-    return tuple(out)
-
-
-def qudit_filtered_moments(sigma: float, alpha: float, d: int, l: int,
-                           spec: QuadratureSpec = DEFAULT_QUADRATURE) -> FilteredMoments:
+def qudit_filtered_moments(sigma: float, alpha: float, d: int, l: int) -> FilteredMoments:
     """Outcome probability, conditional mean and corrected variance for
     Fourier outcome ``l`` of the d-level scheme.
 
     Outcomes are indexed 0..d-1 and the measurement basis carries the
     half-step rotation (see :data:`QUDIT_MEASUREMENT_OFFSET`), so d = 2
     reproduces the +/-Y qubit moments with alpha halved.
+
+    The filter is a Fejer kernel, a finite Fourier series
+    ``(1/d) sum_{|m|<d} (1 - |m|/d) e^{2 i m u}`` with
+    ``u = alpha b + l_eff pi / d`` and ``l_eff = l + 1/2``, and the
+    Gaussian moments of ``e^{2 i m alpha b}`` are exact.  With
+    ``c_m = (d - |m|)/d^2 e^{2 i pi l_eff m / d} e^{-(m alpha sigma)^2}``
+    the unnormalized moments are the sums of ``2d - 1`` terms
+
+    * ``n0 = Re sum c_m``
+    * ``m1 = Re sum c_m i m alpha sigma^2``
+    * ``m2 = Re sum c_m (sigma^2/2 - m^2 alpha^2 sigma^4)``
+
+    and no integral is needed.
     """
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
@@ -280,12 +276,10 @@ def qudit_filtered_moments(sigma: float, alpha: float, d: int, l: int,
     if not 0 <= l < d:
         raise ValueError(f"outcome index {l} outside 0..{d - 1}")
     l_eff = l + QUDIT_MEASUREMENT_OFFSET
-    # Combs too fast for a stable Gauss-Hermite order take the scipy route.
-    nodes_needed = int((2.0 * d * alpha * sigma) ** 2 / 2) + 64
-    oscillatory = alpha > 0 and ((np.pi / alpha) < sigma / 4.0
-                                 or nodes_needed > MAX_GH_NODES)
-    if spec.method == "adaptive" or oscillatory:
-        n0, m1, m2 = _qudit_raw_moments_adaptive(sigma, alpha, d, l_eff, spec)
-    else:
-        n0, m1, m2 = _qudit_raw_moments_gh(sigma, alpha, d, l_eff, spec)
+    m = np.arange(-(d - 1), d)
+    c = ((d - np.abs(m)) / d**2 * np.exp(2j * np.pi * l_eff * m / d)
+         * np.exp(-(m * alpha * sigma) ** 2))
+    n0 = float(np.sum(c).real)
+    m1 = float(np.sum(c * (1j * m * alpha * sigma**2)).real)
+    m2 = float(np.sum(c * (0.5 * sigma**2 - (m * alpha * sigma**2) ** 2)).real)
     return _moments(n0, m1 / n0, m2 / n0)

@@ -19,9 +19,8 @@ import numpy as np
 
 from . import gaussian
 from .fock import overlap_f
-from .gaussian import (DEFAULT_QUADRATURE, FilteredMoments, QuadratureSpec,
-                       qubit_filtered_moments, qubit_outcome_mean,
-                       qudit_filter, qudit_filtered_moments)
+from .gaussian import (FilteredMoments, qubit_filtered_moments, qudit_filter,
+                       qudit_filtered_moments)
 from .optimize import minimize_scalar
 
 __all__ = [
@@ -169,12 +168,11 @@ def run_squeezed_scheme(sigma: float, alpha: float, zeta: float) -> CorrectedNoi
     return CorrectedNoise(q.variance, p.variance, moments, q, p)
 
 
-def run_qudit_scheme(sigma: float, alpha: float, d: int,
-                     spec: QuadratureSpec = DEFAULT_QUADRATURE) -> CorrectedNoise:
+def run_qudit_scheme(sigma: float, alpha: float, d: int) -> CorrectedNoise:
     """d-level ancilla, rotated-Fourier readout; corrects p only."""
     if d < 2:
         raise ValueError("qudit scheme needs d >= 2")
-    moments = tuple(qudit_filtered_moments(sigma, alpha, d, l, spec) for l in range(d))
+    moments = tuple(qudit_filtered_moments(sigma, alpha, d, l) for l in range(d))
     offset = gaussian.QUDIT_MEASUREMENT_OFFSET
     branches = tuple(
         OutcomeBranch(m.outcome_prob, m.mean,
@@ -215,16 +213,14 @@ def optimize_qubit_alpha(sigma: float, tol: float = 1e-6):
                            0.2 / sigma, 8.0 / sigma, tol=tol)
 
 
-def optimize_qudit_alpha(sigma: float, d: int, tol: float = 1e-6,
-                         spec: QuadratureSpec = DEFAULT_QUADRATURE):
+def optimize_qudit_alpha(sigma: float, d: int, tol: float = 1e-6):
     """Numerically minimize the qudit scheme's averaged p variance.
 
     The optimal drive strength sits near 0.6-0.72 / sigma for every
     dimension (it decreases slowly with d from the qubit value
-    1 / sqrt(2) / sigma), so the scan bracket stops at 1.5 / sigma; wider
-    brackets only add slow, highly oscillatory evaluations that never win.
+    1 / sqrt(2) / sigma), so the scan bracket stops at 1.5 / sigma.
     """
-    return minimize_scalar(lambda a: run_qudit_scheme(sigma, a, d, spec).var_p,
+    return minimize_scalar(lambda a: run_qudit_scheme(sigma, a, d).var_p,
                            0.2 / sigma, 1.5 / sigma, tol=tol)
 
 

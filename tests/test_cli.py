@@ -65,6 +65,22 @@ class TestFig3:
     def test_dmax_cap(self, tmp_path):
         assert main(["fig3", "--dmax", "64", "--out", str(tmp_path)]) == 3
 
+    # Text written by the quadrature implementation of the qudit moments;
+    # the closed-form Fejer sum must reproduce it exactly.
+    def test_pinned_csv_text(self, tmp_path):
+        assert main(["fig3", "--sigma", "0.1", "--dmax", "9",
+                     "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "fig3_qudit.csv").read_text() == (
+            "d,alpha_opt,var_opt,var_at_alpha_s,bound\n"
+            "2,7.07106788,0.00316060279,0.00320751901,0.03125\n"
+            "3,5.0900311,0.00290688184,0.00303159214,0.0208333333\n"
+            "4,7.09359629,0.00266838125,0.00270892115,0.015625\n"
+            "5,6.56164848,0.00229640403,0.00230403946,0.0125\n"
+            "6,6.57603667,0.00202742618,0.00203346387,0.0104166667\n"
+            "7,6.46936875,0.00181299133,0.00181594038,0.00892857143\n"
+            "8,6.40334116,0.00164487884,0.00164598037,0.0078125\n"
+            "9,6.34963371,0.00150677035,0.00150711738,0.00694444444\n")
+
 
 class TestFig4:
     def test_byte_identical_reruns(self, tmp_path):

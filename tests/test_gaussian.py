@@ -14,11 +14,14 @@ from cvqec.gaussian import (DEFAULT_QUADRATURE, NoiseModel, QuadratureSpec,
 
 
 def fourier_qudit_moments(sigma, alpha, d):
-    """Independent oracle for the qudit filtered moments.
+    """Fourier-sum form of the qudit filtered moments.
 
     Expanding the measurement filter in its finite Fourier series and
     using Gaussian moments of e^{i m alpha b} gives closed sums for the
-    outcome weight, first and second moment of each outcome l.
+    outcome weight, first and second moment of each outcome l.  This is
+    the same formula ``qudit_filtered_moments`` evaluates, written out
+    per outcome; the independent check is the adaptive quadrature in
+    ``TestQuditMoments.test_against_adaptive_quadrature``.
     """
     ms = np.arange(-(d - 1), d)
     coef = (d - np.abs(ms)) / d**2
@@ -139,6 +142,29 @@ class TestQuditMoments:
         above = qudit_filter(np.array([b0 + 1.01e-6 / alpha]), alpha, d, l)[0]
         assert abs(below - above) < 1e-10
 
+    @pytest.mark.parametrize("d, sigma, alpha", [
+        (15, 0.1, 10.0),             # fast comb, probe point
+        (30, 0.1, 1.0 / 0.1),        # alpha = 1/sigma at a large dimension
+        (3, 0.4, 8.0 * np.pi / 0.4), # coarse comb, pi/alpha < sigma/4
+    ])
+    def test_against_adaptive_quadrature(self, d, sigma, alpha):
+        # independent oracle: scipy's adaptive rule on the filtered
+        # Gaussian over the support extended by one kernel period
+        spec = QuadratureSpec(method="adaptive")
+        half = 8.0 * sigma + np.pi / alpha
+        for l in range(d):
+            l_eff = l + QUDIT_MEASUREMENT_OFFSET
+            n, m1, m2 = (
+                integrate(lambda b, k=k: gaussian_pdf(b, sigma)
+                          * qudit_filter(b, alpha, d, l_eff) * b**k,
+                          -half, half, spec)
+                for k in (0, 1, 2))
+            m = qudit_filtered_moments(sigma, alpha, d, l)
+            assert m.outcome_prob == pytest.approx(n, abs=1e-10)
+            assert m.outcome_prob * m.mean == pytest.approx(m1, abs=1e-10 * sigma**2)
+            assert m.outcome_prob * m.second_moment == pytest.approx(
+                m2, abs=1e-10 * sigma**2)
+
     def test_adaptive_fallback_regime(self):
         # coarse comb (pi/alpha < sigma/4) routes through scipy.quad
         sigma = 0.4
@@ -171,6 +197,23 @@ def test_filter_completeness(sigma, alpha, d):
     total = sum(qudit_filter(b, alpha, d, l + QUDIT_MEASUREMENT_OFFSET)
                 for l in range(d))
     assert np.allclose(total, 1.0, atol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 32), sigma=st.floats(0.02, 0.4),
+       alpha_sigma=st.floats(0.05, 20.0))
+def test_qudit_sum_has_no_cancellation_loss(d, sigma, alpha_sigma):
+    """The Fejer sum keeps every outcome a valid, mirrored distribution."""
+    alpha = alpha_sigma / sigma
+    moments = [qudit_filtered_moments(sigma, alpha, d, l) for l in range(d)]
+    assert sum(m.outcome_prob for m in moments) == pytest.approx(1.0, abs=1e-12)
+    for l, m in enumerate(moments):
+        assert m.outcome_prob > 0
+        assert m.variance >= 0
+        mirror = moments[d - 1 - l]
+        assert m.outcome_prob == pytest.approx(mirror.outcome_prob, abs=1e-13)
+        assert m.mean == pytest.approx(-mirror.mean, abs=1e-11 * sigma)
+        assert m.variance == pytest.approx(mirror.variance, abs=1e-11 * sigma**2)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,5 +1,6 @@
 """Trajectory sampling: engine agreement, statistics, and reproducibility."""
 
+import dataclasses
 import math
 import os
 
@@ -14,7 +15,8 @@ from cvqec.montecarlo import (_SHOR_MODE_DIM, ANCILLA_KINDS,
                               run_concatenated, trajectory_fidelity,
                               with_trajectories)
 from cvqec.protocol import (exact_infidelity, optimal_alpha_qubit,
-                            run_qubit_p_scheme)
+                            optimal_zeta, run_qubit_p_scheme,
+                            run_squeezed_scheme)
 
 
 class TestPlanValidation:
@@ -171,6 +173,27 @@ class TestStatistics:
                            n_trajectories=n, root_seed=23))
         err = math.hypot(bare.infidelity.std_error, coded.infidelity.std_error)
         assert coded.infidelity.mean < bare.infidelity.mean - err
+
+    @pytest.mark.parametrize("state_kind", ["coherent", "fock1"])
+    @pytest.mark.parametrize("ancilla, p_phi", [("bare", 0.1),
+                                                ("three_qubit_phase", 0.2)])
+    def test_dephasing_matches_closed_form(self, ancilla, p_phi, state_kind):
+        # a Z on the bare qubit (or a logical Z on the phase code, with
+        # probability 3p^2 - 2p^3) only flips the +/-Y outcome, so the run
+        # mixes the squeezed-scheme noise with its sign-flipped mirror
+        sigma, zeta = 0.1, optimal_zeta()
+        plan = TrajectoryPlan(sigma=sigma, ancilla=ancilla, p_phi=p_phi,
+                              n_trajectories=4000, root_seed=11, zeta=zeta,
+                              state_kind=state_kind)
+        noise = run_squeezed_scheme(sigma, plan.effective_alpha, zeta)
+        flipped = dataclasses.replace(noise, p=dataclasses.replace(
+            noise.p, branches=tuple(dataclasses.replace(b, mean=-b.mean)
+                                    for b in noise.p.branches)))
+        p_l = p_phi if ancilla == "bare" else 3 * p_phi**2 - 2 * p_phi**3
+        exact = ((1 - p_l) * exact_infidelity(state_kind, noise)
+                 + p_l * exact_infidelity(state_kind, flipped))
+        result = branch_decomposition_run(plan).infidelity
+        assert abs(result.mean - exact) < 5 * result.std_error
 
     def test_amplitude_independence(self):
         # for coherent inputs the whole circuit commutes with the initial
