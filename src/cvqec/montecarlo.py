@@ -6,36 +6,56 @@ for qubit carriers, displacement and confinement for bosonic carriers),
 syndrome recovery, inverse conditional displacement, logical +/-Y readout,
 outcome-conditioned counter-displacement, fidelity with the input state.
 
-Two joint-state representations share the same driver and therefore the
-same random-number draw order: a branch decomposition (sum of a handful of
-carrier x displaced-data product terms) and a dense carrier x mode tensor.
-The branch path is the fast default; the dense path is the oracle.
+Two joint-state representations follow the same circuit with the same
+random numbers.  The fast one, _BranchState, is a sum of product terms
+(carrier vector) x ph D(gamma)|psi0>.  Every operation on the data mode
+is a displacement, and D(a) D(b) = exp(i Im(a b*)) D(a + b), so the data
+factor of a term is a phase and a displacement, not a Fock vector: a
+displacement beta maps gamma -> gamma + beta and ph -> ph exp(i Im(beta
+gamma*)), and overlaps come from the closed form of <psi0|D(delta)|psi0>
+(_Context.overlap).  No Fock cutoff touches the data mode.  The slow one,
+_DenseState, holds one trajectory as a truncated carrier x Fock tensor and
+is the per-trajectory oracle.
+
+_BranchState runs a chunk of trajectories at once as arrays: carrier
+terms c of shape (n, T, D), gamma and ph of shape (n, T).  The
+conditional displacement is the only operation that splits terms; it
+splits each term slot three ways (g, e, codespace complement), pruned
+terms are exact zeros, and a slot that is empty in every row is dropped,
+so T never exceeds six.  A chunk holds max(1, _CHUNK_BUDGET //
+carrier_dim) trajectories, and its bounds depend only on trajectory
+indices.  Per-row decisions are vectorized comparisons; Kraus operators
+and Pauli corrections are applied once per distinct choice in the chunk.
 
 Qubit-carrier Paulis (stabilizers, corrections, dephasing flips) are
 applied as bit masks, a basis permutation idx -> idx ^ x times a phase,
 with qubit 0 the most significant bit (dvcodes.PauliOp); the dense
-dvcodes.pauli_matrix stays as their test oracle.  The confinement Kraus
-operators of the nine-qubit carrier are applied as a level selection.
-Both give the dense products bit for bit, since every dropped term is an
-exact zero.
+dvcodes.pauli_matrix stays as their test oracle.  The confinement of each
+nine-qubit mode needs only the mode's 2x2 moment matrix for its outcome
+weights and the two kept rows of the mode displacement for its Kraus step.
 
 Reproducibility: trajectory i draws from a generator seeded with
-SeedSequence([root_seed, i]), so estimates are independent of worker count
-and chunking.
+SeedSequence([root_seed, i]), in a fixed order: the data error
+normal(size=2); the ancilla errors (one uniform per dephasing Z; for
+binomial_n3 a normal(size=2); for shor9, per mode, a normal(size=2) and
+then a uniform); one uniform per stabilizer, or the binomial Kraus
+uniform; the Y-measurement uniform.  _draw takes them all up front for a
+chunk, while the dense oracle draws them one at a time as its circuit
+runs, so per-index agreement of the engines also checks the order.
+Estimates do not depend on the chunking.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import dvcodes
 from .channels import confinement_kraus
-from .fock import DisplacementEngine, PureState, coherent_state, fock_state
+from .fock import DisplacementEngine, coherent_state, fock_state
 from .gaussian import qubit_outcome_mean
 
 __all__ = [
@@ -54,6 +74,7 @@ _BOSONIC_KINDS = ("binomial_n3", "shor9")
 _SHOR_MODE_DIM = 14  # per-mode Fock levels while a single-boson qubit is displaced
 _BINOMIAL_N_TRUNC = 23
 _BRANCH_TOL = 1e-14
+_CHUNK_BUDGET = 2048  # carrier amplitudes per term slot in one chunk
 
 
 @dataclass(frozen=True)
@@ -137,18 +158,6 @@ class _Context:
         self.anc_scale = (plan.ancilla_sigma if plan.ancilla_sigma is not None
                           else plan.sigma) / math.sqrt(2.0)
 
-        amp = abs(plan.coherent_amplitude) if plan.state_kind == "coherent" else 1.0
-        if plan.n_trunc is not None:
-            n_trunc = plan.n_trunc
-        else:
-            peak = amp + self.alpha + 2.0
-            n_trunc = int(peak * peak + 6.0 * peak + 12.0)
-        if plan.state_kind == "coherent":
-            self.psi0 = coherent_state(plan.coherent_amplitude, n_trunc).amplitudes
-        else:
-            self.psi0 = fock_state(1, n_trunc).amplitudes
-        self.data_engine = DisplacementEngine(n_trunc + 1)
-
         # carrier description
         self.dephasing_ops: list[dvcodes.PauliOp] = []
         self.stabilizers: tuple = ()
@@ -185,9 +194,61 @@ class _Context:
         self.carrier_dim = len(g)
         self.yplus = (g + 1j * e) / math.sqrt(2.0)
         self.yminus = (g - 1j * e) / math.sqrt(2.0)
+        self.chunk_size = max(1, _CHUNK_BUDGET // self.carrier_dim)
+        # uniforms per trajectory: dephasing flips, confinement outcomes,
+        # syndrome (stabilizer bits or the binomial Kraus choice), Y readout
+        self.n_uniform = (len(self.dephasing_ops) + self.n_modes
+                          + (len(self.stabilizers) or int(self.kind == "binomial_n3")) + 1)
+        self.n_anc_normals = self.n_modes or int(self.kind == "binomial_n3")
+
+    def overlap(self, delta: np.ndarray) -> np.ndarray:
+        """<psi0| D(delta) |psi0>, elementwise and exact."""
+        r2 = delta.real ** 2 + delta.imag ** 2
+        if self.plan.state_kind == "fock1":
+            return np.exp(-0.5 * r2) * (1.0 - r2)
+        a0 = self.plan.coherent_amplitude
+        return np.exp(-0.5 * r2 + 2j * (delta * np.conj(a0)).imag)
+
+    # The truncated data mode exists only for the dense oracle.
+
+    @cached_property
+    def psi0(self) -> np.ndarray:
+        plan = self.plan
+        if plan.n_trunc is not None:
+            n_trunc = plan.n_trunc
+        else:
+            amp = abs(plan.coherent_amplitude) if plan.state_kind == "coherent" else 1.0
+            # a logical failure of a bosonic carrier leaves the data mode
+            # displaced by about 2 alpha
+            reach = 2.0 * self.alpha if self.kind in _BOSONIC_KINDS else self.alpha
+            peak = amp + reach + 2.0
+            n_trunc = int(peak * peak + 6.0 * peak + 12.0)
+        if plan.state_kind == "coherent":
+            return coherent_state(plan.coherent_amplitude, n_trunc).amplitudes
+        return fock_state(1, n_trunc).amplitudes
+
+    @cached_property
+    def data_engine(self) -> DisplacementEngine:
+        return DisplacementEngine(len(self.psi0))
 
 
 # --- joint-state representations --------------------------------------------
+
+
+def _pauli(op: dvcodes.PauliOp, a: np.ndarray) -> np.ndarray:
+    """op on the last axis of a, bit for bit as ``op @ vector``."""
+    return op.phase * (a if op.perm is None else a[..., op.perm])
+
+
+def _displace_rows(engine: DisplacementEngine, beta: np.ndarray,
+                   vecs: np.ndarray) -> np.ndarray:
+    """D(beta[r]) on the last axis of vecs, for row r of the result, through
+    the engine's two cached eigenbases (as DisplacementEngine.apply)."""
+    bq = beta.real[:, None, None]
+    bp = beta.imag[:, None, None]
+    out = (vecs @ engine._vk.conj()) * np.exp(-1j * bq * engine._lam_k)
+    out = (out @ engine._vk.T @ engine._vx.conj()) * np.exp(1j * bp * engine._lam_x)
+    return np.exp(-1j * bq * bp) * (out @ engine._vx.T)
 
 
 def _confine_levels(t: np.ndarray, outcome: int) -> np.ndarray:
@@ -202,107 +263,120 @@ def _confine_levels(t: np.ndarray, outcome: int) -> np.ndarray:
 
 
 class _BranchState:
-    """Sum of (carrier vector) x (data vector) product terms.
+    """A chunk of n trajectories, each a sum of T product terms.
 
-    The conditional displacement is the only operation that splits terms,
-    and the split is three-way (g, e, codespace complement), so a
-    trajectory never carries more than six terms.
+    Term k of row r stands for c[r, k] x ph[r, k] D(gamma[r, k]) |psi0>;
+    c has shape (n, T, carrier_dim), gamma and ph shape (n, T).  Pruned
+    terms have c = 0 and ph = 0.
     """
 
-    def __init__(self, ctx: _Context):
+    def __init__(self, ctx: _Context, n: int):
         self.ctx = ctx
-        self.c = [(ctx.g + ctx.e) / math.sqrt(2.0)]
-        self.d = [ctx.psi0.copy()]
-        self.local_dims = [2] * ctx.n_modes
+        plus = (ctx.g + ctx.e) / math.sqrt(2.0)
+        self.c = np.tile(plus, (n, 1, 1))
+        self.gamma = np.zeros((n, 1), dtype=complex)
+        self.ph = np.ones((n, 1), dtype=complex)
+        self._gd = None
 
-    def _gram(self, vecs):
-        m = np.stack(vecs)
-        return m.conj() @ m.T
+    def data_gram(self) -> np.ndarray:
+        """[r, i, j] = <d_i|d_j> = conj(ph_i) ph_j e^{-i Im(gamma_i gamma_j*)}
+        <psi0|D(gamma_j - gamma_i)|psi0>."""
+        if self._gd is None:
+            gi, gj = self.gamma[:, :, None], self.gamma[:, None, :]
+            self._gd = (self.ph.conj()[:, :, None] * self.ph[:, None, :]
+                        * np.exp(-1j * (gi * gj.conj()).imag) * self.ctx.overlap(gj - gi))
+        return self._gd
 
-    def norm(self) -> float:
-        return float(np.sum(self._gram(self.c) * self._gram(self.d)).real)
+    def _weighted(self) -> np.ndarray:
+        """[r, i] = sum_j <d_i|d_j> c[r, j], so that <c_i| op |weighted_i>
+        summed over i is the expectation of a carrier operator op."""
+        return self.data_gram() @ self.c
 
-    def carrier_expect(self, op) -> float:
-        c = np.stack(self.c)
-        inner = c.conj() @ (op @ c.T)  # [i, j] = <c_i| op |c_j>
-        return float(np.sum(inner * self._gram(self.d)).real)
+    def norm(self) -> np.ndarray:
+        return np.sum(self.c.conj() * self._weighted(), axis=(1, 2)).real
 
-    def apply_carrier(self, op):
-        self.c = [op @ v for v in self.c]
+    def displace_data(self, beta: np.ndarray):
+        beta = beta[:, None]
+        self.ph = self.ph * np.exp(1j * (beta * self.gamma.conj()).imag)
+        self.gamma = self.gamma + beta
+        self._gd = None
 
-    def project_stabilizer(self, stab, sign: int):
-        self.c = [0.5 * (v + sign * (stab @ v)) for v in self.c]
-
-    def displace_data(self, beta: complex):
-        if beta == 0:
-            return
-        stacked = np.stack(self.d, axis=1)
-        out = self.ctx.data_engine.apply(beta, stacked)
-        self.d = [out[:, i] for i in range(out.shape[1])]
-
-    def conditional_displace(self, alpha_g: complex, alpha_e: complex):
+    def conditional_displace(self, alpha_g: float, alpha_e: float):
         g, e = self.ctx.g, self.ctx.e
-        engine = self.ctx.data_engine
-        new_c, new_d = [], []
-        for cv, dv in zip(self.c, self.d):
-            ag, ae = np.vdot(g, cv), np.vdot(e, cv)
-            rest = cv - ag * g - ae * e
-            dn = np.linalg.norm(dv)
-            if abs(ag) * dn > _BRANCH_TOL:
-                new_c.append(ag * g)
-                new_d.append(engine.apply(alpha_g, dv))
-            if abs(ae) * dn > _BRANCH_TOL:
-                new_c.append(ae * e)
-                new_d.append(engine.apply(alpha_e, dv))
-            if np.linalg.norm(rest) * dn > _BRANCH_TOL:
-                new_c.append(rest)
-                new_d.append(dv)
-        self.c, self.d = new_c, new_d
+        ag = self.c @ g.conj()
+        ae = self.c @ e.conj()
+        rest = self.c - ag[..., None] * g - ae[..., None] * e
+        size = np.abs(self.ph)
+        c = np.concatenate((ag[..., None] * g, ae[..., None] * e, rest), axis=1)
+        keep = np.concatenate((np.abs(ag) * size, np.abs(ae) * size,
+                               np.linalg.norm(rest, axis=-1) * size), axis=1) > _BRANCH_TOL
+        gamma = np.tile(self.gamma, 3)
+        shift = np.repeat([alpha_g, alpha_e, 0.0], self.gamma.shape[1])
+        ph = np.tile(self.ph, 3) * np.exp(1j * (shift * gamma.conj()).imag)
+        gamma = gamma + shift
+        alive = keep.any(axis=0)
+        keep = keep[:, alive]
+        self.c = np.where(keep[..., None], c[:, alive], 0.0)
+        self.gamma = np.where(keep, gamma[:, alive], 0.0)
+        self.ph = np.where(keep, ph[:, alive], 0.0)
+        self._gd = None
 
-    def _mode_shape(self, m):
-        dims = self.local_dims
-        left = int(np.prod(dims[:m], initial=1))
-        right = int(np.prod(dims[m + 1:], initial=1))
-        return left, dims[m], right
+    def apply_pauli(self, op: dvcodes.PauliOp, rows):
+        self.c[rows] = _pauli(op, self.c[rows])
 
-    def apply_carrier_local(self, m: int, op):
-        left, dloc, right = self._mode_shape(m)
-        self.c = [np.einsum("xy,lyr->lxr", op, v.reshape(left, dloc, right)).reshape(-1)
-                  for v in self.c]
-        self.local_dims[m] = op.shape[0]
+    def stabilizer_plus_probability(self, stab: dvcodes.PauliOp) -> np.ndarray:
+        w = self._weighted()
+        nrm = np.sum(self.c.conj() * w, axis=(1, 2)).real
+        expect = np.sum(self.c.conj() * _pauli(stab, w), axis=(1, 2)).real
+        return 0.5 * (nrm + expect) / nrm
 
-    def confine_mode(self, m: int, outcome: int):
-        left, dloc, right = self._mode_shape(m)
-        self.c = [_confine_levels(v.reshape(left, dloc, right), outcome).reshape(-1)
-                  for v in self.c]
-        self.local_dims[m] = 2
+    def project_stabilizer(self, stab: dvcodes.PauliOp, sign: np.ndarray):
+        self.c = 0.5 * (self.c + sign[:, None, None] * _pauli(stab, self.c))
 
-    def carrier_level_weights(self, m: int):
-        left, dloc, right = self._mode_shape(m)
-        t = np.stack([v.reshape(left, dloc, right) for v in self.c])
-        return np.einsum("ilyr,jlyr,ij->y", t.conj(), t, self._gram(self.d)).real
+    def carrier_expect(self, op: np.ndarray) -> np.ndarray:
+        return np.sum(self.c.conj() * (self._weighted() @ op.T), axis=(1, 2)).real
 
-    def measure_y(self, u: float) -> int:
+    def _mode_view(self, m: int, a: np.ndarray) -> np.ndarray:
+        return a.reshape(a.shape[0], a.shape[1], 2 ** m, 2, -1)
+
+    def mode_weights(self, m: int, disp: np.ndarray) -> np.ndarray:
+        """[r, y]: weight of level y of mode m after that mode's two levels x
+        are displaced into disp[r, x, y] = <y|D|x>.  Only the 2x2 moment
+        matrix M_xx' of the mode is formed; w_y = sum conj(D_yx) D_yx' M_xx'."""
+        c5 = self._mode_view(m, self.c)
+        w5 = self._mode_view(m, self._weighted())
+        moments = np.einsum("ntlxr,ntlzr->nxz", c5.conj(), w5)
+        return np.einsum("nxy,nxz,nzy->ny", disp.conj(), moments, disp).real
+
+    def confine_mode(self, m: int, disp: np.ndarray, outcome: np.ndarray):
+        """Displace mode m as in mode_weights, then apply confinement Kraus
+        outcome[r] (see _confine_levels); only the kept rows of D are used."""
+        kraus = np.swapaxes(disp[:, :, :2], 1, 2).copy()  # [r, new level, x]
+        moved = np.flatnonzero(outcome > 0)
+        kraus[moved, 0] = 0.0
+        kraus[moved, 1] = disp[moved, :, outcome[moved] + 1]
+        c5 = self._mode_view(m, self.c)
+        self.c = np.einsum("nyx,ntlxr->ntlyr", kraus, c5).reshape(self.c.shape)
+
+    def measure_y(self, u: np.ndarray) -> np.ndarray:
         yp, ym = self.ctx.yplus, self.ctx.yminus
-        a = np.array([np.vdot(yp, v) for v in self.c])
-        b = np.array([np.vdot(ym, v) for v in self.c])
-        gd = self._gram(self.d)
+        a = self.c @ yp.conj()
+        b = self.c @ ym.conj()
+        gd = self.data_gram()
         nrm = self.norm()
-        p_plus = float((a.conj() @ gd @ a).real) / nrm
-        p_minus = float((b.conj() @ gd @ b).real) / nrm
-        if u < p_plus:
-            self.c = [ai * yp for ai in a]
-            return +1
-        if u < p_plus + p_minus:
-            self.c = [bi * ym for bi in b]
-            return -1
-        self.c = [v - ai * yp - bi * ym for v, ai, bi in zip(self.c, a, b)]
-        return 0
+        p_plus = np.einsum("ni,nij,nj->n", a.conj(), gd, a).real / nrm
+        p_minus = np.einsum("ni,nij,nj->n", b.conj(), gd, b).real / nrm
+        outcome = np.where(u < p_plus, 1, np.where(u < p_plus + p_minus, -1, 0))
+        on_plus, on_minus = a[..., None] * yp, b[..., None] * ym
+        self.c = np.where((outcome == 1)[:, None, None], on_plus,
+                          np.where((outcome == -1)[:, None, None], on_minus,
+                                   self.c - on_plus - on_minus))
+        return outcome
 
-    def fidelity(self) -> float:
-        o = np.array([np.vdot(self.ctx.psi0, dv) for dv in self.d])
-        val = (o.conj() @ self._gram(self.c) @ o).real
-        return float(val) / self.norm()
+    def fidelity(self) -> np.ndarray:
+        o = self.ph * self.ctx.overlap(self.gamma)
+        gc = self.c.conj() @ np.swapaxes(self.c, 1, 2)  # [r, i, j] = <c_i|c_j>
+        return np.einsum("ni,nij,nj->n", o.conj(), gc, o).real / self.norm()
 
 
 class _DenseState:
@@ -384,7 +458,111 @@ class _DenseState:
         return float(np.vdot(w, w).real) / self.norm()
 
 
-# --- trajectory driver -------------------------------------------------------
+# --- batched trajectory driver ----------------------------------------------
+
+
+def _rng(plan: TrajectoryPlan, index: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence([plan.root_seed, index]))
+
+
+def _draw(ctx: _Context, start: int, stop: int):
+    """Every random number of trajectories start..stop-1 in the order
+    _one_trajectory draws them: data normals (n, 2), ancilla normals
+    (n, k, 2) and uniforms (n, ctx.n_uniform) in the order they are used."""
+    n = stop - start
+    scale = ctx.sigma / math.sqrt(2.0)
+    data = np.empty((n, 2))
+    anc = np.empty((n, ctx.n_anc_normals, 2))
+    uni = np.empty((n, ctx.n_uniform))
+    for r in range(n):
+        rng = _rng(ctx.plan, start + r)
+        data[r] = rng.normal(0.0, scale, size=2)
+        if ctx.kind == "shor9":
+            for m in range(ctx.n_modes):
+                anc[r, m] = rng.normal(0.0, ctx.anc_scale, size=2)
+                uni[r, m] = rng.random()
+            uni[r, ctx.n_modes:] = rng.random(ctx.n_uniform - ctx.n_modes)
+            continue
+        if ctx.n_anc_normals:
+            anc[r, 0] = rng.normal(0.0, ctx.anc_scale, size=2)
+        uni[r] = rng.random(ctx.n_uniform)
+    return data, anc, uni
+
+
+def _groups(keys: np.ndarray):
+    """(key, rows) for each distinct entry (or row, for 2-D keys) of keys."""
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    for j, key in enumerate(uniq):
+        yield (tuple(key.tolist()) if keys.ndim > 1 else int(key)), inverse == j
+
+
+def _batch_ancilla_errors(ctx, state, anc, uniforms) -> None:
+    kind = ctx.kind
+    if kind in _DEPHASING_KINDS:
+        for z in ctx.dephasing_ops:
+            state.apply_pauli(z, next(uniforms) < ctx.p_phi)
+    elif kind == "binomial_n3":
+        beta = anc[:, 0, 0] + 1j * anc[:, 0, 1]
+        state.c = _displace_rows(ctx.anc_engine, beta, state.c)
+    elif kind == "shor9":
+        low = np.eye(2, _SHOR_MODE_DIM, dtype=complex)  # |0>, |1> as rows
+        for m in range(ctx.n_modes):
+            disp = _displace_rows(ctx.mode_engine, anc[:, m, 0] + 1j * anc[:, m, 1], low)
+            w = state.mode_weights(m, disp)
+            cum = np.concatenate((w[:, :1] + w[:, 1:2], w[:, 2:]), axis=1).cumsum(axis=1)
+            below = cum < (next(uniforms) * cum[:, -1])[:, None]
+            outcome = np.minimum(below.sum(axis=1), len(ctx.confine) - 1)
+            state.confine_mode(m, disp, outcome)
+
+
+def _batch_recovery(ctx, state, uniforms) -> np.ndarray:
+    """Per-row flags: the syndrome fell outside the correctable set."""
+    kind = ctx.kind
+    unrecoverable = np.zeros(state.c.shape[0], dtype=bool)
+    if kind in ("three_qubit_phase", "shor9"):
+        bits = np.empty((state.c.shape[0], len(ctx.stabilizers)), dtype=np.int64)
+        for s, stab in enumerate(ctx.stabilizers):
+            bits[:, s] = next(uniforms) >= state.stabilizer_plus_probability(stab)
+            state.project_stabilizer(stab, 1 - 2 * bits[:, s])
+        for syndrome, rows in _groups(bits):
+            corr, _, guaranteed = dvcodes.correction_matrix(ctx.code_name, syndrome)
+            if corr is None:
+                unrecoverable[rows] = True
+                continue
+            state.apply_pauli(corr, rows)
+            unrecoverable[rows] = not guaranteed
+    elif kind == "binomial_n3":
+        u = next(uniforms) * state.norm()
+        expect = np.stack([state.carrier_expect(kk) for _, kk, _ in ctx.binom_kraus], axis=1)
+        hit = u[:, None] <= expect.cumsum(axis=1)
+        choice = np.where(hit.any(axis=1), hit.argmax(axis=1), len(ctx.binom_kraus) - 1)
+        for k, rows in _groups(choice):
+            kraus, _, primary = ctx.binom_kraus[k]
+            state.c[rows] = state.c[rows] @ kraus.T
+            unrecoverable[rows] = not primary
+    return unrecoverable
+
+
+def _run_chunk(ctx: _Context, start: int, stop: int):
+    """Infidelity, unrecoverable flag and complement flag of trajectories
+    start..stop-1; the circuit of _one_trajectory, row by row."""
+    data, anc, uni = _draw(ctx, start, stop)
+    uniforms = iter(uni.T)
+    state = _BranchState(ctx, stop - start)
+    # squeezing frame: see _one_trajectory
+    beta = data[:, 0] * math.exp(2.0 * ctx.zeta) + 1j * (data[:, 1] * math.exp(-2.0 * ctx.zeta))
+    state.conditional_displace(-ctx.alpha, +ctx.alpha)
+    state.displace_data(beta)
+    _batch_ancilla_errors(ctx, state, anc, uniforms)
+    unrecoverable = _batch_recovery(ctx, state, uniforms)
+    state.conditional_displace(+ctx.alpha, -ctx.alpha)
+    outcome = state.measure_y(next(uniforms))
+    state.displace_data(-1j * outcome * ctx.outcome_mean)
+    return 1.0 - state.fidelity(), unrecoverable, outcome == 0
+
+
+# --- per-trajectory driver of the dense oracle ------------------------------
 
 
 def _ancilla_errors(ctx, state, rng) -> None:
@@ -441,8 +619,7 @@ def _recovery(ctx, state, rng) -> bool:
     return False
 
 
-def _one_trajectory(ctx: _Context, state) -> tuple[float, bool, bool]:
-    rng = state.rng
+def _one_trajectory(ctx: _Context, state, rng) -> tuple[float, bool, bool]:
     scale = ctx.sigma / math.sqrt(2.0)
     bq, bp = rng.normal(0.0, scale, size=2)
     # In the frame where the conditional displacement acts, pre/post
@@ -460,60 +637,42 @@ def _one_trajectory(ctx: _Context, state) -> tuple[float, bool, bool]:
     return 1.0 - fid, unrecoverable, outcome == 0
 
 
-def _worker_count() -> int:
-    """CVQEC_THREADS clamped to [1, cpu count]; 1 when unset or invalid."""
-    try:
-        requested = int(os.environ.get("CVQEC_THREADS", "1"))
-    except ValueError:
-        return 1
-    return min(max(requested, 1), os.cpu_count() or 1)
-
-
-def _run(plan: TrajectoryPlan, state_cls, engine_name: str) -> RunResult:
-    ctx = _Context(plan)
+def _result(plan, samples, unrecoverable, complement, engine_name) -> RunResult:
     n = plan.n_trajectories
-    samples = np.empty(n)
-    unrec = np.zeros(n, dtype=bool)
-    compl = np.zeros(n, dtype=bool)
-
-    def job(i: int):
-        state = state_cls(ctx)
-        state.rng = np.random.default_rng(np.random.SeedSequence([plan.root_seed, i]))
-        samples[i], unrec[i], compl[i] = _one_trajectory(ctx, state)
-
-    workers = _worker_count()
-    if workers == 1:
-        for i in range(n):
-            job(i)
-    else:
-        # Trajectories are seeded by index, and each writes its own slot,
-        # so results are independent of scheduling.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(job, range(n)))
     std_error = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     est = EstimateWithError(float(samples.mean()), std_error, n)
-    return RunResult(est, engine_name, int(unrec.sum()), int(compl.sum()), plan)
+    return RunResult(est, engine_name, int(unrecoverable.sum()),
+                     int(complement.sum()), plan)
 
 
 def run_concatenated(plan: TrajectoryPlan) -> RunResult:
-    """Direct tensor-product simulation; reference engine."""
-    return _run(plan, _DenseState, "direct")
+    """Direct tensor-product simulation, one trajectory at a time; reference
+    engine."""
+    ctx = _Context(plan)
+    parts = [_one_trajectory(ctx, _DenseState(ctx), _rng(plan, i))
+             for i in range(plan.n_trajectories)]
+    samples, unrecoverable, complement = (np.array(p) for p in zip(*parts))
+    return _result(plan, samples, unrecoverable, complement, "direct")
 
 
 def branch_decomposition_run(plan: TrajectoryPlan) -> RunResult:
-    """Branch-decomposition simulation; same distribution, much faster for
-    large carriers."""
-    return _run(plan, _BranchState, "branch")
+    """Batched branch-decomposition simulation; same trajectories as the
+    reference engine, without a Fock cutoff on the data mode."""
+    ctx = _Context(plan)
+    n, size = plan.n_trajectories, ctx.chunk_size
+    parts = [_run_chunk(ctx, start, min(start + size, n)) for start in range(0, n, size)]
+    samples, unrecoverable, complement = (np.concatenate(p) for p in zip(*parts))
+    return _result(plan, samples, unrecoverable, complement, "branch")
 
 
 def trajectory_fidelity(plan: TrajectoryPlan, index: int, engine: str = "branch") -> float:
     """Fidelity of a single trajectory; the two engines agree per index."""
     ctx = _Context(plan)
-    state_cls = _BranchState if engine == "branch" else _DenseState
-    state = state_cls(ctx)
-    state.rng = np.random.default_rng(np.random.SeedSequence([plan.root_seed, index]))
-    infid, _, _ = _one_trajectory(ctx, state)
-    return 1.0 - infid
+    if engine == "branch":
+        infid = _run_chunk(ctx, index, index + 1)[0][0]
+    else:
+        infid = _one_trajectory(ctx, _DenseState(ctx), _rng(plan, index))[0]
+    return 1.0 - float(infid)
 
 
 # --- bare-qubit variance estimator -------------------------------------------

@@ -165,8 +165,8 @@ class TestQuditMoments:
             assert m.outcome_prob * m.second_moment == pytest.approx(
                 m2, abs=1e-10 * sigma**2)
 
-    def test_adaptive_fallback_regime(self):
-        # coarse comb (pi/alpha < sigma/4) routes through scipy.quad
+    def test_coarse_comb_probabilities_sum_to_one(self):
+        # coarse comb: tooth spacing pi/alpha = sigma/8, far below the noise width
         sigma = 0.4
         alpha = 8.0 * np.pi / sigma
         total = sum(qudit_filtered_moments(sigma, alpha, 3, l).outcome_prob

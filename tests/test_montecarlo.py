@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import os
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ import pytest
 from cvqec.channels import confinement_kraus
 from cvqec.montecarlo import (_SHOR_MODE_DIM, ANCILLA_KINDS,
                               EstimateWithError, TrajectoryPlan, _BranchState,
-                              _Context, _DenseState, _worker_count,
+                              _Context, _DenseState, _displace_rows,
                               branch_decomposition_run, estimate_qubit_var_p,
                               run_concatenated, trajectory_fidelity,
                               with_trajectories)
@@ -67,6 +66,21 @@ class TestEngineAgreement:
             assert fb == pytest.approx(fd, abs=1e-9)
             assert -1e-9 <= fb <= 1 + 1e-9
 
+    @pytest.mark.parametrize("state_kind", ["coherent", "fock1"])
+    @pytest.mark.parametrize("ancilla, sigma, n_index", [
+        ("binomial_n3", 0.05, 4), ("binomial_n3", 0.1, 4),
+        ("shor9", 0.05, 2), ("shor9", 0.1, 4)])
+    def test_bosonic_failures_within_dense_cutoff(self, ancilla, sigma, n_index,
+                                                  state_kind):
+        # a logical failure of a bosonic carrier leaves the data mode
+        # displaced by about 2 alpha, which the dense cutoff must hold
+        plan = TrajectoryPlan(sigma=sigma, ancilla=ancilla, root_seed=3,
+                              zeta=optimal_zeta(), state_kind=state_kind)
+        for index in range(n_index):
+            fb = trajectory_fidelity(plan, index, engine="branch")
+            fd = trajectory_fidelity(plan, index, engine="dense")
+            assert fb == pytest.approx(fd, abs=1e-12)
+
     def test_run_means_identical(self):
         plan = TrajectoryPlan(sigma=0.1, ancilla="three_qubit_phase",
                               p_phi=0.05, n_trajectories=50, root_seed=2)
@@ -77,12 +91,8 @@ class TestEngineAgreement:
         assert rb.engine == "branch" and rd.engine == "direct"
 
 
-def _carrier_array(state):
-    return np.stack(state.c) if isinstance(state, _BranchState) else state.psi
-
-
 class TestConfinement:
-    @pytest.mark.parametrize("state_cls", [_BranchState, _DenseState])
+    @pytest.mark.parametrize("state_cls", [_DenseState])
     def test_level_selection_matches_kraus(self, state_cls):
         """confine_mode(m, j) against the einsum with confinement Kraus j,
         on a random carrier whose mode m holds all 14 levels."""
@@ -102,7 +112,42 @@ class TestConfinement:
                 ref.apply_carrier_local(m, k)
                 sel.confine_mode(m, outcome)
                 assert sel.local_dims == ref.local_dims
-                assert np.array_equal(_carrier_array(sel), _carrier_array(ref))
+                assert np.array_equal(sel.psi, ref.psi)
+
+    def test_batched_mode_step_matches_dense(self):
+        """_BranchState.mode_weights and confine_mode, which form only the
+        mode's 2x2 moments and the kept rows of its displacement, against
+        the dense path (apply_carrier_local with disp[:, :2], then
+        confinement Kraus j), one row per outcome j, on random two-term
+        states."""
+        ctx = _Context(TrajectoryPlan(sigma=0.15, ancilla="shor9"))
+        kraus = confinement_kraus(_SHOR_MODE_DIM)
+        n = len(kraus)
+        rng = np.random.default_rng(12)
+        low = np.eye(2, _SHOR_MODE_DIM, dtype=complex)
+        for m in (0, 4, 8):
+            beta = rng.normal(0.0, 0.3, n) + 1j * rng.normal(0.0, 0.3, n)
+            state = _BranchState(ctx, n)
+            c = rng.normal(size=(n, 2, ctx.carrier_dim)) + 1j * rng.normal(
+                size=(n, 2, ctx.carrier_dim))
+            state.c = c / np.linalg.norm(c, axis=(1, 2), keepdims=True)
+            state.gamma = rng.normal(0.0, 0.5, (n, 2)) + 1j * rng.normal(0.0, 0.5, (n, 2))
+            state.ph = np.exp(2j * np.pi * rng.random((n, 2)))
+            data = [[ph * ctx.data_engine.apply(g, ctx.psi0)
+                     for g, ph in zip(state.gamma[r], state.ph[r])] for r in range(n)]
+            disp = _displace_rows(ctx.mode_engine, beta, low)
+            weights = state.mode_weights(m, disp)
+            state.confine_mode(m, disp, np.arange(n))
+            for j in range(n):
+                ref = _DenseState(ctx)
+                ref.psi = sum(np.outer(cv, dv) for cv, dv in zip(c[j] / np.linalg.norm(c[j]),
+                                                                  data[j]))
+                ref.apply_carrier_local(m, ctx.mode_engine.matrix(beta[j])[:, :2])
+                assert np.allclose(weights[j], ref.carrier_level_weights(m),
+                                   rtol=0, atol=1e-13)
+                ref.apply_carrier_local(m, kraus[j])
+                got = sum(np.outer(cv, dv) for cv, dv in zip(state.c[j], data[j]))
+                assert np.allclose(got, ref.psi, rtol=0, atol=1e-13)
 
 
 class TestReproducibility:
@@ -129,13 +174,17 @@ class TestReproducibility:
         threaded = branch_decomposition_run(plan)
         assert serial.infidelity.mean == threaded.infidelity.mean
 
-    def test_worker_count_is_clamped(self, monkeypatch):
-        monkeypatch.setenv("CVQEC_THREADS", "100000")
-        assert _worker_count() == (os.cpu_count() or 1)
-        monkeypatch.setenv("CVQEC_THREADS", "0")
-        assert _worker_count() == 1
-        monkeypatch.setenv("CVQEC_THREADS", "many")
-        assert _worker_count() == 1
+
+def _flip_mixture(plan, p_l):
+    """Exact infidelity when a Z (bare qubit) or logical Z (phase code),
+    with probability p_l, only flips the +/-Y outcome: the run mixes the
+    squeezed-scheme noise with its sign-flipped mirror."""
+    noise = run_squeezed_scheme(plan.sigma, plan.effective_alpha, plan.zeta)
+    flipped = dataclasses.replace(noise, p=dataclasses.replace(
+        noise.p, branches=tuple(dataclasses.replace(b, mean=-b.mean)
+                                for b in noise.p.branches)))
+    return ((1 - p_l) * exact_infidelity(plan.state_kind, noise)
+            + p_l * exact_infidelity(plan.state_kind, flipped))
 
 
 class TestStatistics:
@@ -178,22 +227,26 @@ class TestStatistics:
     @pytest.mark.parametrize("ancilla, p_phi", [("bare", 0.1),
                                                 ("three_qubit_phase", 0.2)])
     def test_dephasing_matches_closed_form(self, ancilla, p_phi, state_kind):
-        # a Z on the bare qubit (or a logical Z on the phase code, with
-        # probability 3p^2 - 2p^3) only flips the +/-Y outcome, so the run
-        # mixes the squeezed-scheme noise with its sign-flipped mirror
         sigma, zeta = 0.1, optimal_zeta()
         plan = TrajectoryPlan(sigma=sigma, ancilla=ancilla, p_phi=p_phi,
                               n_trajectories=4000, root_seed=11, zeta=zeta,
                               state_kind=state_kind)
-        noise = run_squeezed_scheme(sigma, plan.effective_alpha, zeta)
-        flipped = dataclasses.replace(noise, p=dataclasses.replace(
-            noise.p, branches=tuple(dataclasses.replace(b, mean=-b.mean)
-                                    for b in noise.p.branches)))
         p_l = p_phi if ancilla == "bare" else 3 * p_phi**2 - 2 * p_phi**3
-        exact = ((1 - p_l) * exact_infidelity(state_kind, noise)
-                 + p_l * exact_infidelity(state_kind, flipped))
+        exact = _flip_mixture(plan, p_l)
         result = branch_decomposition_run(plan).infidelity
         assert abs(result.mean - exact) < 5 * result.std_error
+
+    @pytest.mark.parametrize("state_kind", ["coherent", "fock1"])
+    def test_three_qubit_logical_rate(self, state_kind):
+        # enough trajectories to tell p_L = 3p^2 - 2p^3 from p_L = p at p = 0.2
+        sigma, zeta, p_phi = 0.1, optimal_zeta(), 0.2
+        plan = TrajectoryPlan(sigma=sigma, ancilla="three_qubit_phase", p_phi=p_phi,
+                              n_trajectories=20000, root_seed=11, zeta=zeta,
+                              state_kind=state_kind)
+        result = branch_decomposition_run(plan).infidelity
+        right = _flip_mixture(plan, 3 * p_phi**2 - 2 * p_phi**3)
+        assert abs(result.mean - right) < 5 * result.std_error
+        assert abs(result.mean - _flip_mixture(plan, p_phi)) > 5 * result.std_error
 
     def test_amplitude_independence(self):
         # for coherent inputs the whole circuit commutes with the initial
