@@ -34,22 +34,34 @@ dvcodes.pauli_matrix stays as their test oracle.  The confinement of each
 nine-qubit mode needs only the mode's 2x2 moment matrix for its outcome
 weights and the two kept rows of the mode displacement for its Kraus step.
 
-Reproducibility: trajectory i draws from a generator seeded with
-SeedSequence([root_seed, i]), in a fixed order: the data error
-normal(size=2); the ancilla errors (one uniform per dephasing Z; for
-binomial_n3 a normal(size=2); for shor9, per mode, a normal(size=2) and
-then a uniform); one uniform per stabilizer, or the binomial Kraus
-uniform; the Y-measurement uniform.  _draw takes them all up front for a
-chunk, while the dense oracle draws them one at a time as its circuit
-runs, so per-index agreement of the engines also checks the order.
-Estimates do not depend on the chunking.
+Reproducibility: trajectory i draws from the stream of
+default_rng(SeedSequence([root_seed, i])), in a fixed order: the data
+error normal(size=2); the ancilla errors (one uniform per dephasing Z;
+for binomial_n3 a normal(size=2); for shor9, per mode, a normal(size=2)
+and then a uniform); one uniform per stabilizer, or the binomial Kraus
+uniform; the Y-measurement uniform.  The dense oracle draws them one at a
+time from default_rng as its circuit runs.  The branch engine takes them
+up front, from the same streams seeded in bulk (_streams: SeedSequence's
+hash and PCG64's seeding for all indices at once, checked against
+default_rng at the first index).  Its standard normals and uniforms
+depend only on the root seed, the ancilla kind and the index, so the
+points of one sweep, which differ in sigma or p_phi, share one set per
+run key (_run_draws) and scale it: normal(0, s) is 0.0 + s *
+standard_normal bit for bit.  Per-index agreement of the engines also
+checks the order.
+
+A run's output depends only on its plan: the chunk size is fixed per
+carrier.  A slot is dropped only when it is empty in every row of its
+chunk, so a trajectory run alone (trajectory_fidelity) can differ from
+its value inside a run in the last bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+import warnings
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -143,40 +155,31 @@ class RunResult:
     plan: TrajectoryPlan
 
 
-class _Context:
-    """Per-run precomputation shared (read-only) by all trajectories."""
+class _Carrier:
+    """The plan-independent part of a run: codewords, Paulis, stabilizers,
+    Kraus operators and displacement engines of one ancilla kind.  Built
+    once per kind (_carrier) and shared read-only by every run."""
 
-    def __init__(self, plan: TrajectoryPlan):
-        self.plan = plan
-        self.kind = plan.ancilla
-        self.sigma = plan.sigma
-        self.zeta = plan.zeta
-        self.p_phi = plan.p_phi
-        self.alpha = plan.effective_alpha
-        sigma_p = plan.sigma * math.exp(-2.0 * plan.zeta)
-        self.outcome_mean = qubit_outcome_mean(sigma_p, self.alpha)
-        self.anc_scale = (plan.ancilla_sigma if plan.ancilla_sigma is not None
-                          else plan.sigma) / math.sqrt(2.0)
-
-        # carrier description
-        self.dephasing_ops: list[dvcodes.PauliOp] = []
+    def __init__(self, kind: str):
+        self.kind = kind
+        self.dephasing_ops: tuple = ()
         self.stabilizers: tuple = ()
         self.code_name = None
         self.binom_kraus = None
         self.n_modes = 0
-        if self.kind in ("perfect", "bare"):
+        if kind in ("perfect", "bare"):
             g = np.array([1.0, 0.0], dtype=complex)
             e = np.array([0.0, 1.0], dtype=complex)
-            if self.kind == "bare":
-                self.dephasing_ops = [dvcodes.PauliOp("Z")]
-        elif self.kind == "three_qubit_phase":
+            if kind == "bare":
+                self.dephasing_ops = (dvcodes.PauliOp("Z"),)
+        elif kind == "three_qubit_phase":
             code = dvcodes.three_qubit_phase_code()
             g, e = code.logical_g, code.logical_e
             self.code_name = code.name
-            self.dephasing_ops = [dvcodes.PauliOp(dvcodes._pauli_string(3, j, "Z"))
-                                  for j in range(3)]
+            self.dephasing_ops = tuple(dvcodes.PauliOp(dvcodes._pauli_string(3, j, "Z"))
+                                       for j in range(3))
             self.stabilizers = dvcodes.stabilizer_ops(code.name)
-        elif self.kind == "shor9":
+        elif kind == "shor9":
             code = dvcodes.shor9_code()
             g, e = code.logical_g, code.logical_e
             self.code_name = code.name
@@ -189,17 +192,41 @@ class _Context:
             g, e = code.logical_g, code.logical_e
             self.anc_engine = DisplacementEngine(code.dim)
             kraus, primary, _ = dvcodes.binomial_recovery_kraus(_BINOMIAL_N_TRUNC)
-            self.binom_kraus = [(k, k.conj().T @ k, p) for k, p in zip(kraus, primary)]
+            self.binom_kraus = tuple((k, k.conj().T @ k, p) for k, p in zip(kraus, primary))
         self.g, self.e = g, e
         self.carrier_dim = len(g)
         self.yplus = (g + 1j * e) / math.sqrt(2.0)
         self.yminus = (g - 1j * e) / math.sqrt(2.0)
+        for vec in (self.g, self.e, self.yplus, self.yminus):
+            vec.flags.writeable = False
         self.chunk_size = max(1, _CHUNK_BUDGET // self.carrier_dim)
         # uniforms per trajectory: dephasing flips, confinement outcomes,
         # syndrome (stabilizer bits or the binomial Kraus choice), Y readout
         self.n_uniform = (len(self.dephasing_ops) + self.n_modes
-                          + (len(self.stabilizers) or int(self.kind == "binomial_n3")) + 1)
-        self.n_anc_normals = self.n_modes or int(self.kind == "binomial_n3")
+                          + (len(self.stabilizers) or int(kind == "binomial_n3")) + 1)
+        self.n_anc_normals = self.n_modes or int(kind == "binomial_n3")
+
+
+@lru_cache(maxsize=len(ANCILLA_KINDS))
+def _carrier(kind: str) -> _Carrier:
+    return _Carrier(kind)
+
+
+class _Context:
+    """Per-run precomputation shared (read-only) by all trajectories."""
+
+    def __init__(self, plan: TrajectoryPlan):
+        # the kind's shared carrier: g, e, stabilizers, chunk_size, ...
+        vars(self).update(vars(_carrier(plan.ancilla)))
+        self.plan = plan
+        self.sigma = plan.sigma
+        self.zeta = plan.zeta
+        self.p_phi = plan.p_phi
+        self.alpha = plan.effective_alpha
+        sigma_p = plan.sigma * math.exp(-2.0 * plan.zeta)
+        self.outcome_mean = qubit_outcome_mean(sigma_p, self.alpha)
+        self.anc_scale = (plan.ancilla_sigma if plan.ancilla_sigma is not None
+                          else plan.sigma) / math.sqrt(2.0)
 
     def overlap(self, delta: np.ndarray) -> np.ndarray:
         """<psi0| D(delta) |psi0>, elementwise and exact."""
@@ -461,32 +488,138 @@ class _DenseState:
 # --- batched trajectory driver ----------------------------------------------
 
 
-def _rng(plan: TrajectoryPlan, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([plan.root_seed, index]))
+def _rng(root_seed: int, index: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence([root_seed, index]))
 
 
-def _draw(ctx: _Context, start: int, stop: int):
-    """Every random number of trajectories start..stop-1 in the order
-    _one_trajectory draws them: data normals (n, 2), ancilla normals
-    (n, k, 2) and uniforms (n, ctx.n_uniform) in the order they are used."""
+# numpy's SeedSequence hash constants (bit_generator.pyx) and PCG64's
+# 128-bit LCG multiplier (pcg64.h)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """The first n + 1 values of a SeedSequence hash constant."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)
+
+
+_HASH_A = _hash_consts(_INIT_A, _MULT_A, 16)  # 16 hashmix calls of the pool mix
+_HASH_B = _hash_consts(_INIT_B, _MULT_B, 8)   # 8 words of generate_state
+
+
+def _pcg64_states(root_seed: int, start: int, stop: int) -> list[tuple[int, int]]:
+    """(state, inc) of PCG64(SeedSequence([root_seed, i])) for i in
+    start..stop-1, for a root seed and indices in [0, 2**32).
+
+    SeedSequence's pool mix and generate_state(4, uint64) run for all
+    indices at once in uint32 arithmetic; the hash constants do not depend
+    on the data.  PCG64 then seeds with two steps of its LCG."""
+    calls = iter(range(16))
+
+    def hashmix(value):
+        k = next(calls)
+        value = (value ^ _HASH_A[k]) * _HASH_A[k + 1]
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        value = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return value ^ (value >> np.uint32(16))
+
     n = stop - start
-    scale = ctx.sigma / math.sqrt(2.0)
+    # the entropy words [root_seed, i], padded with zeros to the pool size 4
+    zeros = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(word) for word in (np.full(n, root_seed, dtype=np.uint32),
+                                       np.arange(start, stop, dtype=np.uint64).astype(np.uint32),
+                                       zeros, zeros)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    words = []
+    for j in range(8):
+        value = (pool[j % 4] ^ _HASH_B[j]) * _HASH_B[j + 1]
+        words.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    # little-endian pairs of words: seed = (w64[0], w64[1]), inc = (w64[2], w64[3])
+    w64 = [(words[2 * j] | (words[2 * j + 1] << np.uint64(32))).tolist() for j in range(4)]
+    states = []
+    for seed_hi, seed_lo, inc_hi, inc_lo in zip(*w64):
+        inc = ((inc_hi << 65) | (inc_lo << 1) | 1) & _MASK128
+        state = (inc + ((seed_hi << 64) | seed_lo)) * _PCG_MULT + inc
+        states.append((state & _MASK128, inc))
+    return states
+
+
+def _streams(root_seed: int, start: int, stop: int):
+    """The generators _rng(root_seed, i) for i in start..stop-1, in order.
+
+    For a root seed and indices in [0, 2**32) one generator is reused: its
+    state is set from _pcg64_states, so each generator must be drawn from
+    before the next is taken.  The first state is checked against _rng;
+    outside that range, or on a mismatch, the streams come from _rng."""
+    if 0 <= root_seed < 2**32 and 0 <= start < stop <= 2**32:
+        states = _pcg64_states(root_seed, start, stop)
+        first, inc = states[0]
+        if _rng(root_seed, start).bit_generator.state["state"] == {"state": first, "inc": inc}:
+            bitgen = np.random.PCG64(0)
+            rng = np.random.Generator(bitgen)
+            for state, inc in states:
+                bitgen.state = {"bit_generator": "PCG64",
+                                "state": {"state": state, "inc": inc},
+                                "has_uint32": 0, "uinteger": 0}
+                yield rng
+            return
+        warnings.warn("bulk PCG64 seeding disagrees with numpy's SeedSequence; "
+                      "seeding each trajectory with default_rng instead",
+                      RuntimeWarning, stacklevel=2)
+    for i in range(start, stop):
+        yield _rng(root_seed, i)
+
+
+def _standard_draws(root_seed: int, kind: str, start: int, stop: int):
+    """Every random number of trajectories start..stop-1 before scaling, in
+    the order _one_trajectory draws them: data standard normals (n, 2),
+    ancilla standard normals (n, k, 2) and uniforms (n, n_uniform) in the
+    order they are used.  They depend only on the root seed, the ancilla
+    kind and the indices; see _scaled for the normals of a plan."""
+    carrier = _carrier(kind)
+    n = stop - start
     data = np.empty((n, 2))
-    anc = np.empty((n, ctx.n_anc_normals, 2))
-    uni = np.empty((n, ctx.n_uniform))
-    for r in range(n):
-        rng = _rng(ctx.plan, start + r)
-        data[r] = rng.normal(0.0, scale, size=2)
-        if ctx.kind == "shor9":
-            for m in range(ctx.n_modes):
-                anc[r, m] = rng.normal(0.0, ctx.anc_scale, size=2)
+    anc = np.empty((n, carrier.n_anc_normals, 2))
+    uni = np.empty((n, carrier.n_uniform))
+    for r, rng in enumerate(_streams(root_seed, start, stop)):
+        rng.standard_normal(out=data[r])
+        if kind == "shor9":
+            for m in range(carrier.n_modes):
+                rng.standard_normal(out=anc[r, m])
                 uni[r, m] = rng.random()
-            uni[r, ctx.n_modes:] = rng.random(ctx.n_uniform - ctx.n_modes)
+            rng.random(out=uni[r, carrier.n_modes:])
             continue
-        if ctx.n_anc_normals:
-            anc[r, 0] = rng.normal(0.0, ctx.anc_scale, size=2)
-        uni[r] = rng.random(ctx.n_uniform)
+        if carrier.n_anc_normals:
+            rng.standard_normal(out=anc[r, 0])
+        rng.random(out=uni[r])
     return data, anc, uni
+
+
+@lru_cache(maxsize=1)
+def _run_draws(root_seed: int, kind: str, n_trajectories: int):
+    """_standard_draws of a whole run, read-only.  The points of one fig4
+    sweep share their key, so they draw once."""
+    draws = _standard_draws(root_seed, kind, 0, n_trajectories)
+    for a in draws:
+        a.flags.writeable = False
+    return draws
+
+
+def _scaled(ctx: _Context, data, anc, uni):
+    """The plan's draws from standard ones: rng.normal(0.0, s) computes
+    0.0 + s * standard_normal, so these are bit for bit its numbers."""
+    return (0.0 + ctx.sigma / math.sqrt(2.0) * data, 0.0 + ctx.anc_scale * anc, uni)
 
 
 def _groups(keys: np.ndarray):
@@ -544,12 +677,12 @@ def _batch_recovery(ctx, state, uniforms) -> np.ndarray:
     return unrecoverable
 
 
-def _run_chunk(ctx: _Context, start: int, stop: int):
-    """Infidelity, unrecoverable flag and complement flag of trajectories
-    start..stop-1; the circuit of _one_trajectory, row by row."""
-    data, anc, uni = _draw(ctx, start, stop)
+def _run_chunk(ctx: _Context, data, anc, uni):
+    """Infidelity, unrecoverable flag and complement flag of the chunk of
+    trajectories with these _scaled draws; the circuit of _one_trajectory,
+    row by row."""
     uniforms = iter(uni.T)
-    state = _BranchState(ctx, stop - start)
+    state = _BranchState(ctx, len(data))
     # squeezing frame: see _one_trajectory
     beta = data[:, 0] * math.exp(2.0 * ctx.zeta) + 1j * (data[:, 1] * math.exp(-2.0 * ctx.zeta))
     state.conditional_displace(-ctx.alpha, +ctx.alpha)
@@ -649,7 +782,7 @@ def run_concatenated(plan: TrajectoryPlan) -> RunResult:
     """Direct tensor-product simulation, one trajectory at a time; reference
     engine."""
     ctx = _Context(plan)
-    parts = [_one_trajectory(ctx, _DenseState(ctx), _rng(plan, i))
+    parts = [_one_trajectory(ctx, _DenseState(ctx), _rng(plan.root_seed, i))
              for i in range(plan.n_trajectories)]
     samples, unrecoverable, complement = (np.array(p) for p in zip(*parts))
     return _result(plan, samples, unrecoverable, complement, "direct")
@@ -660,7 +793,9 @@ def branch_decomposition_run(plan: TrajectoryPlan) -> RunResult:
     reference engine, without a Fock cutoff on the data mode."""
     ctx = _Context(plan)
     n, size = plan.n_trajectories, ctx.chunk_size
-    parts = [_run_chunk(ctx, start, min(start + size, n)) for start in range(0, n, size)]
+    data, anc, uni = _scaled(ctx, *_run_draws(plan.root_seed, plan.ancilla, n))
+    parts = [_run_chunk(ctx, data[start:start + size], anc[start:start + size],
+                        uni[start:start + size]) for start in range(0, n, size)]
     samples, unrecoverable, complement = (np.concatenate(p) for p in zip(*parts))
     return _result(plan, samples, unrecoverable, complement, "branch")
 
@@ -669,9 +804,10 @@ def trajectory_fidelity(plan: TrajectoryPlan, index: int, engine: str = "branch"
     """Fidelity of a single trajectory; the two engines agree per index."""
     ctx = _Context(plan)
     if engine == "branch":
-        infid = _run_chunk(ctx, index, index + 1)[0][0]
+        draws = _standard_draws(plan.root_seed, plan.ancilla, index, index + 1)
+        infid = _run_chunk(ctx, *_scaled(ctx, *draws))[0][0]
     else:
-        infid = _one_trajectory(ctx, _DenseState(ctx), _rng(plan, index))[0]
+        infid = _one_trajectory(ctx, _DenseState(ctx), _rng(plan.root_seed, index))[0]
     return 1.0 - float(infid)
 
 
@@ -729,7 +865,3 @@ def _fock_outcome_probabilities(alpha: float, bp: np.ndarray,
         diff = psi_g - 1j * psi_e
         out[start:start + chunk] = 0.25 * np.sum(np.abs(diff) ** 2, axis=0)
     return out
-
-
-def with_trajectories(plan: TrajectoryPlan, n: int) -> TrajectoryPlan:
-    return replace(plan, n_trajectories=n)

@@ -122,6 +122,17 @@ class TestFig4:
                      "--seed", "5", "--out", str(tmp_path)]) == 0
         assert (tmp_path / name).read_text() == text
 
+    # Text written with one seeded generator per trajectory and sweep point;
+    # three chunks of 85 trajectories share one set of draws across points.
+    def test_pinned_csv_text_shared_sigma_sweep(self, tmp_path):
+        assert main(["fig4", "--code", "binomial", "--sweep", "sigma",
+                     "--points", "0.1", "0.15", "--trajectories", "200",
+                     "--seed", "5", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "fig4_binomial_coherent_sigma.csv").read_text() == (
+            "sigma,infidelity,std_error,n,unrecoverable,complement\n"
+            "0.1,0.0092371637,0.000763233586,200,0,0\n"
+            "0.15,0.0240558774,0.00216910795,200,3,0\n")
+
     def test_sweep_rows(self, tmp_path):
         assert main(["fig4", "--code", "none", "--trajectories", "40",
                      "--points", "0.0", "0.05", "0.1",

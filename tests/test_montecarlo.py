@@ -2,17 +2,20 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from cvqec import montecarlo
 from cvqec.channels import confinement_kraus
+from cvqec.cli import main
 from cvqec.montecarlo import (_SHOR_MODE_DIM, ANCILLA_KINDS,
                               EstimateWithError, TrajectoryPlan, _BranchState,
                               _Context, _DenseState, _displace_rows,
+                              _pcg64_states, _run_draws, _streams,
                               branch_decomposition_run, estimate_qubit_var_p,
-                              run_concatenated, trajectory_fidelity,
-                              with_trajectories)
+                              run_concatenated, trajectory_fidelity)
 from cvqec.protocol import (exact_infidelity, optimal_alpha_qubit,
                             optimal_zeta, run_qubit_p_scheme,
                             run_squeezed_scheme)
@@ -45,10 +48,6 @@ class TestPlanValidation:
         squeezed = TrajectoryPlan(sigma=0.1, zeta=-0.05)
         assert squeezed.effective_alpha == pytest.approx(
             optimal_alpha_qubit(0.1 * math.exp(0.1)))
-
-    def test_with_trajectories(self):
-        plan = TrajectoryPlan(sigma=0.1, n_trajectories=10)
-        assert with_trajectories(plan, 99).n_trajectories == 99
 
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
@@ -173,6 +172,115 @@ class TestReproducibility:
         monkeypatch.setenv("CVQEC_THREADS", "4")
         threaded = branch_decomposition_run(plan)
         assert serial.infidelity.mean == threaded.infidelity.mean
+
+
+def _assert_stream(rng, root_seed, index):
+    """rng is at the start of the stream of SeedSequence([root_seed, index]):
+    same PCG64 state, then the same 2 normals and 5 uniforms bit for bit."""
+    ref = np.random.default_rng(np.random.SeedSequence([root_seed, index]))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.standard_normal(2).tobytes() == ref.standard_normal(2).tobytes()
+    assert rng.random(5).tobytes() == ref.random(5).tobytes()
+
+
+_EDGE_PAIRS = [(r, i) for r in (0, 1, 12345, 2**31 + 7)
+               for i in (0, 1, 999, 2**31, 2**32 - 1)]
+_RANDOM_PAIRS = [tuple(map(int, pair)) for pair in
+                 np.random.default_rng(2024).integers(0, 2**32, size=(40, 2))]
+
+
+class TestSeeding:
+    """Bulk seeding against numpy's own default_rng(SeedSequence(...))."""
+
+    @staticmethod
+    def _generator(state, inc):
+        bitgen = np.random.PCG64(0)
+        bitgen.state = {"bit_generator": "PCG64",
+                        "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        return np.random.Generator(bitgen)
+
+    @pytest.mark.parametrize("root_seed, index", _EDGE_PAIRS + _RANDOM_PAIRS)
+    def test_bulk_state_matches_seed_sequence(self, root_seed, index):
+        (state, inc), = _pcg64_states(root_seed, index, index + 1)
+        _assert_stream(self._generator(state, inc), root_seed, index)
+
+    @pytest.mark.parametrize("root_seed, start", [(0, 0), (7, 2**32 - 40), (2**32 - 1, 5)])
+    def test_bulk_run_of_indices(self, root_seed, start):
+        states = _pcg64_states(root_seed, start, start + 40)
+        for offset, (state, inc) in enumerate(states):
+            _assert_stream(self._generator(state, inc), root_seed, start + offset)
+
+    @pytest.mark.parametrize("root_seed, start", [(3, 0), (2**32 - 1, 2**32 - 3)])
+    def test_streams_take_the_bulk_path(self, root_seed, start):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for offset, rng in enumerate(_streams(root_seed, start, start + 3)):
+                _assert_stream(rng, root_seed, start + offset)
+
+    @pytest.mark.parametrize("root_seed, start", [(2**32, 0), (5, 2**32), (5, 2**32 - 1)])
+    def test_fallback_past_one_word(self, monkeypatch, root_seed, start):
+        # past 2**32 SeedSequence takes more entropy words than bulk seeding
+        # models, so every stream must come from default_rng
+        def no_bulk(*args):
+            raise AssertionError("bulk seeding used past one 32-bit word")
+
+        monkeypatch.setattr(montecarlo, "_pcg64_states", no_bulk)
+        for offset, rng in enumerate(_streams(root_seed, start, start + 2)):
+            _assert_stream(rng, root_seed, start + offset)
+
+    def test_guard_falls_back_on_mismatch(self, monkeypatch):
+        wrong = montecarlo._HASH_B.copy()
+        wrong[3] += np.uint32(1)
+        monkeypatch.setattr(montecarlo, "_HASH_B", wrong)
+        with pytest.warns(RuntimeWarning, match="bulk PCG64 seeding"):
+            streams = list(zip(range(3), _streams(11, 4, 7)))
+        # fallback generators are independent objects, so check each in turn
+        for offset, rng in streams:
+            _assert_stream(rng, 11, 4 + offset)
+
+    def test_negative_seed_is_a_numerical_failure(self, tmp_path, capsys):
+        assert main(["fig4", "--trajectories", "5", "--points", "0.05",
+                     "--seed", "-1", "--out", str(tmp_path)]) == 3
+        assert "expected non-negative integer" in capsys.readouterr().err
+
+
+class TestSweepSharing:
+    """Points of one sweep reuse one set of standard draws (_run_draws)."""
+
+    @pytest.mark.parametrize("ancilla, field, points, n", [
+        ("bare", "p_phi", (0.0, 0.05, 0.2), 300),
+        ("three_qubit_phase", "p_phi", (0.0, 0.05, 0.2), 300),
+        ("binomial_n3", "sigma", (0.1, 0.15), 200),  # three chunks of 85
+        ("shor9", "sigma", (0.1, 0.15), 8),          # two chunks of 4
+    ])
+    def test_shared_draws_match_fresh_runs(self, ancilla, field, points, n):
+        base = TrajectoryPlan(sigma=0.1, ancilla=ancilla, n_trajectories=n,
+                              root_seed=13, zeta=optimal_zeta())
+        plans = [dataclasses.replace(base, **{field: x}) for x in points]
+        _run_draws.cache_clear()
+        shared = [branch_decomposition_run(plan) for plan in plans]
+        info = _run_draws.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, len(points) - 1, 1)
+        for plan, result in zip(plans, shared):
+            _run_draws.cache_clear()
+            assert branch_decomposition_run(plan) == result
+
+    def test_memo_holds_one_read_only_entry(self):
+        _run_draws.cache_clear()
+        for seed in (1, 2):
+            branch_decomposition_run(TrajectoryPlan(sigma=0.1, n_trajectories=20,
+                                                    root_seed=seed))
+            assert _run_draws.cache_info().currsize == 1
+        assert not any(a.flags.writeable for a in _run_draws(2, "perfect", 20))
+
+    def test_single_trajectory_past_the_run(self):
+        plan = TrajectoryPlan(sigma=0.15, ancilla="three_qubit_phase", p_phi=0.1,
+                              n_trajectories=4, root_seed=5)
+        for index in (4, 2**32 + 1):
+            fb = trajectory_fidelity(plan, index, engine="branch")
+            fd = trajectory_fidelity(plan, index, engine="dense")
+            assert fb == pytest.approx(fd, abs=1e-9)
 
 
 def _flip_mixture(plan, p_l):
