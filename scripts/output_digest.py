@@ -16,9 +16,16 @@ bosonic sweeps, and the Monte Carlo checks of the analytic workload) at
 seeds 7, 8 and 9, then root seeds at the top of and just past one 32-bit
 word, and a binomial sigma sweep over the default points.
 
-Usage: scripts/output_digest.py
+With --trajectories it prints instead the infidelity of every trajectory
+of one fixed plan per ancilla kind, as ``kind index float.hex(value)``:
+the CSV's %.9g hides last-bit changes.  The values are the ones the chunks
+of a branch_decomposition_run return (montecarlo._run_chunk is wrapped
+while the run executes), not one-row replays of single trajectories.
+
+Usage: scripts/output_digest.py [--trajectories]
 """
 
+import argparse
 import hashlib
 import sys
 import tempfile
@@ -54,7 +61,39 @@ def commands() -> list[list[str]]:
     return out
 
 
+def trajectory_lines() -> list[str]:
+    from cvqec import montecarlo, protocol
+
+    run_chunk = montecarlo._run_chunk
+    lines = []
+    for kind in montecarlo.ANCILLA_KINDS:
+        p_phi = 0.1 if kind in ("bare", "three_qubit_phase") else 0.0
+        plan = montecarlo.TrajectoryPlan(sigma=0.15, ancilla=kind, p_phi=p_phi,
+                                         n_trajectories=100, root_seed=7,
+                                         zeta=protocol.optimal_zeta())
+        values = []
+
+        def recording(*args):
+            result = run_chunk(*args)
+            values.extend(result[0].tolist())
+            return result
+
+        montecarlo._run_chunk = recording
+        try:
+            montecarlo.branch_decomposition_run(plan)
+        finally:
+            montecarlo._run_chunk = run_chunk
+        lines += [f"{kind} {i} {value.hex()}" for i, value in enumerate(values)]
+    return lines
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--trajectories", action="store_true",
+                        help="print per-trajectory infidelities instead of file digests")
+    if parser.parse_args().trajectories:
+        print("\n".join(trajectory_lines()))
+        return 0
     status = 0
     for argv in commands():
         command = " ".join(argv)

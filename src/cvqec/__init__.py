@@ -6,15 +6,13 @@ evaluation paths."""
 from .channels import (apply_displacement_channel, confine_single_boson,
                        confinement_kraus, dephasing, sample_displacement)
 from .dvcodes import (CodeSpec, SyndromeResult, binomial_code, encode,
-                      get_code, logical_conditional_displacement,
-                      logical_flip_probability_three_qubit,
+                      get_code, logical_flip_probability_three_qubit,
                       logical_Y_measurement, logical_Y_probabilities, recover,
                       shor9_code, three_qubit_phase_code)
 from .fock import (DensityMatrix, DisplacementEngine, LinearOperator,
                    PureState, TruncationError, TruncationWarning,
-                   coherent_state, conditional_displacement,
-                   displacement_operator, fidelity, fock_state, overlap_f,
-                   squeeze_operator)
+                   coherent_state, displacement_operator, fidelity,
+                   fock_state, overlap_f)
 from .gaussian import (DEFAULT_QUADRATURE, FilteredMoments, IntegrationError,
                        NoiseModel, QuadratureSpec, gaussian_pdf, integrate,
                        qubit_filtered_moments, qubit_outcome_mean,
@@ -23,9 +21,8 @@ from .montecarlo import (EstimateWithError, RunResult, TrajectoryPlan,
                          branch_decomposition_run, estimate_qubit_var_p,
                          run_concatenated)
 from .optimize import minimize_scalar
-from .protocol import (CorrectedNoise, OutcomeBranch, ProtocolConfig,
-                       QuadratureNoise, exact_infidelity,
-                       infidelity_from_noise, optimal_alpha_qubit,
+from .protocol import (CorrectedNoise, OutcomeBranch, QuadratureNoise,
+                       exact_infidelity, infidelity_from_noise, optimal_alpha_qubit,
                        optimal_zeta, optimize_qubit_alpha,
                        optimize_qudit_alpha, optimize_zeta, qudit_bound,
                        run_qubit_p_scheme, run_qudit_scheme,

@@ -1,6 +1,5 @@
 """DV ancilla codes: 3-qubit phase-flip, 9-qubit Shor, and the binomial
-bosonic code, with encoding, syndrome recovery, logical conditional
-displacement and logical Y measurement.
+bosonic code, with encoding, syndrome recovery and logical Y measurement.
 
 Qubit codes recover through stabilizer parity checks and a lookup table;
 the binomial code uses the boson-number mod-3 syndrome with recovery
@@ -17,8 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import (DensityMatrix, LinearOperator, PureState, annihilation,
-                   displacement_operator)
+from .fock import DensityMatrix, PureState, annihilation
 
 __all__ = [
     "CodeSpec",
@@ -30,7 +28,6 @@ __all__ = [
     "encode",
     "recover",
     "logical_flip_probability_three_qubit",
-    "logical_conditional_displacement",
     "logical_Y_measurement",
     "logical_Y_probabilities",
     "pauli_matrix",
@@ -138,12 +135,18 @@ def three_qubit_phase_code() -> CodeSpec:
     return CodeSpec("three_qubit_phase", "qubits", g.astype(complex), e.astype(complex), 3)
 
 
+def _shor9_blocks() -> np.ndarray:
+    """Rows |000> + |111> and |000> - |111>: the unnormalized 3-qubit
+    blocks of the nine-qubit codewords."""
+    blocks = np.zeros((2, 8))
+    blocks[:, 0] = 1.0
+    blocks[:, 7] = (1.0, -1.0)
+    return blocks
+
+
 def shor9_code() -> CodeSpec:
     """(|000> +/- |111>)^x3 / 2^(3/2): corrects any single-qubit error."""
-    b0 = np.zeros(8)
-    b0[0] = b0[7] = 1.0
-    b1 = np.zeros(8)
-    b1[0], b1[7] = 1.0, -1.0
+    b0, b1 = _shor9_blocks()
     g = np.kron(np.kron(b0, b0), b0) / (2.0 * np.sqrt(2.0))
     e = np.kron(np.kron(b1, b1), b1) / (2.0 * np.sqrt(2.0))
     return CodeSpec("shor9", "qubits", g.astype(complex), e.astype(complex), 9)
@@ -339,52 +342,69 @@ def binomial_recovery_kraus(n_trunc: int = 23):
 # --- recovery ---------------------------------------------------------------
 
 
+def _right(m: np.ndarray, op: PauliOp) -> np.ndarray:
+    """m @ pauli_matrix(label) in O(d^2): a Pauli string is Hermitian, so
+    column j is conj(phase[j]) m[:, j ^ x]."""
+    return (m if op.perm is None else m.take(op.perm, axis=1)) * op.phase.conj()
+
+
+def _trace(op: PauliOp, m: np.ndarray) -> complex:
+    """tr(op @ m) in O(d): sum_i phase[i] m[i ^ x, i]."""
+    cols = np.arange(len(m))
+    return np.sum(op.phase * m[cols if op.perm is None else op.perm, cols])
+
+
+def _project(m: np.ndarray, op: PauliOp, sign: int) -> np.ndarray:
+    """P m P with P = (I + sign S) / 2, in O(d^2): (m + sign S m) / 2, then
+    the same from the right.  A diagonal S makes P a diagonal mask."""
+    if op.perm is None:
+        mask = 0.5 * (1.0 + sign * op.phase)
+        return mask[:, None] * m * mask.conj()
+    half = 0.5 * (m + sign * (op @ m))
+    return 0.5 * (half + sign * _right(half, op))
+
+
 def _recover_qubit_code(code, rho, mode, rng):
-    stabs = stabilizer_matrices(code.name)
-    dim = code.dim
-    eye = np.eye(dim, dtype=complex)
+    stabs = stabilizer_ops(code.name)
     if mode == "sample":
         syndrome = []
         m = rho.matrix
         for s in stabs:
             # tr(P+ m) with P+ = (I + S)/2, normalized by the running trace
-            p_plus = 0.5 * (1.0 + np.trace(s @ m).real / np.trace(m).real)
+            p_plus = 0.5 * (1.0 + _trace(s, m).real / np.trace(m).real)
             p_plus = min(max(p_plus, 0.0), 1.0)
             bit = 0 if rng.random() < p_plus else 1
-            proj = 0.5 * (eye + (1 - 2 * bit) * s)
-            m = proj @ m @ proj
+            m = _project(m, s, 1 - 2 * bit)
             m /= np.trace(m).real
             syndrome.append(bit)
         syndrome = tuple(syndrome)
-        _, label, guaranteed = correction_matrix(code.name, syndrome)
+        corr, label, guaranteed = correction_matrix(code.name, syndrome)
         if label is None:
             return (DensityMatrix(m), SyndromeResult(syndrome, "I (no table entry)", True))
-        corr = pauli_matrix(label)
-        out = corr @ m @ corr.conj().T
+        out = _right(corr @ m, corr)
         return (DensityMatrix(out), SyndromeResult(syndrome, label, not guaranteed))
     # averaged: split into syndrome sectors, correct each, re-sum
     sectors = [((), rho.matrix)]
     for s in stabs:
         nxt = []
         for syn, m in sectors:
+            trace, trace_s = np.trace(m).real, _trace(s, m).real
             for bit in (0, 1):
-                proj = 0.5 * (eye + (1 - 2 * bit) * s)
-                blk = proj @ m @ proj
-                if np.trace(blk).real > 1e-14:
-                    nxt.append((syn + (bit,), blk))
+                # tr(P m P) = tr(P m) = (tr m +- tr(S m)) / 2
+                if 0.5 * (trace + (1 - 2 * bit) * trace_s) > 1e-14:
+                    nxt.append((syn + (bit,), _project(m, s, 1 - 2 * bit)))
         sectors = nxt
-    out = np.zeros((dim, dim), dtype=complex)
+    out = np.zeros((code.dim, code.dim), dtype=complex)
     bad_weight = 0.0
     for syn, m in sectors:
-        _, label, guaranteed = correction_matrix(code.name, syn)
+        corr, label, guaranteed = correction_matrix(code.name, syn)
         if label is None:
             bad_weight += np.trace(m).real
             out += m
             continue
         if not guaranteed:
             bad_weight += np.trace(m).real
-        corr = pauli_matrix(label)
-        out += corr @ m @ corr.conj().T
+        out += _right(corr @ m, corr)
     res = SyndromeResult(None, "averaged over syndromes",
                          bad_weight > 1e-12, bad_weight)
     return DensityMatrix(out), res
@@ -445,18 +465,6 @@ def logical_flip_probability_three_qubit(p_phi: float) -> float:
                 weight *= p_phi if bit else (1.0 - p_phi)
             total += weight
     return total
-
-
-def logical_conditional_displacement(code: CodeSpec, alpha: complex,
-                                     n_trunc: int) -> LinearOperator:
-    """P_gL x D(-alpha) + P_eL x D(alpha) + (complement) x I on carrier x mode."""
-    pg, pe = code.codeword_projectors()
-    rest = np.eye(code.dim, dtype=complex) - pg - pe
-    d_minus = displacement_operator(-alpha, n_trunc).matrix
-    d_plus = displacement_operator(alpha, n_trunc).matrix
-    eye = np.eye(n_trunc + 1, dtype=complex)
-    mat = np.kron(pg, d_minus) + np.kron(pe, d_plus) + np.kron(rest, eye)
-    return LinearOperator(mat, f"C_L[{code.name}]({alpha:.4g})")
 
 
 def logical_Y_probabilities(code: CodeSpec, state: DensityMatrix):

@@ -1,10 +1,10 @@
 """Truncated Fock-space states, operators and analytic overlaps.
 
 All operators act on the number basis 0..n_trunc (dimension n_trunc + 1).
-Displacement and squeezing are built by exponentiating the truncated
-generators, which keeps them exactly unitary; truncation error shows up
-only in the matrix elements near the cutoff, and every constructor guards
-against states that push population into the top of the basis.
+Displacements are built by exponentiating the truncated generator, which
+keeps them exactly unitary; truncation error shows up only in the matrix
+elements near the cutoff, and every constructor guards against states
+that push population into the top of the basis.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import cholesky, expm
 
 __all__ = [
     "TruncationError",
@@ -26,8 +26,6 @@ __all__ = [
     "fock_state",
     "coherent_state",
     "displacement_operator",
-    "squeeze_operator",
-    "conditional_displacement",
     "fidelity",
     "overlap_f",
     "DisplacementEngine",
@@ -97,8 +95,12 @@ class DensityMatrix:
             raise ValueError("density matrix is not Hermitian within 1e-10")
         if abs(np.trace(m).real - 1.0) > 1e-10:
             raise ValueError(f"trace {np.trace(m).real} differs from 1 beyond 1e-10")
-        if np.min(np.linalg.eigvalsh(m)) < -1e-9:
-            raise ValueError("density matrix has an eigenvalue below -1e-9")
+        # no eigenvalue below -1e-9: m + 1e-9 I has a Cholesky factor, which
+        # costs a fraction of an eigendecomposition
+        try:
+            cholesky(m + 1e-9 * np.eye(len(m)), lower=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            raise ValueError("density matrix has an eigenvalue below -1e-9") from None
 
     @property
     def dim(self) -> int:
@@ -159,38 +161,6 @@ def displacement_operator(beta: complex, n_trunc: int) -> LinearOperator:
     a = annihilation(n_trunc)
     gen = beta * a.conj().T - np.conj(beta) * a
     return LinearOperator(expm(gen), f"D({beta:.4g})")
-
-
-def squeeze_operator(zeta: float, n_trunc: int) -> LinearOperator:
-    """exp(zeta a^2 - zeta a^dag^2); q -> q exp(-2 zeta) in the Heisenberg picture."""
-    if abs(zeta) >= 1:
-        raise ValueError(f"|zeta| must be < 1, got {zeta}")
-    a = annihilation(n_trunc)
-    gen = zeta * (a @ a) - zeta * (a.conj().T @ a.conj().T)
-    op = expm(gen)
-    if _top_population(np.abs(op[:, 0]) ** 2) > 1e-8:
-        raise TruncationError(f"squeezing zeta={zeta} leaks past n_trunc={n_trunc}")
-    return LinearOperator(op, f"S({zeta:.4g})")
-
-
-def conditional_displacement(levels: int, alpha: complex, n_trunc: int) -> LinearOperator:
-    """Ancilla-conditioned displacement on the (ancilla x mode) space.
-
-    For a qubit this is |g><g| D(-alpha) + |e><e| D(alpha); a d-level
-    ancilla displaces by k*alpha on level k = 1..d.
-    """
-    if levels < 2:
-        raise ValueError("need at least a 2-level ancilla")
-    dim = n_trunc + 1
-    out = np.zeros((levels * dim, levels * dim), dtype=complex)
-    if levels == 2:
-        shifts = [-alpha, alpha]
-    else:
-        shifts = [(k + 1) * alpha for k in range(levels)]
-    for k, shift in enumerate(shifts):
-        out[k * dim:(k + 1) * dim, k * dim:(k + 1) * dim] = \
-            displacement_operator(shift, n_trunc).matrix
-    return LinearOperator(out, f"C{levels}({alpha:.4g})")
 
 
 def fidelity(a: PureState, b: DensityMatrix) -> float:

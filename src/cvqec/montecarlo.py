@@ -22,17 +22,33 @@ terms c of shape (n, T, D), gamma and ph of shape (n, T).  The
 conditional displacement is the only operation that splits terms; it
 splits each term slot three ways (g, e, codespace complement), pruned
 terms are exact zeros, and a slot that is empty in every row is dropped,
-so T never exceeds six.  A chunk holds max(1, _CHUNK_BUDGET //
-carrier_dim) trajectories, and its bounds depend only on trajectory
-indices.  Per-row decisions are vectorized comparisons; Kraus operators
-and Pauli corrections are applied once per distinct choice in the chunk.
+so T never exceeds six.  Per-row decisions are vectorized comparisons;
+Kraus operators and Pauli corrections are applied once per distinct
+choice in the chunk.
+
+The nine-qubit carrier runs on _ShorState, the same terms with each
+512-dim carrier vector held as a sum of at most four products of three
+8-dim block vectors, one per 3-qubit block of the Shor code: coef of
+shape (n, T, P), v of shape (n, T, P, 3, 8).  The codewords are products
+of |000> +- |111> blocks, and every carrier operation of the circuit
+keeps a few products: mode displacement, confinement and Z-type
+stabilizers act on one block, an X-type stabilizer projection doubles P
+(twice, so P <= 4), and a Pauli correction acts block by block.  Inner
+products are products of block overlaps weighted by the data Gram
+matrix; the confinement of a mode needs only its 2x2 moment matrix for
+the outcome weights and the two kept rows of its displacement for the
+Kraus step.  Only the norm of the codespace complement, which decides
+pruning, is taken from 512-dim entries, restricted to the block
+coordinates in use.
+
+A chunk holds max(1, _CHUNK_BUDGET // slot) trajectories, slot the
+carrier amplitudes of one term slot: carrier_dim, or 4 * 3 * 8 = 96 for
+shor9 (chunks of 21).  Its bounds depend only on trajectory indices.
 
 Qubit-carrier Paulis (stabilizers, corrections, dephasing flips) are
 applied as bit masks, a basis permutation idx -> idx ^ x times a phase,
 with qubit 0 the most significant bit (dvcodes.PauliOp); the dense
-dvcodes.pauli_matrix stays as their test oracle.  The confinement of each
-nine-qubit mode needs only the mode's 2x2 moment matrix for its outcome
-weights and the two kept rows of the mode displacement for its Kraus step.
+dvcodes.pauli_matrix stays as their test oracle.
 
 Reproducibility: trajectory i draws from the stream of
 default_rng(SeedSequence([root_seed, i])), in a fixed order: the data
@@ -87,6 +103,9 @@ _SHOR_MODE_DIM = 14  # per-mode Fock levels while a single-boson qubit is displa
 _BINOMIAL_N_TRUNC = 23
 _BRANCH_TOL = 1e-14
 _CHUNK_BUDGET = 2048  # carrier amplitudes per term slot in one chunk
+# a shor9 term slot: at most four products (two X-type stabilizer
+# projections each double them) of three 8-dim block vectors
+_SHOR_SLOT = 4 * 3 * 8
 
 
 @dataclass(frozen=True)
@@ -184,6 +203,10 @@ class _Carrier:
             g, e = code.logical_g, code.logical_e
             self.code_name = code.name
             self.stabilizers = dvcodes.stabilizer_ops(code.name)
+            self.block_stabilizers = tuple(_block_paulis(label)
+                                           for label in dvcodes._STABILIZERS[code.name])
+            self.blocks = dvcodes._shor9_blocks()
+            self.block_scale = 1.0 / (2.0 * math.sqrt(2.0))  # g = scale b0 x b0 x b0
             self.n_modes = 9
             self.mode_engine = DisplacementEngine(_SHOR_MODE_DIM)
             self.confine = confinement_kraus(_SHOR_MODE_DIM)
@@ -199,7 +222,8 @@ class _Carrier:
         self.yminus = (g - 1j * e) / math.sqrt(2.0)
         for vec in (self.g, self.e, self.yplus, self.yminus):
             vec.flags.writeable = False
-        self.chunk_size = max(1, _CHUNK_BUDGET // self.carrier_dim)
+        slot = _SHOR_SLOT if kind == "shor9" else self.carrier_dim
+        self.chunk_size = max(1, _CHUNK_BUDGET // slot)
         # uniforms per trajectory: dephasing flips, confinement outcomes,
         # syndrome (stabilizer bits or the binomial Kraus choice), Y readout
         self.n_uniform = (len(self.dephasing_ops) + self.n_modes
@@ -267,6 +291,14 @@ def _pauli(op: dvcodes.PauliOp, a: np.ndarray) -> np.ndarray:
     return op.phase * (a if op.perm is None else a[..., op.perm])
 
 
+@lru_cache(maxsize=None)
+def _block_paulis(label: str) -> tuple:
+    """A nine-qubit Pauli string as (block, PauliOp) pairs over its
+    non-identity 3-qubit blocks; block b holds qubits 3b, 3b+1, 3b+2."""
+    return tuple((b, dvcodes.PauliOp(label[3 * b:3 * b + 3])) for b in range(3)
+                 if label[3 * b:3 * b + 3] != "III")
+
+
 def _displace_rows(engine: DisplacementEngine, beta: np.ndarray,
                    vecs: np.ndarray) -> np.ndarray:
     """D(beta[r]) on the last axis of vecs, for row r of the result, through
@@ -289,18 +321,13 @@ def _confine_levels(t: np.ndarray, outcome: int) -> np.ndarray:
     return out
 
 
-class _BranchState:
-    """A chunk of n trajectories, each a sum of T product terms.
-
-    Term k of row r stands for c[r, k] x ph[r, k] D(gamma[r, k]) |psi0>;
-    c has shape (n, T, carrier_dim), gamma and ph shape (n, T).  Pruned
-    terms have c = 0 and ph = 0.
-    """
+class _Terms:
+    """The data-mode factors of a chunk of n trajectories, each a sum of T
+    terms: term k of row r carries ph[r, k] D(gamma[r, k]) |psi0>, with
+    gamma and ph of shape (n, T).  Pruned terms have ph = 0."""
 
     def __init__(self, ctx: _Context, n: int):
         self.ctx = ctx
-        plus = (ctx.g + ctx.e) / math.sqrt(2.0)
-        self.c = np.tile(plus, (n, 1, 1))
         self.gamma = np.zeros((n, 1), dtype=complex)
         self.ph = np.ones((n, 1), dtype=complex)
         self._gd = None
@@ -314,6 +341,44 @@ class _BranchState:
                         * np.exp(-1j * (gi * gj.conj()).imag) * self.ctx.overlap(gj - gi))
         return self._gd
 
+    def displace_data(self, beta: np.ndarray):
+        beta = beta[:, None]
+        self.ph = self.ph * np.exp(1j * (beta * self.gamma.conj()).imag)
+        self.gamma = self.gamma + beta
+        self._gd = None
+
+    def _split(self, sizes: np.ndarray, alpha_g: float, alpha_e: float):
+        """Data side of the conditional displacement, which splits each term
+        slot three ways (g, e, codespace complement): sizes[r] holds the
+        carrier norms of the 3T new terms in that order.  Shifts the data
+        factors, prunes the terms whose norm times |ph| is at most
+        _BRANCH_TOL, and drops each slot that is pruned in every row.
+        Returns the keep mask of the surviving slots and their indices."""
+        keep = sizes * np.tile(np.abs(self.ph), 3) > _BRANCH_TOL
+        gamma = np.tile(self.gamma, 3)
+        shift = np.repeat([alpha_g, alpha_e, 0.0], self.gamma.shape[1])
+        ph = np.tile(self.ph, 3) * np.exp(1j * (shift * gamma.conj()).imag)
+        gamma = gamma + shift
+        alive = keep.any(axis=0)
+        keep = keep[:, alive]
+        self.gamma = np.where(keep, gamma[:, alive], 0.0)
+        self.ph = np.where(keep, ph[:, alive], 0.0)
+        self._gd = None
+        return keep, alive
+
+
+class _BranchState(_Terms):
+    """A chunk of n trajectories, each a sum of T product terms.
+
+    Term k of row r stands for c[r, k] x ph[r, k] D(gamma[r, k]) |psi0>;
+    c has shape (n, T, carrier_dim).  Pruned terms have c = 0 and ph = 0.
+    """
+
+    def __init__(self, ctx: _Context, n: int):
+        super().__init__(ctx, n)
+        plus = (ctx.g + ctx.e) / math.sqrt(2.0)
+        self.c = np.tile(plus, (n, 1, 1))
+
     def _weighted(self) -> np.ndarray:
         """[r, i] = sum_j <d_i|d_j> c[r, j], so that <c_i| op |weighted_i>
         summed over i is the expectation of a carrier operator op."""
@@ -322,31 +387,15 @@ class _BranchState:
     def norm(self) -> np.ndarray:
         return np.sum(self.c.conj() * self._weighted(), axis=(1, 2)).real
 
-    def displace_data(self, beta: np.ndarray):
-        beta = beta[:, None]
-        self.ph = self.ph * np.exp(1j * (beta * self.gamma.conj()).imag)
-        self.gamma = self.gamma + beta
-        self._gd = None
-
     def conditional_displace(self, alpha_g: float, alpha_e: float):
         g, e = self.ctx.g, self.ctx.e
         ag = self.c @ g.conj()
         ae = self.c @ e.conj()
         rest = self.c - ag[..., None] * g - ae[..., None] * e
-        size = np.abs(self.ph)
         c = np.concatenate((ag[..., None] * g, ae[..., None] * e, rest), axis=1)
-        keep = np.concatenate((np.abs(ag) * size, np.abs(ae) * size,
-                               np.linalg.norm(rest, axis=-1) * size), axis=1) > _BRANCH_TOL
-        gamma = np.tile(self.gamma, 3)
-        shift = np.repeat([alpha_g, alpha_e, 0.0], self.gamma.shape[1])
-        ph = np.tile(self.ph, 3) * np.exp(1j * (shift * gamma.conj()).imag)
-        gamma = gamma + shift
-        alive = keep.any(axis=0)
-        keep = keep[:, alive]
+        keep, alive = self._split(np.concatenate(
+            (np.abs(ag), np.abs(ae), np.linalg.norm(rest, axis=-1)), axis=1), alpha_g, alpha_e)
         self.c = np.where(keep[..., None], c[:, alive], 0.0)
-        self.gamma = np.where(keep, gamma[:, alive], 0.0)
-        self.ph = np.where(keep, ph[:, alive], 0.0)
-        self._gd = None
 
     def apply_pauli(self, op: dvcodes.PauliOp, rows):
         self.c[rows] = _pauli(op, self.c[rows])
@@ -362,28 +411,6 @@ class _BranchState:
 
     def carrier_expect(self, op: np.ndarray) -> np.ndarray:
         return np.sum(self.c.conj() * (self._weighted() @ op.T), axis=(1, 2)).real
-
-    def _mode_view(self, m: int, a: np.ndarray) -> np.ndarray:
-        return a.reshape(a.shape[0], a.shape[1], 2 ** m, 2, -1)
-
-    def mode_weights(self, m: int, disp: np.ndarray) -> np.ndarray:
-        """[r, y]: weight of level y of mode m after that mode's two levels x
-        are displaced into disp[r, x, y] = <y|D|x>.  Only the 2x2 moment
-        matrix M_xx' of the mode is formed; w_y = sum conj(D_yx) D_yx' M_xx'."""
-        c5 = self._mode_view(m, self.c)
-        w5 = self._mode_view(m, self._weighted())
-        moments = np.einsum("ntlxr,ntlzr->nxz", c5.conj(), w5)
-        return np.einsum("nxy,nxz,nzy->ny", disp.conj(), moments, disp).real
-
-    def confine_mode(self, m: int, disp: np.ndarray, outcome: np.ndarray):
-        """Displace mode m as in mode_weights, then apply confinement Kraus
-        outcome[r] (see _confine_levels); only the kept rows of D are used."""
-        kraus = np.swapaxes(disp[:, :, :2], 1, 2).copy()  # [r, new level, x]
-        moved = np.flatnonzero(outcome > 0)
-        kraus[moved, 0] = 0.0
-        kraus[moved, 1] = disp[moved, :, outcome[moved] + 1]
-        c5 = self._mode_view(m, self.c)
-        self.c = np.einsum("nyx,ntlxr->ntlyr", kraus, c5).reshape(self.c.shape)
 
     def measure_y(self, u: np.ndarray) -> np.ndarray:
         yp, ym = self.ctx.yplus, self.ctx.yminus
@@ -404,6 +431,235 @@ class _BranchState:
         o = self.ph * self.ctx.overlap(self.gamma)
         gc = self.c.conj() @ np.swapaxes(self.c, 1, 2)  # [r, i, j] = <c_i|c_j>
         return np.einsum("ni,nij,nj->n", o.conj(), gc, o).real / self.norm()
+
+
+class _ShorState(_Terms):
+    """A chunk of shor9 trajectories whose carriers factor over the code's
+    three 3-qubit blocks.
+
+    The carrier of slot t of row r is sum_p coef[r, t, p] v[r, t, p, 0] x
+    v[r, t, p, 1] x v[r, t, p, 2]; coef has shape (n, T, P) and v shape
+    (n, T, P, 3, 8).  Block b holds qubits 3b..3b+2, the first the most
+    significant bit, so the Kronecker product of the blocks is the 512-dim
+    carrier vector.  The codewords are products, g = scale b0 x b0 x b0
+    and e = scale b1 x b1 x b1.  Mode displacement, confinement and Z-type
+    stabilizers act on one block; an X-type stabilizer projection (c +
+    sign S c) / 2 doubles P, so P stays at most four.  Inner products are
+    sums over pairs of products of three block overlaps.  The codespace
+    complement c - <g|c> g - <e|c> e is a small difference of products, so
+    its norm, which decides pruning, is taken from 512-dim entries.
+    """
+
+    def __init__(self, ctx: _Context, n: int):
+        super().__init__(ctx, n)
+        self.coef = np.full((n, 1, 2), ctx.block_scale / math.sqrt(2.0), dtype=complex)
+        self.v = np.empty((n, 1, 2, 3, 8), dtype=complex)
+        self.v[:, :, 0] = ctx.blocks[0]
+        self.v[:, :, 1] = ctx.blocks[1]
+        self._env_block = None
+
+    # --- inner products
+
+    def _pair_weights(self, d: np.ndarray | None = None) -> np.ndarray:
+        """[r, K, L] = conj(coef_K) coef_L d[r, t(K), t(L)] over the flattened
+        (slot, product) index K; d is the data Gram matrix unless given."""
+        n, t, p = self.coef.shape
+        d = self.data_gram() if d is None else d
+        coef = self.coef.reshape(n, t * p)
+        return coef.conj()[:, :, None] * d.repeat(p, axis=1).repeat(p, axis=2) * coef[:, None, :]
+
+    def _block_grams(self, ops=()) -> np.ndarray:
+        """[r, b, K, L] = <v_bK| S_b |v_bL>, S_b the PauliOp paired with
+        block b in ops, or the identity."""
+        n, t, p = self.coef.shape
+        v = self.v.reshape(n, t * p, 3, 8).transpose(0, 2, 1, 3)
+        right = v
+        if ops:
+            right = v.copy()
+            for b, op in ops:
+                right[:, b] = _pauli(op, v[:, b])
+        return v.conj() @ right.swapaxes(-1, -2)
+
+    @staticmethod
+    def _pair_sum(weights: np.ndarray, grams: np.ndarray) -> np.ndarray:
+        return (weights * grams[:, 0] * grams[:, 1] * grams[:, 2]).sum(axis=(1, 2)).real
+
+    def _environment(self, b: int) -> np.ndarray:
+        """[r, K, L]: the pair weights times the overlaps of the two blocks
+        other than b, so that <c| A |c> = sum_KL env_KL <v_bK| A |v_bL> for
+        an operator A on block b.  Kept while only block b changes."""
+        if self._env_block != b:
+            n, t, p = self.coef.shape
+            v = self.v.reshape(n, t * p, 3, 8)[:, :, [(b + 1) % 3, (b + 2) % 3]]
+            g = np.einsum("nkbi,nlbi->bnkl", v.conj(), v)
+            self._env = self._pair_weights() * g[0] * g[1]
+            self._env_block = b
+        return self._env
+
+    def _changed(self, block: int | None = None):
+        """Drop the cached environment unless only its own block changed."""
+        if block is None or block != self._env_block:
+            self._env_block = None
+
+    def _block_expect(self, b: int, op: dvcodes.PauliOp | None = None) -> np.ndarray:
+        """<c|c>, and with op also <c| op |c> for a PauliOp on block b."""
+        v = self.v[:, :, :, b].reshape(len(self.v), -1, 8)
+        right = v if op is None else np.stack((v, _pauli(op, v)))
+        gram = v.conj() @ right.swapaxes(-1, -2)
+        return (self._environment(b) * gram).sum(axis=(-1, -2)).real
+
+    def norm(self) -> np.ndarray:
+        return self._block_expect(0 if self._env_block is None else self._env_block)
+
+    def displace_data(self, beta: np.ndarray):
+        super().displace_data(beta)
+        self._changed()
+
+    # --- conditional displacement and Y readout
+
+    def _codeword_overlaps(self):
+        """<g|c_t> and <e|c_t>, each [r, t], from block overlaps."""
+        n, t, p = self.coef.shape
+        over = (self.v.reshape(-1, 8) @ self.ctx.blocks.T).reshape(n, t, p, 3, 2).prod(axis=3)
+        a = (self.coef[..., None] * over).sum(axis=2) * self.ctx.block_scale
+        return a[..., 0], a[..., 1]
+
+    def _complement_norms(self, ag: np.ndarray, ae: np.ndarray) -> np.ndarray:
+        """|c_t - ag g - ae e| per [r, t], from the entries of the 512-dim
+        vectors on the block coordinates that are nonzero in some product or
+        codeword (the other entries are zero)."""
+        n, t, p = self.coef.shape
+        used = np.any(self.v != 0.0, axis=(0, 1, 2)) | np.any(self.ctx.blocks != 0.0, axis=0)
+        v0, v1, v2 = (self.v[..., b, used[b]] for b in range(3))
+        pair = (self.coef[..., None, None] * v0[..., :, None] * v1[..., None, :]).reshape(n, t, p, -1)
+        c = (pair.swapaxes(-1, -2) @ v2).reshape(n, t, -1)
+        sub = np.ix_(*used)
+        g = self.ctx.g.reshape(8, 8, 8)[sub].ravel()
+        e = self.ctx.e.reshape(8, 8, 8)[sub].ravel()
+        return np.linalg.norm(c - ag[..., None] * g - ae[..., None] * e, axis=-1)
+
+    def _assign(self, coef: np.ndarray, v: np.ndarray):
+        """Store the products, dropping trailing ones that are zero in every
+        row and slot."""
+        used = np.flatnonzero(np.any(coef != 0.0, axis=(0, 1)))
+        width = used[-1] + 1 if len(used) else 1
+        self.coef = coef[..., :width]
+        self.v = v[:, :, :width]
+        self._changed()
+
+    def conditional_displace(self, alpha_g: float, alpha_e: float):
+        ag, ae = self._codeword_overlaps()
+        sizes = np.concatenate((np.abs(ag), np.abs(ae), self._complement_norms(ag, ae)), axis=1)
+        keep, alive = self._split(sizes, alpha_g, alpha_e)
+        n, t, p = self.coef.shape
+        scale, blocks = self.ctx.block_scale, self.ctx.blocks
+        # Products of the new slots: their codeword first; a complement slot
+        # continues with the other codeword and the old products, and is
+        # formed only if it survives somewhere.
+        width = p + 2 if alive[2 * t:].any() else 1
+        coef = np.zeros((n, 3, t, width), dtype=complex)
+        v = np.zeros((n, 3, t, width, 3, 8), dtype=complex)
+        coef[:, 0, :, 0], coef[:, 1, :, 0] = scale * ag, scale * ae
+        v[:, (0, 2), :, 0], v[:, 1, :, 0] = blocks[0], blocks[1]
+        if width > 1:
+            coef[:, 2, :, 0], coef[:, 2, :, 1] = -scale * ag, -scale * ae
+            coef[:, 2, :, 2:] = self.coef
+            v[:, 2, :, 1], v[:, 2, :, 2:] = blocks[1], self.v
+        coef = coef.reshape(n, 3 * t, width)[:, alive]
+        self._assign(np.where(keep[..., None], coef, 0.0),
+                     v.reshape(n, 3 * t, width, 3, 8)[:, alive])
+
+    def measure_y(self, u: np.ndarray) -> np.ndarray:
+        ag, ae = self._codeword_overlaps()
+        a = (ag - 1j * ae) / math.sqrt(2.0)  # <y+|c>, y+ = (g + i e) / sqrt(2)
+        b = (ag + 1j * ae) / math.sqrt(2.0)  # <y-|c>
+        gd = self.data_gram()
+        nrm = self.norm()
+        p_plus = np.einsum("ni,nij,nj->n", a.conj(), gd, a).real / nrm
+        p_minus = np.einsum("ni,nij,nj->n", b.conj(), gd, b).real / nrm
+        outcome = np.where(u < p_plus, 1, np.where(u < p_plus + p_minus, -1, 0))
+        # products [g, e, old...]: a y+, b y-, or the complement c - ag g - ae e
+        n, t, p = self.coef.shape
+        scale, blocks = self.ctx.block_scale, self.ctx.blocks
+        plus, minus, rest = outcome == 1, outcome == -1, outcome == 0
+        width = p + 2 if rest.any() else 2
+        coef = np.zeros((n, t, width), dtype=complex)
+        h = scale / math.sqrt(2.0)
+        coef[plus, :, 0], coef[plus, :, 1] = h * a[plus], 1j * h * a[plus]
+        coef[minus, :, 0], coef[minus, :, 1] = h * b[minus], -1j * h * b[minus]
+        v = np.empty((n, t, width, 3, 8), dtype=complex)
+        v[:, :, 0], v[:, :, 1] = blocks[0], blocks[1]
+        if width > 2:
+            coef[rest, :, 0], coef[rest, :, 1] = -scale * ag[rest], -scale * ae[rest]
+            coef[rest, :, 2:] = self.coef[rest]
+            v[:, :, 2:] = self.v
+        self._assign(coef, v)
+        return outcome
+
+    def fidelity(self) -> np.ndarray:
+        o = self.ph * self.ctx.overlap(self.gamma)
+        grams = self._block_grams()
+        overlap = self._pair_sum(self._pair_weights(o.conj()[:, :, None] * o[:, None, :]), grams)
+        return overlap / self._pair_sum(self._pair_weights(), grams)
+
+    # --- ancilla errors and recovery
+
+    def mode_weights(self, m: int, disp: np.ndarray) -> np.ndarray:
+        """[r, y]: weight of level y of mode m after that mode's two levels x
+        are displaced into disp[r, x, y] = <y|D|x>.  Only the 2x2 moment
+        matrix M_xx' of the mode is formed, from its block and the block's
+        environment; w_y = sum conj(D_yx) D_yx' M_xx'."""
+        b, q = divmod(m, 3)
+        n = len(self.v)
+        v = self.v[:, :, :, b].reshape(n, -1, 8)
+        # [r, x, (product, qubits of the block before m, qubits after m)]
+        split = (n, -1, 2 ** q, 2, 2 ** (2 - q))
+        left = v.reshape(split).transpose(0, 3, 1, 2, 4).reshape(n, 2, -1)
+        right = (self._environment(b) @ v).reshape(split).transpose(0, 3, 1, 2, 4)
+        moments = left.conj() @ right.reshape(n, 2, -1).swapaxes(1, 2)
+        return (disp.conj() * (moments @ disp)).sum(axis=1).real
+
+    def confine_mode(self, m: int, disp: np.ndarray, outcome: np.ndarray):
+        """Displace mode m as in mode_weights, then apply confinement Kraus
+        outcome[r] (see _confine_levels); only the kept rows of D are used."""
+        kraus = np.swapaxes(disp[:, :, :2], 1, 2).copy()  # [r, new level, x]
+        moved = np.flatnonzero(outcome > 0)
+        kraus[moved, 0] = 0.0
+        kraus[moved, 1] = disp[moved, :, outcome[moved] + 1]
+        b, q = divmod(m, 3)
+        n, t, p = self.coef.shape
+        v6 = self.v[:, :, :, b].reshape(n, t, p, 2 ** q, 2, 2 ** (2 - q))
+        self.v[:, :, :, b] = np.einsum("nyx,ntpaxc->ntpayc", kraus, v6).reshape(n, t, p, 8)
+        self._changed(b)
+
+    def stabilizer_plus_probability(self, ops) -> np.ndarray:
+        if len(ops) == 1:
+            (b, op), = ops
+            nrm, expect = self._block_expect(b, op)
+        else:
+            weights = self._pair_weights()
+            nrm = self._pair_sum(weights, self._block_grams())
+            expect = self._pair_sum(weights, self._block_grams(ops))
+        return 0.5 * (nrm + expect) / nrm
+
+    def project_stabilizer(self, ops, sign: np.ndarray):
+        if len(ops) == 1:
+            (b, op), = ops
+            vb = self.v[:, :, :, b]
+            self.v[:, :, :, b] = 0.5 * (vb + sign[:, None, None, None] * _pauli(op, vb))
+            self._changed(b)
+            return
+        flipped = self.v.copy()
+        for b, op in ops:
+            flipped[:, :, :, b] = _pauli(op, self.v[:, :, :, b])
+        self.v = np.concatenate((self.v, flipped), axis=2)
+        self.coef = 0.5 * np.concatenate((self.coef, sign[:, None, None] * self.coef), axis=2)
+        self._changed()
+
+    def apply_pauli(self, ops, rows):
+        for b, op in ops:
+            self.v[rows, :, :, b] = _pauli(op, self.v[rows, :, :, b])
+        self._changed()
 
 
 class _DenseState:
@@ -640,10 +896,13 @@ def _batch_ancilla_errors(ctx, state, anc, uniforms) -> None:
         state.c = _displace_rows(ctx.anc_engine, beta, state.c)
     elif kind == "shor9":
         low = np.eye(2, _SHOR_MODE_DIM, dtype=complex)  # |0>, |1> as rows
+        beta = anc[..., 0] + 1j * anc[..., 1]  # [r, mode]
+        disps = _displace_rows(ctx.mode_engine, beta.reshape(-1), low).reshape(
+            *beta.shape, 2, _SHOR_MODE_DIM)
         for m in range(ctx.n_modes):
-            disp = _displace_rows(ctx.mode_engine, anc[:, m, 0] + 1j * anc[:, m, 1], low)
-            w = state.mode_weights(m, disp)
-            cum = np.concatenate((w[:, :1] + w[:, 1:2], w[:, 2:]), axis=1).cumsum(axis=1)
+            disp = disps[:, m]
+            # cumulative weights of the outcomes: levels {0, 1}, then 2, 3, ...
+            cum = state.mode_weights(m, disp).cumsum(axis=1)[:, 1:]
             below = cum < (next(uniforms) * cum[:, -1])[:, None]
             outcome = np.minimum(below.sum(axis=1), len(ctx.confine) - 1)
             state.confine_mode(m, disp, outcome)
@@ -652,18 +911,21 @@ def _batch_ancilla_errors(ctx, state, anc, uniforms) -> None:
 def _batch_recovery(ctx, state, uniforms) -> np.ndarray:
     """Per-row flags: the syndrome fell outside the correctable set."""
     kind = ctx.kind
-    unrecoverable = np.zeros(state.c.shape[0], dtype=bool)
+    unrecoverable = np.zeros(len(state.gamma), dtype=bool)
     if kind in ("three_qubit_phase", "shor9"):
-        bits = np.empty((state.c.shape[0], len(ctx.stabilizers)), dtype=np.int64)
-        for s, stab in enumerate(ctx.stabilizers):
+        # the shor9 product state takes its Paulis block by block
+        shor = kind == "shor9"
+        stabilizers = ctx.block_stabilizers if shor else ctx.stabilizers
+        bits = np.empty((len(state.gamma), len(stabilizers)), dtype=np.int64)
+        for s, stab in enumerate(stabilizers):
             bits[:, s] = next(uniforms) >= state.stabilizer_plus_probability(stab)
             state.project_stabilizer(stab, 1 - 2 * bits[:, s])
         for syndrome, rows in _groups(bits):
-            corr, _, guaranteed = dvcodes.correction_matrix(ctx.code_name, syndrome)
+            corr, label, guaranteed = dvcodes.correction_matrix(ctx.code_name, syndrome)
             if corr is None:
                 unrecoverable[rows] = True
                 continue
-            state.apply_pauli(corr, rows)
+            state.apply_pauli(_block_paulis(label) if shor else corr, rows)
             unrecoverable[rows] = not guaranteed
     elif kind == "binomial_n3":
         u = next(uniforms) * state.norm()
@@ -682,7 +944,7 @@ def _run_chunk(ctx: _Context, data, anc, uni):
     trajectories with these _scaled draws; the circuit of _one_trajectory,
     row by row."""
     uniforms = iter(uni.T)
-    state = _BranchState(ctx, len(data))
+    state = (_ShorState if ctx.kind == "shor9" else _BranchState)(ctx, len(data))
     # squeezing frame: see _one_trajectory
     beta = data[:, 0] * math.exp(2.0 * ctx.zeta) + 1j * (data[:, 1] * math.exp(-2.0 * ctx.zeta))
     state.conditional_displace(-ctx.alpha, +ctx.alpha)

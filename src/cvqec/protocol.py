@@ -24,7 +24,6 @@ from .gaussian import (FilteredMoments, qubit_filtered_moments, qudit_filter,
 from .optimize import minimize_scalar
 
 __all__ = [
-    "ProtocolConfig",
     "OutcomeBranch",
     "QuadratureNoise",
     "CorrectedNoise",
@@ -44,31 +43,6 @@ __all__ = [
     "squeezing_db",
     "second_derivative_at_origin",
 ]
-
-SCHEMES = ("qubit_p", "two_qubit", "squeezed_qubit", "qudit")
-STATE_KINDS = ("coherent", "fock1")
-
-
-@dataclass(frozen=True)
-class ProtocolConfig:
-    """Scheme selector and parameters for one correction run."""
-
-    scheme: str
-    sigma: float
-    alpha: float = 0.0
-    zeta: float = 0.0
-    d: int = 2
-    state_kind: str = "coherent"
-
-    def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.state_kind not in STATE_KINDS:
-            raise ValueError(f"unknown state kind {self.state_kind!r}")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
-        if self.scheme == "qudit" and self.d < 2:
-            raise ValueError("qudit scheme needs d >= 2")
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,13 @@ import pytest
 
 from cvqec.dvcodes import (_full_lookup_table, binomial_code,
                            binomial_recovery_kraus, correction_matrix, encode,
-                           get_code, logical_conditional_displacement,
-                           logical_flip_probability_three_qubit,
+                           get_code, logical_flip_probability_three_qubit,
                            logical_Y_measurement, logical_Y_probabilities,
                            pauli_matrix, recover, shor9_code,
                            stabilizer_matrices, stabilizer_ops,
                            three_qubit_phase_code)
-from cvqec.fock import (DensityMatrix, PureState, annihilation,
-                        coherent_state, fidelity, fock_state)
+from cvqec.fock import (DensityMatrix, PureState, annihilation, fidelity,
+                        fock_state)
 
 
 def _encoded_probe(code):
@@ -109,6 +108,58 @@ class TestShorRecovery:
                 out, res = recover(code, rho)
                 assert fidelity(psi, out) == pytest.approx(1.0, abs=1e-10), label
                 assert not res.unrecoverable
+
+    @staticmethod
+    def _dense_recover(code, rho, mode, rng):
+        """recover's syndrome loop with dense pauli_matrix stabilizers and
+        corrections: (recovered matrix, sampled syndrome or None).  A
+        sector's weight tr(P m) = (tr m +- tr(S m)) / 2 is taken before
+        its projection P m P is formed."""
+        stabs = stabilizer_matrices(code.name)
+        eye = np.eye(code.dim, dtype=complex)
+
+        def weight(m, s, bit):
+            return 0.5 * (np.trace(m) + (1 - 2 * bit) * np.einsum("ij,ji->", s, m)).real
+
+        def project(m, s, bit):
+            proj = 0.5 * (eye + (1 - 2 * bit) * s)
+            return proj @ m @ proj
+
+        if mode == "sample":
+            m, syndrome = rho.matrix, []
+            for s in stabs:
+                p_plus = weight(m, s, 0) / np.trace(m).real
+                bit = 0 if rng.random() < min(max(p_plus, 0.0), 1.0) else 1
+                m = project(m, s, bit)
+                m /= np.trace(m).real
+                syndrome.append(bit)
+            corr = pauli_matrix(correction_matrix(code.name, tuple(syndrome))[1])
+            return corr @ m @ corr.conj().T, tuple(syndrome)
+        sectors = [((), rho.matrix)]
+        for s in stabs:
+            sectors = [(syn + (bit,), project(m, s, bit)) for syn, m in sectors
+                       for bit in (0, 1) if weight(m, s, bit) > 1e-14]
+        out = np.zeros_like(rho.matrix)
+        for syn, m in sectors:
+            corr = pauli_matrix(correction_matrix(code.name, syn)[1])
+            out += corr @ m @ corr.conj().T
+        return out, None
+
+    @pytest.mark.parametrize("mode", ["average", "sample"])
+    def test_matches_dense_recovery(self, mode):
+        """recover applies stabilizers and corrections as PauliOp
+        permutations; the dense products are the oracle."""
+        code = shor9_code()
+        psi = _encoded_probe(code)
+        for pos in range(9):
+            for ch in "XYZ":
+                v = pauli_matrix("I" * pos + ch + "I" * (9 - pos - 1)) @ psi.amplitudes
+                rho = DensityMatrix(np.outer(v, v.conj()))
+                out, res = recover(code, rho, mode, rng=np.random.default_rng(pos))
+                ref, syndrome = self._dense_recover(code, rho, mode,
+                                                    np.random.default_rng(pos))
+                assert np.max(np.abs(out.matrix - ref)) < 1e-12
+                assert res.syndrome == syndrome
 
     def test_full_syndrome_table(self):
         # every one of the 2^8 syndromes decodes to some Pauli, and that
@@ -231,25 +282,6 @@ class TestThreeQubitDephasing:
 
 
 class TestLogicalOperations:
-    def test_conditional_displacement_on_codewords(self):
-        code = three_qubit_phase_code()
-        alpha, n_trunc = 0.8, 16
-        cd = logical_conditional_displacement(code, alpha, n_trunc).matrix
-        vac = fock_state(0, n_trunc).amplitudes
-        joint = np.kron(code.logical_g, vac)
-        out = cd @ joint
-        expect = np.kron(code.logical_g, coherent_state(-alpha, n_trunc).amplitudes)
-        assert abs(abs(np.vdot(expect, out)) - 1.0) < 1e-10
-        joint = np.kron(code.logical_e, vac)
-        out = cd @ joint
-        expect = np.kron(code.logical_e, coherent_state(alpha, n_trunc).amplitudes)
-        assert abs(abs(np.vdot(expect, out)) - 1.0) < 1e-10
-
-    def test_conditional_displacement_unitary(self):
-        code = three_qubit_phase_code()
-        cd = logical_conditional_displacement(code, 0.5, 10).matrix
-        assert np.allclose(cd @ cd.conj().T, np.eye(cd.shape[0]), atol=1e-11)
-
     def test_y_probabilities_sum(self):
         code = shor9_code()
         rho = _encoded_probe(code).to_density()

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from cvqec.fock import (DensityMatrix, DisplacementEngine, PureState,
                         TruncationWarning,
                         TruncationError, annihilation, coherent_state,
-                        conditional_displacement, displacement_operator,
-                        fidelity, fock_state, overlap_f, squeeze_operator)
+                        displacement_operator, fidelity, fock_state,
+                        overlap_f)
 
 N_TRUNC = 30
 DIM = N_TRUNC + 1
@@ -50,31 +50,6 @@ def test_displacement_truncation_guard():
         displacement_operator(4.0, 10)
 
 
-def test_squeeze_heisenberg_scaling():
-    # variance of q in a squeezed vacuum is e^{-4 zeta} / 2 with the
-    # q -> q e^{-2 zeta} convention
-    zeta = -0.06
-    n_trunc = 40
-    s = squeeze_operator(zeta, n_trunc).matrix
-    vac = np.zeros(n_trunc + 1, dtype=complex)
-    vac[0] = 1.0
-    psi = s @ vac
-    a = annihilation(n_trunc)
-    q = (a + a.conj().T) / math.sqrt(2)
-    var_q = np.real(psi.conj() @ q @ q @ psi)
-    assert var_q == pytest.approx(0.5 * math.exp(-4 * zeta), rel=1e-8)
-
-
-def test_conditional_displacement_blocks():
-    alpha = 0.5
-    cd = conditional_displacement(2, alpha, 8).matrix
-    d_minus = displacement_operator(-alpha, 8).matrix
-    d_plus = displacement_operator(alpha, 8).matrix
-    assert np.allclose(cd[:9, :9], d_minus)
-    assert np.allclose(cd[9:, 9:], d_plus)
-    assert np.allclose(cd[:9, 9:], 0)
-
-
 def test_overlap_f_values():
     assert overlap_f("coherent", 0.3 + 0.1j) == pytest.approx(math.exp(-0.1), rel=1e-12)
     b2 = 0.05
@@ -110,6 +85,20 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([0.7, 0.7]))  # trace 1.4
     ok = DensityMatrix(np.diag([0.25, 0.75]).astype(complex))
     assert ok.dim == 2
+
+
+@pytest.mark.parametrize("lowest, valid", [(-2e-9, False), (-5e-10, True), (0.0, True)])
+def test_density_matrix_eigenvalue_bound(lowest, valid):
+    # eigenvalues down to -1e-9 pass, in a rotated basis too
+    q, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(4, 4))
+                        + 1j * np.random.default_rng(5).normal(size=(4, 4)))
+    m = q @ np.diag([lowest, 0.2, 0.3, 0.5 - lowest]) @ q.conj().T
+    m = 0.5 * (m + m.conj().T)
+    if valid:
+        assert DensityMatrix(m).dim == 4
+    else:
+        with pytest.raises(ValueError, match="eigenvalue below"):
+            DensityMatrix(m)
 
 
 def test_fidelity_of_mixture():

@@ -7,13 +7,13 @@ import warnings
 import numpy as np
 import pytest
 
-from cvqec import montecarlo
+from cvqec import dvcodes, montecarlo
 from cvqec.channels import confinement_kraus
 from cvqec.cli import main
 from cvqec.montecarlo import (_SHOR_MODE_DIM, ANCILLA_KINDS,
                               EstimateWithError, TrajectoryPlan, _BranchState,
                               _Context, _DenseState, _displace_rows,
-                              _pcg64_states, _run_draws, _streams,
+                              _pcg64_states, _run_draws, _ShorState, _streams,
                               branch_decomposition_run, estimate_qubit_var_p,
                               run_concatenated, trajectory_fidelity)
 from cvqec.protocol import (exact_infidelity, optimal_alpha_qubit,
@@ -114,11 +114,11 @@ class TestConfinement:
                 assert np.array_equal(sel.psi, ref.psi)
 
     def test_batched_mode_step_matches_dense(self):
-        """_BranchState.mode_weights and confine_mode, which form only the
-        mode's 2x2 moments and the kept rows of its displacement, against
-        the dense path (apply_carrier_local with disp[:, :2], then
-        confinement Kraus j), one row per outcome j, on random two-term
-        states."""
+        """_ShorState.mode_weights and confine_mode, which form only the
+        mode's 2x2 moments (from its block and the block's environment) and
+        the kept rows of its displacement, against the dense path
+        (apply_carrier_local with disp[:, :2], then confinement Kraus j), one
+        row per outcome j, on random two-term states of two products."""
         ctx = _Context(TrajectoryPlan(sigma=0.15, ancilla="shor9"))
         kraus = confinement_kraus(_SHOR_MODE_DIM)
         n = len(kraus)
@@ -126,27 +126,128 @@ class TestConfinement:
         low = np.eye(2, _SHOR_MODE_DIM, dtype=complex)
         for m in (0, 4, 8):
             beta = rng.normal(0.0, 0.3, n) + 1j * rng.normal(0.0, 0.3, n)
-            state = _BranchState(ctx, n)
-            c = rng.normal(size=(n, 2, ctx.carrier_dim)) + 1j * rng.normal(
-                size=(n, 2, ctx.carrier_dim))
-            state.c = c / np.linalg.norm(c, axis=(1, 2), keepdims=True)
-            state.gamma = rng.normal(0.0, 0.5, (n, 2)) + 1j * rng.normal(0.0, 0.5, (n, 2))
-            state.ph = np.exp(2j * np.pi * rng.random((n, 2)))
+            state = _random_shor_state(ctx, rng, n)
+            c = _expand(state)
             data = [[ph * ctx.data_engine.apply(g, ctx.psi0)
                      for g, ph in zip(state.gamma[r], state.ph[r])] for r in range(n)]
             disp = _displace_rows(ctx.mode_engine, beta, low)
             weights = state.mode_weights(m, disp)
             state.confine_mode(m, disp, np.arange(n))
+            confined = _expand(state)
             for j in range(n):
                 ref = _DenseState(ctx)
-                ref.psi = sum(np.outer(cv, dv) for cv, dv in zip(c[j] / np.linalg.norm(c[j]),
-                                                                  data[j]))
+                ref.psi = sum(np.outer(cv, dv) for cv, dv in zip(c[j], data[j]))
                 ref.apply_carrier_local(m, ctx.mode_engine.matrix(beta[j])[:, :2])
                 assert np.allclose(weights[j], ref.carrier_level_weights(m),
                                    rtol=0, atol=1e-13)
                 ref.apply_carrier_local(m, kraus[j])
-                got = sum(np.outer(cv, dv) for cv, dv in zip(state.c[j], data[j]))
+                got = sum(np.outer(cv, dv) for cv, dv in zip(confined[j], data[j]))
                 assert np.allclose(got, ref.psi, rtol=0, atol=1e-13)
+
+
+def _expand(state: _ShorState) -> np.ndarray:
+    """The 512-dim carrier vectors [r, t] of a product state, by np.kron."""
+    n, t, p = state.coef.shape
+    out = np.zeros((n, t, 512), dtype=complex)
+    for r, s, q in np.ndindex(n, t, p):
+        blocks = state.v[r, s, q]
+        out[r, s] += state.coef[r, s, q] * np.kron(np.kron(blocks[0], blocks[1]), blocks[2])
+    return out
+
+
+def _random_shor_state(ctx, rng, n: int, t: int = 2, p: int = 2) -> _ShorState:
+    """n rows of t terms with p products each and random data factors; each
+    row's carrier vectors have unit total norm."""
+    state = _ShorState(ctx, n)
+    state.coef = rng.normal(size=(n, t, p)) + 1j * rng.normal(size=(n, t, p))
+    state.v = rng.normal(size=(n, t, p, 3, 8)) + 1j * rng.normal(size=(n, t, p, 3, 8))
+    state.coef /= np.linalg.norm(_expand(state), axis=(1, 2))[:, None, None]
+    state.gamma = rng.normal(0.0, 0.5, (n, t)) + 1j * rng.normal(0.0, 0.5, (n, t))
+    state.ph = np.exp(2j * np.pi * rng.random((n, t)))
+    return state
+
+
+class TestShorProductState:
+    """Each operation of the three-block product state against _BranchState
+    on the same state expanded to 512 dims (np.kron), on random multi-term
+    states; mode steps are checked against _DenseState in TestConfinement."""
+
+    @staticmethod
+    def _pair(seed: int, n: int = 6):
+        ctx = _Context(TrajectoryPlan(sigma=0.15, ancilla="shor9"))
+        shor = _random_shor_state(ctx, np.random.default_rng(seed), n)
+        branch = _BranchState(ctx, n)
+        branch.c, branch.gamma, branch.ph = _expand(shor), shor.gamma, shor.ph
+        return ctx, shor, branch
+
+    @staticmethod
+    def _assert_same(shor: _ShorState, branch: _BranchState):
+        assert np.allclose(_expand(shor), branch.c, rtol=0, atol=1e-13)
+        assert np.allclose(shor.gamma, branch.gamma, rtol=0, atol=1e-13)
+        assert np.allclose(shor.ph, branch.ph, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("s", range(8))
+    def test_stabilizer(self, s):
+        ctx, shor, branch = self._pair(s)
+        ops, op = ctx.block_stabilizers[s], ctx.stabilizers[s]
+        assert np.allclose(shor.norm(), branch.norm(), rtol=0, atol=1e-13)
+        assert np.allclose(shor.stabilizer_plus_probability(ops),
+                           branch.stabilizer_plus_probability(op), rtol=0, atol=1e-13)
+        sign = np.where(np.arange(len(shor.gamma)) % 2 == 0, 1, -1)
+        shor.project_stabilizer(ops, sign)
+        branch.project_stabilizer(op, sign)
+        self._assert_same(shor, branch)
+        # a projected state is an eigenstate: probability 1 or 0 by row
+        assert np.allclose(shor.stabilizer_plus_probability(ops), (1 + sign) / 2,
+                           rtol=0, atol=1e-13)
+
+    def test_best_effort_correction(self):
+        ctx, shor, branch = self._pair(20)
+        syndrome = next(syn for syn in dvcodes._full_lookup_table("shor9")
+                        if not dvcodes.correction_matrix("shor9", syn)[2])
+        op, label, _ = dvcodes.correction_matrix("shor9", syndrome)
+        assert sum(ch != "I" for ch in label) >= 2
+        rows = np.arange(len(shor.gamma)) % 3 != 0
+        shor.apply_pauli(montecarlo._block_paulis(label), rows)
+        branch.apply_pauli(op, rows)
+        self._assert_same(shor, branch)
+
+    @pytest.mark.parametrize("signs", [(-1, 1), (1, -1)])
+    def test_conditional_displacement(self, signs):
+        ctx, shor, branch = self._pair(30)
+        # row 0 in the codespace, so that its complement term is pruned
+        shor.coef[0] = 0.0
+        shor.coef[0, :, 0] = (0.6, 0.8j)
+        shor.v[0, :, 0] = ctx.blocks[0]
+        shor.v[0, 1, 0] = ctx.blocks[1]
+        branch.c = _expand(shor)
+        alpha_g, alpha_e = signs[0] * 0.7, signs[1] * 0.7
+        shor.conditional_displace(alpha_g, alpha_e)
+        branch.conditional_displace(alpha_g, alpha_e)
+        assert shor.coef.shape[1] == branch.c.shape[1] == 6
+        assert np.all(shor.ph[0, 4:] == 0) and np.all(shor.coef[0, 4:] == 0)
+        self._assert_same(shor, branch)
+        assert np.allclose(shor.norm(), branch.norm(), rtol=0, atol=1e-13)
+
+    def test_y_readout_and_fidelity(self):
+        ctx, shor, branch = self._pair(40, n=3)
+        yp, ym = ctx.yplus, ctx.yminus
+        nrm = branch.norm()
+        gd = branch.data_gram()
+        a, b = branch.c @ yp.conj(), branch.c @ ym.conj()
+        p_plus = np.einsum("ni,nij,nj->n", a.conj(), gd, a).real / nrm
+        p_minus = np.einsum("ni,nij,nj->n", b.conj(), gd, b).real / nrm
+        # one row per outcome: +1, -1 and the codespace complement
+        u = np.array([0.5 * p_plus[0], p_plus[1] + 0.5 * p_minus[1],
+                      0.5 * (1.0 + p_plus[2] + p_minus[2])])
+        outcome = shor.measure_y(u)
+        assert outcome.tolist() == [1, -1, 0]
+        assert branch.measure_y(u).tolist() == [1, -1, 0]
+        self._assert_same(shor, branch)
+        beta = np.array([0.3j, -0.2, 0.1 + 0.1j])
+        shor.displace_data(beta)
+        branch.displace_data(beta)
+        assert np.allclose(shor.fidelity(), branch.fidelity(), rtol=0, atol=1e-13)
 
 
 class TestReproducibility:
@@ -252,7 +353,8 @@ class TestSweepSharing:
         ("bare", "p_phi", (0.0, 0.05, 0.2), 300),
         ("three_qubit_phase", "p_phi", (0.0, 0.05, 0.2), 300),
         ("binomial_n3", "sigma", (0.1, 0.15), 200),  # three chunks of 85
-        ("shor9", "sigma", (0.1, 0.15), 8),          # two chunks of 4
+        ("shor9", "sigma", (0.1, 0.15), 8),          # one chunk
+        ("shor9", "sigma", (0.1, 0.15), 45),         # three chunks of 21
     ])
     def test_shared_draws_match_fresh_runs(self, ancilla, field, points, n):
         base = TrajectoryPlan(sigma=0.1, ancilla=ancilla, n_trajectories=n,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvqec.protocol import (ProtocolConfig, exact_infidelity,
+from cvqec.protocol import (exact_infidelity,
                             infidelity_from_noise, optimal_alpha_qubit,
                             optimal_zeta, optimize_qubit_alpha,
                             optimize_qudit_alpha, optimize_zeta, qudit_bound,
@@ -134,20 +134,6 @@ class TestInfidelity:
     def test_expansion_warns_outside_validity(self):
         with pytest.warns(UserWarning):
             infidelity_from_noise("coherent", run_uncorrected(0.5))
-
-
-class TestConfig:
-    def test_rejects_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            ProtocolConfig(scheme="gkp", sigma=0.1)
-
-    def test_rejects_bad_sigma(self):
-        with pytest.raises(ValueError):
-            ProtocolConfig(scheme="qubit_p", sigma=-1.0)
-
-    def test_rejects_small_d(self):
-        with pytest.raises(ValueError):
-            ProtocolConfig(scheme="qudit", sigma=0.1, d=1)
 
 
 @settings(max_examples=20, deadline=None)
