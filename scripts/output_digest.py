@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the SHA-256 of every file that a fixed list of fig4 commands writes.
+"""Print the SHA-256 of every file that a fixed list of cvqec commands writes.
 
 The commands run in this process through ``cvqec.cli.main`` of the
 checkout that holds this script (its ``src/``), each into a fresh
@@ -11,10 +11,12 @@ script exit 1.  Two checkouts write the same bytes when
 
 prints nothing.
 
-The list: the fig4 commands of the benchmark workloads (dephasing and
-bosonic sweeps, and the Monte Carlo checks of the analytic workload) at
-seeds 7, 8 and 9, then root seeds at the top of and just past one 32-bit
-word, and a binomial sigma sweep over the default points.
+The list: the analytic commands (fig2, fig3 to d = 9 and the four
+optimize schemes, which write through --out-file), then the fig4
+commands of the benchmark workloads (dephasing and bosonic sweeps, and
+the Monte Carlo checks of the analytic workload) at seeds 7, 8 and 9,
+then root seeds at the top of and just past one 32-bit word, and a
+binomial sigma sweep over the default points.
 
 With --trajectories it prints instead the infidelity of every trajectory
 of one fixed plan per ancilla kind, as ``kind index float.hex(value)``:
@@ -42,7 +44,9 @@ STATES = (["--state", "coherent"],
 
 
 def commands() -> list[list[str]]:
-    out = []
+    out = [["fig2", "--sigma", "0.1"], ["fig3", "--sigma", "0.1", "--dmax", "9"]]
+    out += [["optimize", "--scheme", scheme, "--sigma", "0.1"]
+            for scheme in ("qubit_p", "two_qubit", "squeezed", "qudit")]
     for seed in ("7", "8", "9"):
         out += [["fig4", "--code", code, *state, "--sweep", "pphi",
                  "--trajectories", "160", "--seed", seed]
@@ -98,7 +102,9 @@ def main() -> int:
     for argv in commands():
         command = " ".join(argv)
         with tempfile.TemporaryDirectory() as tmp:
-            rc = cli.main(argv + ["--out", tmp])
+            target = (["--out-file", str(Path(tmp) / "result.json")]
+                      if argv[0] == "optimize" else ["--out", tmp])
+            rc = cli.main(argv + target)
             if rc != 0:
                 print(f"FAILED rc={rc}  {command}")
                 status = 1

@@ -252,18 +252,25 @@ def _full_lookup_table(code_name: str) -> dict:
     correctable singles reach every syndrome coset.
     """
     singles = _lookup_table(code_name)
-    stabs = _STABILIZERS[code_name]
+    n_stabs = len(_STABILIZERS[code_name])
+    # Syndromes are linear, syn(a b) = syn(a) XOR syn(b): carry each
+    # syndrome as an int with bit k for stabilizer k, and form the Pauli
+    # product only for a syndrome not seen before.
+    masks = [(err, sum(bit << k for k, bit in enumerate(syn)))
+             for syn, err in singles.items()]
     table = dict(singles)
-    frontier = list(singles.values())
-    while len(table) < 2 ** len(stabs) and frontier:
+    seen = {mask for _, mask in masks}
+    frontier = masks
+    while len(table) < 2 ** n_stabs and frontier:
         nxt = []
-        for base in frontier:
-            for err in singles.values():
-                cand = _pauli_product(base, err)
-                syn = tuple(0 if _commutes(cand, s) else 1 for s in stabs)
-                if syn not in table:
-                    table[syn] = cand
-                    nxt.append(cand)
+        for base, base_mask in frontier:
+            for err, err_mask in masks:
+                mask = base_mask ^ err_mask
+                if mask not in seen:
+                    seen.add(mask)
+                    cand = _pauli_product(base, err)
+                    table[tuple(mask >> k & 1 for k in range(n_stabs))] = cand
+                    nxt.append((cand, mask))
         frontier = nxt
     return table
 

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, expm
 
 __all__ = [
     "TruncationError",
@@ -97,6 +96,7 @@ class DensityMatrix:
             raise ValueError(f"trace {np.trace(m).real} differs from 1 beyond 1e-10")
         # no eigenvalue below -1e-9: m + 1e-9 I has a Cholesky factor, which
         # costs a fraction of an eigendecomposition
+        from scipy.linalg import cholesky
         try:
             cholesky(m + 1e-9 * np.eye(len(m)), lower=True, check_finite=False)
         except np.linalg.LinAlgError:
@@ -158,6 +158,8 @@ def displacement_operator(beta: complex, n_trunc: int) -> LinearOperator:
     if abs(beta) ** 2 > n_trunc / 4:
         raise TruncationError(
             f"|beta|^2 = {abs(beta)**2:.3g} exceeds n_trunc/4 = {n_trunc / 4}")
+    from scipy.linalg import expm
+
     a = annihilation(n_trunc)
     gen = beta * a.conj().T - np.conj(beta) * a
     return LinearOperator(expm(gen), f"D({beta:.4g})")

@@ -21,7 +21,9 @@ of ``e^{i t b}`` are exact:
 Every qudit moment is therefore a sum of ``2d - 1`` terms.  The
 quadrature routines (:func:`integrate`, :class:`QuadratureSpec`) remain
 as a general-purpose oracle and for the Gauss-Hermite nodes used by
-``protocol.exact_infidelity``.
+``protocol.exact_infidelity``.  Gauss-Hermite needs only numpy; the
+adaptive method is scipy's ``quad``, imported on its first call, so no
+command of the package loads scipy.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy import integrate as _sciint
 
 __all__ = [
     "NoiseModel",
@@ -162,6 +163,16 @@ def _gh_integrate(f, lower, upper, nodes):
     fv = np.asarray([f(x) for x in t], dtype=float)
     wexp = np.exp(np.log(w[keep]) + t * t)
     return float(np.sum(wexp * fv))
+
+
+class _sciint:
+    """The part of ``scipy.integrate`` that :func:`integrate` uses; scipy
+    is imported on the first adaptive integral, not with this module."""
+
+    @staticmethod
+    def quad(*args, **kwargs):
+        from scipy.integrate import quad
+        return quad(*args, **kwargs)
 
 
 def integrate(f: Callable[[float], float], lower: float, upper: float,

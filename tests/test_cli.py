@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cvqec
 from cvqec.cli import main
 from cvqec.protocol import optimal_alpha_qubit
 
@@ -201,3 +206,38 @@ class TestExitCodes:
     def test_io_failure(self, tmp_path):
         missing = tmp_path / "does" / "not" / "exist"
         assert main(["fig2", "--out", str(missing)]) == 4
+
+
+# Run in a fresh interpreter: imports cvqec.cli, runs each argv (given as
+# JSON on stdin) through main, and prints the loaded scipy modules.
+_IMPORT_PROBE = """
+import json, sys
+from cvqec.cli import main
+for argv in json.load(sys.stdin):
+    rc = main(argv)
+    if rc != 0:
+        sys.exit(f"exit code {rc} from {argv}")
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_no_command_loads_scipy(tmp_path):
+    """scipy serves only the oracles (adaptive quadrature, expm, the
+    Cholesky check), so importing the CLI and running one small command
+    of each kind leaves it unloaded."""
+    out = ["--out", str(tmp_path)]
+    commands = [["fig2", *out], ["fig3", "--dmax", "3", *out]]
+    commands += [["optimize", "--scheme", scheme, "--d", "3",
+                  "--out-file", str(tmp_path / f"{scheme}.json")]
+                 for scheme in ("qubit_p", "two_qubit", "squeezed", "qudit")]
+    commands += [["fig4", "--code", code, "--points", "0.1", "--trajectories", "4",
+                  *out] for code in ("none", "three_qubit")]
+    commands += [["fig4", "--code", code, "--sweep", "sigma", "--points", "0.1",
+                  "--trajectories", "2", *out] for code in ("binomial", "shor")]
+    src = str(Path(cvqec.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
+                          input=json.dumps(commands), capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

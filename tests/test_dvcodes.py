@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from cvqec.dvcodes import (_full_lookup_table, binomial_code,
+from cvqec.dvcodes import (_STABILIZERS, _commutes, _full_lookup_table,
+                           _lookup_table, _pauli_product, binomial_code,
                            binomial_recovery_kraus, correction_matrix, encode,
                            get_code, logical_flip_probability_three_qubit,
                            logical_Y_measurement, logical_Y_probabilities,
@@ -95,6 +96,35 @@ class TestPauliOp:
                 assert np.array_equal(op @ a, dense @ a)
 
 
+def _string_search_table(name):
+    """The decoder table by breadth-first products of Pauli strings, each
+    product's syndrome recomputed from its string against every
+    stabilizer: the reference for _full_lookup_table's syndrome masks."""
+    singles = _lookup_table(name)
+    stabs = _STABILIZERS[name]
+    table = dict(singles)
+    frontier = list(singles.values())
+    while len(table) < 2 ** len(stabs) and frontier:
+        nxt = []
+        for base in frontier:
+            for err in singles.values():
+                cand = _pauli_product(base, err)
+                syn = tuple(0 if _commutes(cand, s) else 1 for s in stabs)
+                if syn not in table:
+                    table[syn] = cand
+                    nxt.append(cand)
+        frontier = nxt
+    return table
+
+
+@pytest.mark.parametrize("name", ["three_qubit_phase", "shor9"])
+def test_decoder_table_matches_string_search(name):
+    expect = _string_search_table(name)
+    table = _full_lookup_table(name)
+    assert table == expect
+    assert list(table) == list(expect)  # same breadth-first order
+
+
 class TestShorRecovery:
     def test_all_single_paulis_recovered(self):
         code = shor9_code()
@@ -164,7 +194,6 @@ class TestShorRecovery:
     def test_full_syndrome_table(self):
         # every one of the 2^8 syndromes decodes to some Pauli, and that
         # Pauli reproduces the syndrome it is filed under
-        from cvqec.dvcodes import _STABILIZERS, _commutes, _full_lookup_table
         table = _full_lookup_table("shor9")
         stabs = _STABILIZERS["shor9"]
         assert len(table) == 256

@@ -1,12 +1,14 @@
 """Closed forms, quadrature, and filtered-moment oracles."""
 
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvqec import gaussian
 from cvqec.gaussian import (DEFAULT_QUADRATURE, NoiseModel, QuadratureSpec,
                             QUDIT_MEASUREMENT_OFFSET, gaussian_pdf, integrate,
                             qubit_filtered_moments, qubit_outcome_mean,
@@ -186,6 +188,23 @@ class TestValidation:
     def test_default_spec(self):
         assert DEFAULT_QUADRATURE.method == "gauss-hermite"
         assert DEFAULT_QUADRATURE.nodes >= 16
+
+
+def test_adaptive_method_calls_quad_through_sciint(monkeypatch):
+    """The adaptive rule is looked up on gaussian._sciint at each call, so
+    replacing that attribute (as an instrumenting caller does) sees it."""
+    quad = gaussian._sciint.quad
+    calls = []
+
+    def counted_quad(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(gaussian, "_sciint", types.SimpleNamespace(quad=counted_quad))
+    value = integrate(lambda x: math.exp(-x * x), -8.0, 8.0,
+                      QuadratureSpec(method="adaptive"))
+    assert calls == [(-8.0, 8.0)]
+    assert value == pytest.approx(math.sqrt(math.pi), rel=1e-10)
 
 
 @settings(max_examples=40, deadline=None)
