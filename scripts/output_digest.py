@@ -12,7 +12,9 @@ script exit 1.  Two checkouts write the same bytes when
 prints nothing.
 
 The list: the analytic commands (fig2, fig3 to d = 9 and the four
-optimize schemes, which write through --out-file), then the fig4
+optimize schemes, which write through --out-file, then fig2 at sigma
+0.2, fig3 to d = 15, the qudit optimum at d = 15 and the squeezed optimum
+at sigma 0.2, where the qudit sums have 8 or more outcomes), then the fig4
 commands of the benchmark workloads (dephasing and bosonic sweeps, and
 the Monte Carlo checks of the analytic workload) at seeds 7, 8 and 9,
 then root seeds at the top of and just past one 32-bit word, and a
@@ -47,6 +49,9 @@ def commands() -> list[list[str]]:
     out = [["fig2", "--sigma", "0.1"], ["fig3", "--sigma", "0.1", "--dmax", "9"]]
     out += [["optimize", "--scheme", scheme, "--sigma", "0.1"]
             for scheme in ("qubit_p", "two_qubit", "squeezed", "qudit")]
+    out += [["fig2", "--sigma", "0.2"], ["fig3", "--sigma", "0.1", "--dmax", "15"],
+            ["optimize", "--scheme", "qudit", "--sigma", "0.1", "--d", "15"],
+            ["optimize", "--scheme", "squeezed", "--sigma", "0.2"]]
     for seed in ("7", "8", "9"):
         out += [["fig4", "--code", code, *state, "--sweep", "pphi",
                  "--trajectories", "160", "--seed", seed]

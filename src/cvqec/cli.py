@@ -61,7 +61,7 @@ def cmd_fig2(args) -> None:
     alphas = np.concatenate(([0.0], np.linspace(0.1 / sigma, 6.0 / sigma, 60),
                              [alpha_opt]))
     alphas = np.unique(alphas)
-    var_rows = [(a, protocol.run_qubit_p_scheme(sigma, a).var_p,
+    var_rows = [(a, protocol._qubit_var_p(sigma, a),
                  "1" if abs(a - alpha_opt) < 1e-9 else "0") for a in alphas]
     _write_csv(out / "fig2_variance.csv", ["alpha", "var_p", "is_opt"], var_rows)
 

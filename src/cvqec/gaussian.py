@@ -18,7 +18,9 @@ of ``e^{i t b}`` are exact:
 ``E[e^{itb}] = e^{-t^2 sigma^2/4}``,
 ``E[b e^{itb}] = (i t sigma^2/2) e^{-t^2 sigma^2/4}`` and
 ``E[b^2 e^{itb}] = (sigma^2/2 - t^2 sigma^4/4) e^{-t^2 sigma^2/4}``.
-Every qudit moment is therefore a sum of ``2d - 1`` terms.  The
+Every qudit moment is therefore a sum of ``2d - 1`` terms, summed for
+all d outcomes at once by :func:`qudit_moments`; ``protocol``'s optimizers
+minimize the variances its scheme runners report from it.  The
 quadrature routines (:func:`integrate`, :class:`QuadratureSpec`) remain
 as a general-purpose oracle and for the Gauss-Hermite nodes used by
 ``protocol.exact_infidelity``.  Gauss-Hermite needs only numpy; the
@@ -46,6 +48,7 @@ __all__ = [
     "qubit_outcome_mean",
     "qudit_filter",
     "qudit_filtered_moments",
+    "qudit_moments",
     "QUDIT_MEASUREMENT_OFFSET",
 ]
 
@@ -86,10 +89,22 @@ class FilteredMoments:
     variance: float
 
     def __post_init__(self):
-        if not -1e-12 <= self.outcome_prob <= 1 + 1e-12:
-            raise ValueError(f"outcome probability {self.outcome_prob} outside [0, 1]")
-        if self.variance < -1e-12:
-            raise ValueError(f"negative variance {self.variance}")
+        _check_moments([self.outcome_prob], [self.variance])
+
+
+def _check_moments(probs, variances) -> None:
+    """FilteredMoments' checks, outcome by outcome, on lists of floats."""
+    if not all(-1e-12 <= p <= 1 + 1e-12 for p in probs):
+        raise ValueError(f"outcome probability outside [0, 1] in {probs}")
+    if any(v < -1e-12 for v in variances):
+        raise ValueError(f"negative variance in {variances}")
+
+
+def _check_drive(sigma: float, alpha: float) -> None:
+    if not sigma > 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    if alpha < 0:
+        raise ValueError(f"alpha must be nonnegative, got {alpha}")
 
 
 def _moments(prob: float, mean: float, second_moment: float) -> FilteredMoments:
@@ -219,10 +234,7 @@ def qubit_filtered_moments(sigma: float, alpha: float, outcome: str) -> Filtered
     and the post-correction variance is
     ``sigma^2/2 - 4 alpha^2 sigma^4 exp(-8 alpha^2 sigma^2)``.
     """
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    _check_drive(sigma, alpha)
     if outcome not in ("+Y", "-Y"):
         raise ValueError(f"outcome must be '+Y' or '-Y', got {outcome!r}")
     sign = 1.0 if outcome == "+Y" else -1.0
@@ -257,20 +269,19 @@ def qudit_filter(beta, alpha: float, d: int, l) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def qudit_filtered_moments(sigma: float, alpha: float, d: int, l: int) -> FilteredMoments:
-    """Outcome probability, conditional mean and corrected variance for
-    Fourier outcome ``l`` of the d-level scheme.
+# d -> (m, the factor of c_m that depends on d alone, one row per outcome l)
+_FEJER_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    Outcomes are indexed 0..d-1 and the measurement basis carries the
-    half-step rotation (see :data:`QUDIT_MEASUREMENT_OFFSET`), so d = 2
-    reproduces the +/-Y qubit moments with alpha halved.
+
+def qudit_moments(sigma: float, alpha: float, d: int):
+    """Unnormalized moments ``(n0, m1, m2)``, arrays over the outcomes l.
 
     The filter is a Fejer kernel, a finite Fourier series
     ``(1/d) sum_{|m|<d} (1 - |m|/d) e^{2 i m u}`` with
     ``u = alpha b + l_eff pi / d`` and ``l_eff = l + 1/2``, and the
     Gaussian moments of ``e^{2 i m alpha b}`` are exact.  With
     ``c_m = (d - |m|)/d^2 e^{2 i pi l_eff m / d} e^{-(m alpha sigma)^2}``
-    the unnormalized moments are the sums of ``2d - 1`` terms
+    the moments are the sums of ``2d - 1`` terms
 
     * ``n0 = Re sum c_m``
     * ``m1 = Re sum c_m i m alpha sigma^2``
@@ -278,19 +289,30 @@ def qudit_filtered_moments(sigma: float, alpha: float, d: int, l: int) -> Filter
 
     and no integral is needed.
     """
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    _check_drive(sigma, alpha)
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
+    if d not in _FEJER_CACHE:
+        m = np.arange(-(d - 1), d)
+        l_eff = np.arange(d)[:, None] + QUDIT_MEASUREMENT_OFFSET
+        _FEJER_CACHE[d] = m, (d - np.abs(m)) / d**2 * np.exp(2j * np.pi * l_eff * m / d)
+    m, factors = _FEJER_CACHE[d]
+    c = factors * np.exp(-(m * alpha * sigma) ** 2)
+    return np.array((c, c * (1j * m * alpha * sigma**2),
+                     c * (0.5 * sigma**2 - (m * alpha * sigma**2) ** 2))).sum(axis=-1).real
+
+
+def qudit_filtered_moments(sigma: float, alpha: float, d: int, l: int) -> FilteredMoments:
+    """Outcome probability, conditional mean and corrected variance for
+    Fourier outcome ``l`` of the d-level scheme.
+
+    Outcomes are indexed 0..d-1 and the measurement basis carries the
+    half-step rotation (see :data:`QUDIT_MEASUREMENT_OFFSET`), so d = 2
+    reproduces the +/-Y qubit moments with alpha halved.  The moments are
+    row l of :func:`qudit_moments`, normalized by ``n0``.
+    """
+    n0, m1, m2 = qudit_moments(sigma, alpha, d)
     if not 0 <= l < d:
         raise ValueError(f"outcome index {l} outside 0..{d - 1}")
-    l_eff = l + QUDIT_MEASUREMENT_OFFSET
-    m = np.arange(-(d - 1), d)
-    c = ((d - np.abs(m)) / d**2 * np.exp(2j * np.pi * l_eff * m / d)
-         * np.exp(-(m * alpha * sigma) ** 2))
-    n0 = float(np.sum(c).real)
-    m1 = float(np.sum(c * (1j * m * alpha * sigma**2)).real)
-    m2 = float(np.sum(c * (0.5 * sigma**2 - (m * alpha * sigma**2) ** 2)).real)
+    n0, m1, m2 = float(n0[l]), float(m1[l]), float(m2[l])
     return _moments(n0, m1 / n0, m2 / n0)

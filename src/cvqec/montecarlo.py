@@ -409,8 +409,9 @@ class _BranchState(_Terms):
     def project_stabilizer(self, stab: dvcodes.PauliOp, sign: np.ndarray):
         self.c = 0.5 * (self.c + sign[:, None, None] * _pauli(stab, self.c))
 
-    def carrier_expect(self, op: np.ndarray) -> np.ndarray:
-        return np.sum(self.c.conj() * (self._weighted() @ op.T), axis=(1, 2)).real
+    def carrier_expects(self, ops) -> np.ndarray:
+        cc, w = self.c.conj(), self._weighted()
+        return np.stack([np.sum(cc * (w @ op.T), axis=(1, 2)).real for op in ops], axis=1)
 
     def measure_y(self, u: np.ndarray) -> np.ndarray:
         yp, ym = self.ctx.yplus, self.ctx.yminus
@@ -929,7 +930,7 @@ def _batch_recovery(ctx, state, uniforms) -> np.ndarray:
             unrecoverable[rows] = not guaranteed
     elif kind == "binomial_n3":
         u = next(uniforms) * state.norm()
-        expect = np.stack([state.carrier_expect(kk) for _, kk, _ in ctx.binom_kraus], axis=1)
+        expect = state.carrier_expects([kk for _, kk, _ in ctx.binom_kraus])
         hit = u[:, None] <= expect.cumsum(axis=1)
         choice = np.where(hit.any(axis=1), hit.argmax(axis=1), len(ctx.binom_kraus) - 1)
         for k, rows in _groups(choice):

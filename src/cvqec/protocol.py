@@ -5,7 +5,9 @@ post-correction displacement distribution: the per-quadrature variances
 plus, per measurement outcome, the filter reweighting the original
 Gaussian and the counter-displacement that was applied.  Infidelity can
 then be evaluated either through the small-noise variance expansion or by
-exact quadrature of the outcome-averaged overlap.
+exact quadrature of the outcome-averaged overlap.  The optimizers minimize
+the closed-form p variances that the runners report, :func:`_qubit_var_p`
+and :func:`_qudit_var_p`.
 """
 
 from __future__ import annotations
@@ -99,8 +101,28 @@ def _qubit_noise(sigma: float, alpha: float) -> tuple[QuadratureNoise, tuple]:
         branches.append(OutcomeBranch(
             m.outcome_prob, m.mean,
             lambda b, s=sign: 0.5 * (1.0 + s * np.sin(4.0 * alpha * b))))
-    variance = sum(m.outcome_prob * m.variance for m in moments)
-    return QuadratureNoise(sigma, tuple(branches), variance), moments
+    return QuadratureNoise(sigma, tuple(branches), _qubit_var_p(sigma, alpha)), moments
+
+
+def _qubit_var_p(sigma: float, alpha: float) -> float:
+    """Outcome-averaged variance after the +/-Y round: both outcomes have
+    probability 1/2 and the variance ``sigma^2/2 - mean^2``."""
+    gaussian._check_drive(sigma, alpha)
+    var = 0.5 * sigma**2 - gaussian.qubit_outcome_mean(sigma, alpha) ** 2
+    if var < -1e-12:  # FilteredMoments' check; the probability is exactly 1/2
+        raise ValueError(f"negative variance {var}")
+    return 0.5 * var + 0.5 * var  # the per-outcome sum, term by term
+
+
+def _qudit_var_p(sigma: float, alpha: float, d: int) -> float:
+    """Outcome-averaged variance ``sum_l n_l var_l`` of the d-level round, summed
+    left to right like the per-outcome path (np.sum pairs 8+ terms differently)."""
+    if d < 2:
+        raise ValueError("qudit scheme needs d >= 2")
+    n0, m1, m2 = gaussian.qudit_moments(sigma, alpha, d)
+    var = m2 / n0 - (m1 / n0) ** 2
+    gaussian._check_moments(n0.tolist(), var.tolist())
+    return sum((n0 * var).tolist())
 
 
 def run_uncorrected(sigma: float) -> CorrectedNoise:
@@ -112,10 +134,6 @@ def run_uncorrected(sigma: float) -> CorrectedNoise:
 
 def run_qubit_p_scheme(sigma: float, alpha: float) -> CorrectedNoise:
     """Single qubit ancilla measured along +/-Y; corrects p only."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
     p, moments = _qubit_noise(sigma, alpha)
     q = _plain(sigma)
     return CorrectedNoise(q.variance, p.variance, moments, q, p)
@@ -144,15 +162,13 @@ def run_squeezed_scheme(sigma: float, alpha: float, zeta: float) -> CorrectedNoi
 
 def run_qudit_scheme(sigma: float, alpha: float, d: int) -> CorrectedNoise:
     """d-level ancilla, rotated-Fourier readout; corrects p only."""
-    if d < 2:
-        raise ValueError("qudit scheme needs d >= 2")
+    variance = _qudit_var_p(sigma, alpha, d)
     moments = tuple(qudit_filtered_moments(sigma, alpha, d, l) for l in range(d))
     offset = gaussian.QUDIT_MEASUREMENT_OFFSET
     branches = tuple(
         OutcomeBranch(m.outcome_prob, m.mean,
                       lambda b, l=l: qudit_filter(b, alpha, d, l + offset))
         for l, m in enumerate(moments))
-    variance = sum(m.outcome_prob * m.variance for m in moments)
     p = QuadratureNoise(sigma, branches, variance)
     q = _plain(sigma)
     return CorrectedNoise(q.variance, variance, moments, q, p)
@@ -183,7 +199,7 @@ def squeezing_db(zeta: float) -> float:
 
 def optimize_qubit_alpha(sigma: float, tol: float = 1e-6):
     """Numerically minimize the qubit scheme's corrected p variance."""
-    return minimize_scalar(lambda a: run_qubit_p_scheme(sigma, a).var_p,
+    return minimize_scalar(lambda a: _qubit_var_p(sigma, a),
                            0.2 / sigma, 8.0 / sigma, tol=tol)
 
 
@@ -194,7 +210,7 @@ def optimize_qudit_alpha(sigma: float, d: int, tol: float = 1e-6):
     dimension (it decreases slowly with d from the qubit value
     1 / sqrt(2) / sigma), so the scan bracket stops at 1.5 / sigma.
     """
-    return minimize_scalar(lambda a: run_qudit_scheme(sigma, a, d).var_p,
+    return minimize_scalar(lambda a: _qudit_var_p(sigma, a, d),
                            0.2 / sigma, 1.5 / sigma, tol=tol)
 
 
@@ -209,7 +225,7 @@ def optimize_zeta(sigma: float, tol: float = 1e-6):
 
 def optimize_qubit_alpha_for(sigma_p: float):
     # Inner loop of the nested zeta optimization; same bracket convention.
-    return minimize_scalar(lambda a: run_qubit_p_scheme(sigma_p, a).var_p,
+    return minimize_scalar(lambda a: _qubit_var_p(sigma_p, a),
                            0.2 / sigma_p, 8.0 / sigma_p, tol=1e-8)
 
 

@@ -86,6 +86,28 @@ class TestFig3:
             "8,6.40334116,0.00164487884,0.00164598037,0.0078125\n"
             "9,6.34963371,0.00150677035,0.00150711738,0.00694444444\n")
 
+    # Text written when each optimizer evaluation built the per-outcome
+    # noise description; d >= 8 sums 8 or more outcome terms.
+    def test_pinned_csv_text_to_d15(self, tmp_path):
+        assert main(["fig3", "--sigma", "0.2", "--dmax", "15",
+                     "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "fig3_qudit.csv").read_text() == (
+            "d,alpha_opt,var_opt,var_at_alpha_s,bound\n"
+            "2,3.53553406,0.0126424112,0.012830076,0.125\n"
+            "3,2.54501541,0.0116275274,0.0121263686,0.0833333333\n"
+            "4,3.54679802,0.010673525,0.0108356846,0.0625\n"
+            "5,3.28082394,0.00918561612,0.00921615783,0.05\n"
+            "6,3.28801841,0.0081097047,0.00813385548,0.0416666667\n"
+            "7,3.23468431,0.00725196531,0.00726376152,0.0357142857\n"
+            "8,3.20167087,0.00657951535,0.00658392148,0.03125\n"
+            "9,3.17481679,0.00602708138,0.0060284695,0.0277777778\n"
+            "10,3.14786305,0.00556784806,0.00556789585,0.025\n"
+            "11,3.1262396,0.00517872646,0.00517901033,0.0227272727\n"
+            "12,3.10548064,0.00484449905,0.00484604277,0.0208333333\n"
+            "13,3.08727367,0.00455412467,0.00455756599,0.0192307692\n"
+            "14,3.07038212,0.00429920999,0.00430504222,0.0178571429\n"
+            "15,3.05493812,0.00407352165,0.00408203744,0.0166666667\n")
+
 
 class TestFig4:
     def test_byte_identical_reruns(self, tmp_path):
@@ -187,6 +209,62 @@ class TestOptimize:
         payload = json.loads(out.read_text())
         assert payload["d"] == 3
         assert payload["var_p"] < (1 - math.exp(-1)) * 0.005
+
+    # JSON written when each optimizer evaluation built the per-outcome
+    # noise description; the closed-form objectives must reproduce it.
+    @pytest.mark.parametrize("argv, text", [
+        (["--scheme", "qubit_p", "--sigma", "0.1"],
+         '{\n'
+         '  "alpha_opt": 3.535533826701224,\n'
+         '  "scheme": "qubit_p",\n'
+         '  "sigma": 0.1,\n'
+         '  "var_p": 0.0031606027941427912\n'
+         '}\n'),
+        (["--scheme", "two_qubit", "--sigma", "0.1"],
+         '{\n'
+         '  "alpha_opt": 3.535533826701224,\n'
+         '  "scheme": "two_qubit",\n'
+         '  "sigma": 0.1,\n'
+         '  "var_p": 0.0031606027941427912,\n'
+         '  "var_q": 0.0031606027941427912\n'
+         '}\n'),
+        (["--scheme", "squeezed", "--sigma", "0.1"],
+         '{\n'
+         '  "scheme": "squeezed",\n'
+         '  "sigma": 0.1,\n'
+         '  "squeezing_db": 0.996000985177598,\n'
+         '  "total_variance": 0.007950600976206569,\n'
+         '  "zeta_opt": -0.05733442552693302\n'
+         '}\n'),
+        (["--scheme", "qudit", "--sigma", "0.1"],
+         '{\n'
+         '  "alpha_opt": 6.403341159930514,\n'
+         '  "d": 8,\n'
+         '  "scheme": "qudit",\n'
+         '  "sigma": 0.1,\n'
+         '  "var_p": 0.0016448788374535536\n'
+         '}\n'),
+        (["--scheme", "squeezed", "--sigma", "0.2"],
+         '{\n'
+         '  "scheme": "squeezed",\n'
+         '  "sigma": 0.2,\n'
+         '  "squeezing_db": 0.996000985177598,\n'
+         '  "total_variance": 0.031802403904826276,\n'
+         '  "zeta_opt": -0.05733442552693302\n'
+         '}\n'),
+        (["--scheme", "qudit", "--sigma", "0.1", "--d", "15"],
+         '{\n'
+         '  "alpha_opt": 6.10987611684439,\n'
+         '  "d": 15,\n'
+         '  "scheme": "qudit",\n'
+         '  "sigma": 0.1,\n'
+         '  "var_p": 0.0010183804115292082\n'
+         '}\n'),
+    ])
+    def test_pinned_json_text(self, tmp_path, argv, text):
+        out = tmp_path / "opt.json"
+        assert main(["optimize", *argv, "--out-file", str(out)]) == 0
+        assert out.read_text() == text
 
 
 class TestExitCodes:

@@ -12,7 +12,7 @@ from cvqec import gaussian
 from cvqec.gaussian import (DEFAULT_QUADRATURE, NoiseModel, QuadratureSpec,
                             QUDIT_MEASUREMENT_OFFSET, gaussian_pdf, integrate,
                             qubit_filtered_moments, qubit_outcome_mean,
-                            qudit_filter, qudit_filtered_moments)
+                            qudit_filter, qudit_filtered_moments, qudit_moments)
 
 
 def fourier_qudit_moments(sigma, alpha, d):
@@ -242,3 +242,43 @@ def test_qubit_outcome_probabilities(sigma, alpha):
     q = qubit_filtered_moments(sigma, alpha, "-Y").outcome_prob
     assert p == pytest.approx(0.5, abs=1e-12)
     assert q == pytest.approx(0.5, abs=1e-12)
+
+
+def _per_outcome_fejer(sigma, alpha, d, l):
+    """Unnormalized moments (n0, m1, m2) of outcome l, one Fejer sum per
+    outcome: the reference for the rows of qudit_moments, which must
+    keep this expression's floating-point operation order."""
+    l_eff = l + QUDIT_MEASUREMENT_OFFSET
+    m = np.arange(-(d - 1), d)
+    c = ((d - np.abs(m)) / d**2 * np.exp(2j * np.pi * l_eff * m / d)
+         * np.exp(-(m * alpha * sigma) ** 2))
+    n0 = float(np.sum(c).real)
+    m1 = float(np.sum(c * (1j * m * alpha * sigma**2)).real)
+    m2 = float(np.sum(c * (0.5 * sigma**2 - (m * alpha * sigma**2) ** 2)).real)
+    return n0, m1, m2
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(2, 32), sigma=st.floats(0.02, 0.4),
+       alpha_sigma=st.floats(0.05, 20.0))
+def test_qudit_moments_match_per_outcome_sums(d, sigma, alpha_sigma):
+    alpha = alpha_sigma / sigma
+    n0, m1, m2 = qudit_moments(sigma, alpha, d)
+    for l in range(d):
+        expect = _per_outcome_fejer(sigma, alpha, d, l)
+        assert (float(n0[l]), float(m1[l]), float(m2[l])) == expect
+        n, mean, second = expect
+        assert qudit_filtered_moments(sigma, alpha, d, l) == gaussian.FilteredMoments(
+            n, mean / n, second / n, second / n - (mean / n) ** 2)
+
+
+def test_check_moments_rejects_elementwise():
+    check = gaussian._check_moments
+    check([0.0, 1.0 + 1e-13], [0.0, -1e-13, math.nan])
+    for probs in ([0.5, 1.0 + 1e-11], [-1e-11, 0.5], [0.5, math.nan]):
+        with pytest.raises(ValueError, match="outcome probability"):
+            check(probs, [0.0, 0.0])
+    with pytest.raises(ValueError, match="negative variance"):
+        check([0.5, 0.5], [0.1, -1e-11])
+    with pytest.raises(ValueError, match="negative variance"):
+        gaussian.FilteredMoments(0.5, 0.0, 0.0, -1e-11)

@@ -3,10 +3,11 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cvqec.protocol import (exact_infidelity,
+from cvqec.gaussian import qubit_filtered_moments, qudit_filtered_moments
+from cvqec.protocol import (_qubit_var_p, _qudit_var_p, exact_infidelity,
                             infidelity_from_noise, optimal_alpha_qubit,
                             optimal_zeta, optimize_qubit_alpha,
                             optimize_qudit_alpha, optimize_zeta, qudit_bound,
@@ -142,3 +143,44 @@ def test_correction_never_hurts(sigma, alpha):
     noise = run_qubit_p_scheme(sigma, alpha)
     assert noise.var_p <= 0.5 * sigma**2 + 1e-15
     assert noise.var_p >= 0.0
+
+
+def _per_outcome_sum(moments):
+    """The corrected variance summed over FilteredMoments, outcome by
+    outcome: the reference for the closed-form objectives."""
+    return sum(m.outcome_prob * m.variance for m in moments)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sigma=st.floats(0.02, 0.4), alpha_sigma=st.floats(0.0, 20.0))
+def test_qubit_var_p_is_the_per_outcome_sum(sigma, alpha_sigma):
+    alpha = alpha_sigma / sigma
+    expect = _per_outcome_sum(qubit_filtered_moments(sigma, alpha, o) for o in ("+Y", "-Y"))
+    assert _qubit_var_p(sigma, alpha) == expect
+    assert run_qubit_p_scheme(sigma, alpha).var_p == expect
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(2, 32), sigma=st.floats(0.02, 0.4),
+       alpha_sigma=st.floats(0.0, 20.0))
+@example(d=8, sigma=0.1, alpha_sigma=0.5)
+@example(d=9, sigma=0.1, alpha_sigma=0.6)
+def test_qudit_var_p_is_the_per_outcome_sum(d, sigma, alpha_sigma):
+    alpha = alpha_sigma / sigma
+    expect = _per_outcome_sum(qudit_filtered_moments(sigma, alpha, d, l) for l in range(d))
+    assert _qudit_var_p(sigma, alpha, d) == expect
+    assert run_qudit_scheme(sigma, alpha, d).var_p == expect
+
+
+@pytest.mark.parametrize("sigma, alpha", [(0.0, 1.0), (-0.1, 1.0), (0.1, -1e-9)])
+def test_qubit_var_p_rejects_bad_arguments(sigma, alpha):
+    with pytest.raises(ValueError):
+        _qubit_var_p(sigma, alpha)
+
+
+@pytest.mark.parametrize("sigma, alpha, d", [(0.0, 1.0, 4), (-0.1, 1.0, 4),
+                                             (0.1, -1e-9, 4), (0.1, 1.0, 1),
+                                             (0.1, 1.0, 0)])
+def test_qudit_var_p_rejects_bad_arguments(sigma, alpha, d):
+    with pytest.raises(ValueError):
+        _qudit_var_p(sigma, alpha, d)
