@@ -20,11 +20,14 @@ the Monte Carlo checks of the analytic workload) at seeds 7, 8 and 9,
 then root seeds at the top of and just past one 32-bit word, and a
 binomial sigma sweep over the default points.
 
-With --trajectories it prints instead the infidelity of every trajectory
-of one fixed plan per ancilla kind, as ``kind index float.hex(value)``:
-the CSV's %.9g hides last-bit changes.  The values are the ones the chunks
-of a branch_decomposition_run return (montecarlo._run_chunk is wrapped
-while the run executes), not one-row replays of single trajectories.
+With --trajectories it prints instead every trajectory of one fixed plan
+per ancilla kind at sigma 0.15, then of a binomial plan at sigma 0.2 with
+400 trajectories, as ``kind sigma index float.hex(infidelity)
+unrecoverable complement`` (the flags as 0/1): the CSV's %.9g hides
+last-bit changes, and a changed binomial Kraus choice shows in the flags
+where the infidelity barely moves.  The values are the ones the chunks of
+a branch_decomposition_run return (montecarlo._run_chunk is wrapped while
+the run executes), not one-row replays of single trajectories.
 
 Usage: scripts/output_digest.py [--trajectories]
 """
@@ -75,16 +78,17 @@ def trajectory_lines() -> list[str]:
 
     run_chunk = montecarlo._run_chunk
     lines = []
-    for kind in montecarlo.ANCILLA_KINDS:
+    cases = [(kind, 0.15, 100) for kind in montecarlo.ANCILLA_KINDS]
+    for kind, sigma, n in cases + [("binomial_n3", 0.2, 400)]:
         p_phi = 0.1 if kind in ("bare", "three_qubit_phase") else 0.0
-        plan = montecarlo.TrajectoryPlan(sigma=0.15, ancilla=kind, p_phi=p_phi,
-                                         n_trajectories=100, root_seed=7,
+        plan = montecarlo.TrajectoryPlan(sigma=sigma, ancilla=kind, p_phi=p_phi,
+                                         n_trajectories=n, root_seed=7,
                                          zeta=protocol.optimal_zeta())
         values = []
 
         def recording(*args):
             result = run_chunk(*args)
-            values.extend(result[0].tolist())
+            values.extend(zip(*(part.tolist() for part in result)))
             return result
 
         montecarlo._run_chunk = recording
@@ -92,14 +96,15 @@ def trajectory_lines() -> list[str]:
             montecarlo.branch_decomposition_run(plan)
         finally:
             montecarlo._run_chunk = run_chunk
-        lines += [f"{kind} {i} {value.hex()}" for i, value in enumerate(values)]
+        lines += [f"{kind} {sigma} {i} {value.hex()} {int(unrec)} {int(comp)}"
+                  for i, (value, unrec, comp) in enumerate(values)]
     return lines
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trajectories", action="store_true",
-                        help="print per-trajectory infidelities instead of file digests")
+                        help="print per-trajectory infidelities and flags instead of file digests")
     if parser.parse_args().trajectories:
         print("\n".join(trajectory_lines()))
         return 0

@@ -50,7 +50,7 @@ def pauli_matrix(label: str) -> np.ndarray:
 
 
 # Nonzero entry of each row of the single-qubit matrices above.
-_ROW_PHASES = {"I": [1, 1], "X": [1, 1], "Y": [-1j, 1j], "Z": [1, -1]}
+_ROW_PHASES = dict(zip("IXYZ", np.array([[1, 1], [1, 1], [-1j, 1j], [1, -1]])))
 
 
 class PauliOp:
@@ -61,7 +61,7 @@ class PauliOp:
     is set for an X or Y on qubit q.  That entry is +-1 or +-i, and the
     dense product only adds exact zeros to it, so ``op @ a`` equals
     ``pauli_matrix(label) @ a`` bit for bit.  Acts on axis 0 of a 1-D or
-    2-D array.
+    2-D array.  phase is np.kron's products in its order, by outer products.
     """
 
     __slots__ = ("perm", "phase")
@@ -71,7 +71,7 @@ class PauliOp:
         self.perm = np.arange(2 ** len(label)) ^ x if x else None
         phase = np.ones(1, dtype=complex)
         for ch in label:
-            phase = np.kron(phase, np.array(_ROW_PHASES[ch], dtype=complex))
+            phase = np.multiply.outer(phase, _ROW_PHASES[ch]).ravel()
         self.phase = phase
 
     def __matmul__(self, a: np.ndarray) -> np.ndarray:
@@ -300,7 +300,6 @@ def correction_matrix(code_name: str, syndrome: tuple):
 # --- binomial recovery ------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def binomial_recovery_kraus(n_trunc: int = 23):
     """Kraus operators of the mod-3 syndrome recovery.
 
@@ -309,8 +308,19 @@ def binomial_recovery_kraus(n_trunc: int = 23):
     remainders in the class are sent to the codewords incoherently.
     Returns (kraus list, primary flags, syndrome labels).
     """
+    return _binomial_recovery(n_trunc)[:3]
+
+
+def binomial_recovery_basis(n_trunc: int = 23):
+    """(bras, owner): rows of the conjugated orthonormal basis that the Kraus
+    operators read, per syndrome class the designated pair and then the QR
+    remainders; K_k^dag K_k sums |b><b| over the rows with owner k."""
+    return _binomial_recovery(n_trunc)[3:]
+
+
+@lru_cache(maxsize=None)
+def _binomial_recovery(n_trunc: int):
     code = binomial_code(n_trunc)
-    dim = code.dim
     a = annihilation(n_trunc)
     adag = a.conj().T
 
@@ -322,28 +332,26 @@ def binomial_recovery_kraus(n_trunc: int = 23):
         2: (normalized(a @ code.logical_g), normalized(a @ code.logical_e)),
         1: (normalized(adag @ code.logical_g), normalized(adag @ code.logical_e)),
     }
-    kraus, primary, labels = [], [], []
+    kraus, primary, labels, bras = [], [], [], []
     for cls in (0, 1, 2):
-        levels = [n for n in range(dim) if n % 3 == cls]
         gs, es = designated[cls]
         k = np.outer(code.logical_g, gs.conj()) + np.outer(code.logical_e, es.conj())
         kraus.append(k)
         primary.append(True)
         labels.append(cls)
         # Orthonormal remainder basis of the class subspace.
-        basis = np.zeros((dim, len(levels)), dtype=complex)
-        for j, n in enumerate(levels):
-            basis[n, j] = 1.0
+        basis = np.eye(code.dim, dtype=complex)[:, cls::3]
         span = np.stack([gs, es], axis=1)
         proj = basis - span @ (span.conj().T @ basis)
         q, r = np.linalg.qr(proj)
         keep = np.abs(np.diag(r)) > 1e-10
         for j, col in enumerate(q.T[keep]):
-            target = code.logical_g if j % 2 == 0 else code.logical_e
-            kraus.append(np.outer(target, col.conj()))
+            kraus.append(np.outer((code.logical_g, code.logical_e)[j % 2], col.conj()))
             primary.append(False)
             labels.append(cls)
-    return kraus, primary, labels
+        bras += [gs.conj(), es.conj(), *q.T[keep].conj()]
+    owner = np.repeat(np.arange(len(kraus)), np.where(primary, 2, 1))
+    return kraus, primary, labels, np.array(bras), owner
 
 
 # --- recovery ---------------------------------------------------------------

@@ -22,9 +22,10 @@ terms c of shape (n, T, D), gamma and ph of shape (n, T).  The
 conditional displacement is the only operation that splits terms; it
 splits each term slot three ways (g, e, codespace complement), pruned
 terms are exact zeros, and a slot that is empty in every row is dropped,
-so T never exceeds six.  Per-row decisions are vectorized comparisons;
-Kraus operators and Pauli corrections are applied once per distinct
-choice in the chunk.
+so T never exceeds six.  Per-row decisions are vectorized comparisons,
+and Kraus operators and Pauli corrections are applied once per distinct
+choice in the chunk; the binomial syndrome probabilities come from one
+projection onto the recovery basis (dvcodes.binomial_recovery_basis).
 
 The nine-qubit carrier runs on _ShorState, the same terms with each
 512-dim carrier vector held as a sum of at most four products of three
@@ -216,6 +217,8 @@ class _Carrier:
             self.anc_engine = DisplacementEngine(code.dim)
             kraus, primary, _ = dvcodes.binomial_recovery_kraus(_BINOMIAL_N_TRUNC)
             self.binom_kraus = tuple((k, k.conj().T @ k, p) for k, p in zip(kraus, primary))
+            self.binom_bras, owner = dvcodes.binomial_recovery_basis(_BINOMIAL_N_TRUNC)
+            self.binom_starts = np.searchsorted(owner, np.arange(len(kraus)))
         self.g, self.e = g, e
         self.carrier_dim = len(g)
         self.yplus = (g + 1j * e) / math.sqrt(2.0)
@@ -409,9 +412,12 @@ class _BranchState(_Terms):
     def project_stabilizer(self, stab: dvcodes.PauliOp, sign: np.ndarray):
         self.c = 0.5 * (self.c + sign[:, None, None] * _pauli(stab, self.c))
 
-    def carrier_expects(self, ops) -> np.ndarray:
-        cc, w = self.c.conj(), self._weighted()
-        return np.stack([np.sum(cc * (w @ op.T), axis=(1, 2)).real for op in ops], axis=1)
+    def kraus_expects(self) -> np.ndarray:
+        """[r, k] = <K_k^dag K_k> for each binomial recovery Kraus: weighted
+        squared overlaps with the recovery basis, summed over K_k's bras."""
+        x = self.c @ self.ctx.binom_bras.T
+        w = np.sum(x.conj() * (self.data_gram() @ x), axis=1).real
+        return np.add.reduceat(w, self.ctx.binom_starts, axis=1)
 
     def measure_y(self, u: np.ndarray) -> np.ndarray:
         yp, ym = self.ctx.yplus, self.ctx.yminus
@@ -880,11 +886,12 @@ def _scaled(ctx: _Context, data, anc, uni):
 
 
 def _groups(keys: np.ndarray):
-    """(key, rows) for each distinct entry (or row, for 2-D keys) of keys."""
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    for j, key in enumerate(uniq):
-        yield (tuple(key.tolist()) if keys.ndim > 1 else int(key)), inverse == j
+    """(key, rows) for each distinct entry, or 2-D row of bits, of keys in
+    increasing order: a row is packed into one int, bit 0 most significant."""
+    packed = keys @ (1 << np.arange(keys.shape[1])[::-1]) if keys.ndim > 1 else keys
+    _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
+    for j, i in enumerate(first.tolist()):
+        yield (tuple(keys[i].tolist()) if keys.ndim > 1 else int(keys[i])), inverse == j
 
 
 def _batch_ancilla_errors(ctx, state, anc, uniforms) -> None:
@@ -930,7 +937,7 @@ def _batch_recovery(ctx, state, uniforms) -> np.ndarray:
             unrecoverable[rows] = not guaranteed
     elif kind == "binomial_n3":
         u = next(uniforms) * state.norm()
-        expect = state.carrier_expects([kk for _, kk, _ in ctx.binom_kraus])
+        expect = state.kraus_expects()
         hit = u[:, None] <= expect.cumsum(axis=1)
         choice = np.where(hit.any(axis=1), hit.argmax(axis=1), len(ctx.binom_kraus) - 1)
         for k, rows in _groups(choice):

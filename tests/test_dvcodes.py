@@ -8,6 +8,7 @@ import pytest
 
 from cvqec.dvcodes import (_STABILIZERS, _commutes, _full_lookup_table,
                            _lookup_table, _pauli_product, binomial_code,
+                           PauliOp, binomial_recovery_basis,
                            binomial_recovery_kraus, correction_matrix, encode,
                            get_code, logical_flip_probability_three_qubit,
                            logical_Y_measurement, logical_Y_probabilities,
@@ -94,6 +95,24 @@ class TestPauliOp:
         for op, dense in cases:
             for a in operands:
                 assert np.array_equal(op @ a, dense @ a)
+
+    @staticmethod
+    def _kron_phase(label):
+        """The phase vector by a chain of np.kron over the row phases."""
+        rows = {"I": [1, 1], "X": [1, 1], "Y": [-1j, 1j], "Z": [1, -1]}
+        phase = np.ones(1, dtype=complex)
+        for ch in label:
+            phase = np.kron(phase, np.array(rows[ch], dtype=complex))
+        return phase
+
+    def test_phase_bytes_match_kron(self):
+        """The outer-product phase vector equals the np.kron chain byte for
+        byte: all 64 three-qubit labels, every shor9 decoder correction and
+        its stabilizers."""
+        labels = ["".join(p) for p in itertools.product("IXYZ", repeat=3)]
+        labels += list(_full_lookup_table("shor9").values()) + _STABILIZERS["shor9"]
+        for label in labels:
+            assert PauliOp(label).phase.tobytes() == self._kron_phase(label).tobytes(), label
 
 
 def _string_search_table(name):
@@ -247,6 +266,18 @@ class TestBinomialRecovery:
         assert np.allclose(total, np.eye(24), atol=1e-10)
         assert sum(primary) == 3
         assert set(labels) == {0, 1, 2}
+
+    def test_recovery_basis(self):
+        """The bras form a unitary, and each Kraus operator's K^dag K is the
+        sum of |b><b| over its bras."""
+        kraus, _, _ = binomial_recovery_kraus(23)
+        bras, owner = binomial_recovery_basis(23)
+        assert bras.shape == (24, 24)
+        assert np.allclose(bras @ bras.conj().T, np.eye(24), rtol=0, atol=1e-12)
+        assert sorted(set(owner.tolist())) == list(range(len(kraus)))
+        for k, kk in enumerate(kraus):
+            rows = bras[owner == k]
+            assert np.allclose(rows.conj().T @ rows, kk.conj().T @ kk, rtol=0, atol=1e-14)
 
     def test_remainder_flagged(self):
         # |1> sits in the gain-syndrome class; its overlap with the primary

@@ -80,6 +80,27 @@ class TestEngineAgreement:
             fd = trajectory_fidelity(plan, index, engine="dense")
             assert fb == pytest.approx(fd, abs=1e-12)
 
+    @pytest.mark.parametrize("state_kind", ["coherent", "fock1"])
+    def test_binomial_where_recovery_fails(self, state_kind):
+        """At sigma = 0.2 some trajectories take a best-effort remainder of
+        the binomial recovery; at those indices of a run's first chunk the
+        chunk, a one-row branch replay and the dense oracle agree, and the
+        dense oracle flags them too."""
+        plan = TrajectoryPlan(sigma=0.2, ancilla="binomial_n3", root_seed=5,
+                              zeta=optimal_zeta(), state_kind=state_kind)
+        ctx = _Context(plan)
+        draws = montecarlo._standard_draws(plan.root_seed, plan.ancilla, 0, ctx.chunk_size)
+        infid, unrecoverable, _ = montecarlo._run_chunk(ctx, *montecarlo._scaled(ctx, *draws))
+        indices = np.flatnonzero(unrecoverable)
+        assert len(indices) >= 2
+        for index in indices.tolist():
+            dense_infid, dense_unrecoverable, _ = montecarlo._one_trajectory(
+                ctx, _DenseState(ctx), montecarlo._rng(plan.root_seed, index))
+            assert dense_unrecoverable
+            assert infid[index] == pytest.approx(dense_infid, abs=1e-12)
+            fb = trajectory_fidelity(plan, index, engine="branch")
+            assert fb == pytest.approx(1.0 - dense_infid, abs=1e-12)
+
     def test_run_means_identical(self):
         plan = TrajectoryPlan(sigma=0.1, ancilla="three_qubit_phase",
                               p_phi=0.05, n_trajectories=50, root_seed=2)
@@ -165,6 +186,65 @@ def _random_shor_state(ctx, rng, n: int, t: int = 2, p: int = 2) -> _ShorState:
     state.gamma = rng.normal(0.0, 0.5, (n, t)) + 1j * rng.normal(0.0, 0.5, (n, t))
     state.ph = np.exp(2j * np.pi * rng.random((n, t)))
     return state
+
+
+class TestBinomialRecovery:
+    @staticmethod
+    def _random_state(ctx, rng, n: int, t: int) -> _BranchState:
+        """n rows of t random carrier terms with random data factors; each
+        row's carrier vectors have unit total norm."""
+        state = _BranchState(ctx, n)
+        shape = (n, t, ctx.carrier_dim)
+        c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        state.c = c / np.linalg.norm(c, axis=(1, 2))[:, None, None]
+        state.gamma = rng.normal(0.0, 0.5, (n, t)) + 1j * rng.normal(0.0, 0.5, (n, t))
+        state.ph = np.exp(2j * np.pi * rng.random((n, t)))
+        return state
+
+    @pytest.mark.parametrize("t", [1, 3, 6])
+    def test_expects_and_choices_match_dense_kraus(self, t):
+        """kraus_expects, one projection onto the recovery basis, against
+        the per-operator <c|K^dag K|w> sums it replaced, and the Kraus
+        choices and recovered carriers of _batch_recovery against that
+        oracle's choices with the same uniforms."""
+        ctx = _Context(TrajectoryPlan(sigma=0.2, ancilla="binomial_n3"))
+        rng = np.random.default_rng(100 + t)
+        n = 60
+        state = self._random_state(ctx, rng, n, t)
+        cc, w = state.c.conj(), state.data_gram() @ state.c
+        oracle = np.stack([np.sum(cc * (w @ kk.T), axis=(1, 2)).real
+                           for _, kk, _ in ctx.binom_kraus], axis=1)
+        assert np.allclose(state.kraus_expects(), oracle, rtol=0, atol=1e-13)
+
+        u = rng.random(n)
+        hit = (u * state.norm())[:, None] <= oracle.cumsum(axis=1)
+        choice = np.where(hit.any(axis=1), hit.argmax(axis=1), len(ctx.binom_kraus) - 1)
+        expect_c = state.c.copy()
+        for k in np.unique(choice).tolist():
+            rows = choice == k
+            expect_c[rows] = state.c[rows] @ ctx.binom_kraus[k][0].T
+        primary = np.array([p for _, _, p in ctx.binom_kraus])
+        unrecoverable = montecarlo._batch_recovery(ctx, state, iter([u]))
+        assert unrecoverable.any() and not unrecoverable.all()
+        assert np.array_equal(unrecoverable, ~primary[choice])
+        assert np.array_equal(state.c, expect_c)
+
+
+@pytest.mark.parametrize("width", [2, 8])
+def test_groups_match_row_unique(width):
+    """_groups on packed row keys against np.unique(axis=0) on the rows:
+    the same keys, in the same order, with the same rows."""
+    rng = np.random.default_rng(width)
+    bits = (rng.random((200, width)) < 0.2).astype(np.int64)
+    uniq, inverse = np.unique(bits, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    got = list(montecarlo._groups(bits))
+    assert [key for key, _ in got] == [tuple(row.tolist()) for row in uniq]
+    for j, (_, rows) in enumerate(got):
+        assert np.array_equal(rows, inverse == j)
+    choice = rng.integers(0, 21, 50)
+    assert [(k, r.tolist()) for k, r in montecarlo._groups(choice)] == [
+        (k, (choice == k).tolist()) for k in np.unique(choice).tolist()]
 
 
 class TestShorProductState:
