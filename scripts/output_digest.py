@@ -22,10 +22,11 @@ binomial sigma sweep over the default points.
 
 With --trajectories it prints instead every trajectory of one fixed plan
 per ancilla kind at sigma 0.15, then of a binomial plan at sigma 0.2 with
-400 trajectories, as ``kind sigma index float.hex(infidelity)
-unrecoverable complement`` (the flags as 0/1): the CSV's %.9g hides
-last-bit changes, and a changed binomial Kraus choice shows in the flags
-where the infidelity barely moves.  The values are the ones the chunks of
+400 trajectories and a shor9 plan at sigma 0.25 with 105 trajectories
+(five chunks), as ``kind sigma index float.hex(infidelity) unrecoverable
+complement`` (the flags as 0/1): the CSV's %.9g hides last-bit changes,
+and a changed binomial Kraus choice or best-effort shor9 correction shows
+in the flags where the infidelity barely moves.  The values are the ones the chunks of
 a branch_decomposition_run return (montecarlo._run_chunk is wrapped while
 the run executes), not one-row replays of single trajectories.
 
@@ -79,7 +80,7 @@ def trajectory_lines() -> list[str]:
     run_chunk = montecarlo._run_chunk
     lines = []
     cases = [(kind, 0.15, 100) for kind in montecarlo.ANCILLA_KINDS]
-    for kind, sigma, n in cases + [("binomial_n3", 0.2, 400)]:
+    for kind, sigma, n in cases + [("binomial_n3", 0.2, 400), ("shor9", 0.25, 105)]:
         p_phi = 0.1 if kind in ("bare", "three_qubit_phase") else 0.0
         plan = montecarlo.TrajectoryPlan(sigma=sigma, ancilla=kind, p_phi=p_phi,
                                          n_trajectories=n, root_seed=7,

@@ -6,6 +6,12 @@ the binomial code uses the boson-number mod-3 syndrome with recovery
 isometries built from the normalized single-loss / single-gain images of
 the codewords.  Components outside the correctable span are mapped back
 to the codespace incoherently (best effort) and flagged.
+
+A stabilizer syndrome is an int, built as s = s << 1 | bit in stabilizer
+order (bit 1 for the -1 outcome): stabilizer 0 is the most significant
+bit, as qubit 0 is in a PauliOp.  The decoder holds Paulis as (x, z) bit
+masks; popcount(x & sz ^ z & sx) is odd when one anticommutes with a
+stabilizer, and XOR of masks is their product up to a phase.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ class PauliOp:
     __slots__ = ("perm", "phase")
 
     def __init__(self, label: str):
-        x = int("".join("1" if ch in "XY" else "0" for ch in label), 2)
+        x, _ = _masks(label)
         self.perm = np.arange(2 ** len(label)) ^ x if x else None
         phase = np.ones(1, dtype=complex)
         for ch in label:
@@ -79,13 +85,18 @@ class PauliOp:
         return (self.phase if a.ndim == 1 else self.phase[:, None]) * moved
 
 
-def _pauli_string(n: int, pos: int, ch: str) -> str:
-    return "I" * pos + ch + "I" * (n - pos - 1)
+def _masks(label: str) -> tuple[int, int]:
+    """(x, z) bit masks of a Pauli string: bit q of x (z) set for an X or Y
+    (Z or Y) on qubit q, qubit 0 the most significant bit."""
+    x = z = 0
+    for ch in label:
+        x, z = x << 1 | (ch in "XY"), z << 1 | (ch in "YZ")
+    return x, z
 
 
 @dataclass(frozen=True)
 class SyndromeResult:
-    syndrome: tuple | int | None
+    syndrome: int | None  # stabilizer syndrome or binomial class; None if averaged
     applied_recovery: str
     unrecoverable: bool = False
     unrecoverable_weight: float = 0.0
@@ -201,14 +212,6 @@ _STABILIZERS = {
 }
 
 
-def _commutes(pauli: str, stab: str) -> bool:
-    anti = 0
-    for p, s in zip(pauli, stab):
-        if p != "I" and s != "I" and p != s:
-            anti += 1
-    return anti % 2 == 0
-
-
 # Single-qubit error alphabet each code is meant to correct; the phase
 # code only handles Z, and listing X/Y there would hijack the Z syndromes
 # with corrections that act as logical operators.
@@ -216,63 +219,42 @@ _CORRECTABLE = {"three_qubit_phase": "Z", "shor9": "XYZ"}
 
 
 @lru_cache(maxsize=None)
-def _lookup_table(code_name: str) -> dict:
-    """Syndrome tuple -> correction Pauli string, from enumerating the
-    correctable single-qubit errors (identity included)."""
-    stabs = _STABILIZERS[code_name]
-    n = len(stabs[0])
-    table = {tuple(0 for _ in stabs): "I" * n}
-    for pos in range(n):
-        for ch in _CORRECTABLE[code_name]:
-            err = _pauli_string(n, pos, ch)
-            syn = tuple(0 if _commutes(err, s) else 1 for s in stabs)
-            table.setdefault(syn, err)
-    return table
+def _decoder(code_name: str) -> tuple:
+    """Syndrome -> (x, z, guaranteed): the correction's masks, and whether
+    it is a single correctable error.  Breadth-first: the identity, the
+    singles by qubit (the first to reach a syndrome keeps it), then their
+    products.  Every syndrome needs an entry: applying nothing strands the
+    carrier outside the codespace, which the logical conditional
+    displacement then cannot undo."""
+    stabs = [_masks(s) for s in _STABILIZERS[code_name]]
+    n = len(_STABILIZERS[code_name][0])
 
+    def syndrome(x, z):
+        s = 0
+        for sx, sz in stabs:
+            s = s << 1 | (x & sz ^ z & sx).bit_count() & 1
+        return s
 
-def _pauli_product(a: str, b: str) -> str:
-    out = []
-    for x, y in zip(a, b):
-        if x == "I":
-            out.append(y)
-        elif y == "I" or x == y:
-            out.append("I" if x == y else x)
-        else:
-            out.append(({"X", "Y", "Z"} - {x, y}).pop())
-    return "".join(out)
-
-
-@lru_cache(maxsize=None)
-def _full_lookup_table(code_name: str) -> dict:
-    """Every syndrome -> a consistent Pauli, lowest weight first.
-
-    Unmatched syndromes must still be decoded back into the codespace
-    (applying nothing strands the carrier outside it, which the logical
-    conditional displacement then cannot undo); breadth-first products of
-    correctable singles reach every syndrome coset.
-    """
-    singles = _lookup_table(code_name)
-    n_stabs = len(_STABILIZERS[code_name])
-    # Syndromes are linear, syn(a b) = syn(a) XOR syn(b): carry each
-    # syndrome as an int with bit k for stabilizer k, and form the Pauli
-    # product only for a syndrome not seen before.
-    masks = [(err, sum(bit << k for k, bit in enumerate(syn)))
-             for syn, err in singles.items()]
-    table = dict(singles)
-    seen = {mask for _, mask in masks}
-    frontier = masks
-    while len(table) < 2 ** n_stabs and frontier:
+    table = [None] * 2 ** len(stabs)
+    singles = []
+    for x, z in [(0, 0)] + [((ch in "XY") << q, (ch in "YZ") << q)
+                            for q in reversed(range(n)) for ch in _CORRECTABLE[code_name]]:
+        s = syndrome(x, z)
+        if table[s] is None:
+            table[s] = (x, z, True)
+            singles.append((x, z, s))
+    frontier = singles
+    while frontier:
         nxt = []
-        for base, base_mask in frontier:
-            for err, err_mask in masks:
-                mask = base_mask ^ err_mask
-                if mask not in seen:
-                    seen.add(mask)
-                    cand = _pauli_product(base, err)
-                    table[tuple(mask >> k & 1 for k in range(n_stabs))] = cand
-                    nxt.append((cand, mask))
+        for bx, bz, bs in frontier:
+            for x, z, s in singles:
+                if table[bs ^ s] is None:
+                    table[bs ^ s] = (bx ^ x, bz ^ z, False)
+                    nxt.append((bx ^ x, bz ^ z, bs ^ s))
         frontier = nxt
-    return table
+    if None in table:
+        raise ValueError(f"{code_name}: decoder misses syndrome {table.index(None)}")
+    return tuple(table)
 
 
 @lru_cache(maxsize=None)
@@ -287,14 +269,14 @@ def stabilizer_ops(code_name: str) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def correction_matrix(code_name: str, syndrome: tuple):
-    """(op, label, guaranteed): op is the correction as a PauliOp;
-    guaranteed is True when the syndrome comes from a single correctable
-    error, False for the best-effort extension of the decoder table."""
-    label = _full_lookup_table(code_name).get(syndrome)
-    if label is None:
-        return None, None, False
-    return PauliOp(label), label, syndrome in _lookup_table(code_name)
+def correction_matrix(code_name: str, syndrome: int):
+    """(op, label, guaranteed) for an int syndrome: op is the correction as
+    a PauliOp; guaranteed is True when the syndrome comes from a single
+    correctable error, False for the best-effort extension of the table."""
+    x, z, guaranteed = _decoder(code_name)[syndrome]
+    n = len(_STABILIZERS[code_name][0])
+    label = "".join("IXZY"[(x >> q & 1) | (z >> q & 1) << 1] for q in reversed(range(n)))
+    return PauliOp(label), label, guaranteed
 
 
 # --- binomial recovery ------------------------------------------------------
@@ -382,7 +364,7 @@ def _project(m: np.ndarray, op: PauliOp, sign: int) -> np.ndarray:
 def _recover_qubit_code(code, rho, mode, rng):
     stabs = stabilizer_ops(code.name)
     if mode == "sample":
-        syndrome = []
+        syndrome = 0
         m = rho.matrix
         for s in stabs:
             # tr(P+ m) with P+ = (I + S)/2, normalized by the running trace
@@ -391,15 +373,12 @@ def _recover_qubit_code(code, rho, mode, rng):
             bit = 0 if rng.random() < p_plus else 1
             m = _project(m, s, 1 - 2 * bit)
             m /= np.trace(m).real
-            syndrome.append(bit)
-        syndrome = tuple(syndrome)
+            syndrome = syndrome << 1 | bit
         corr, label, guaranteed = correction_matrix(code.name, syndrome)
-        if label is None:
-            return (DensityMatrix(m), SyndromeResult(syndrome, "I (no table entry)", True))
         out = _right(corr @ m, corr)
         return (DensityMatrix(out), SyndromeResult(syndrome, label, not guaranteed))
     # averaged: split into syndrome sectors, correct each, re-sum
-    sectors = [((), rho.matrix)]
+    sectors = [(0, rho.matrix)]
     for s in stabs:
         nxt = []
         for syn, m in sectors:
@@ -407,16 +386,12 @@ def _recover_qubit_code(code, rho, mode, rng):
             for bit in (0, 1):
                 # tr(P m P) = tr(P m) = (tr m +- tr(S m)) / 2
                 if 0.5 * (trace + (1 - 2 * bit) * trace_s) > 1e-14:
-                    nxt.append((syn + (bit,), _project(m, s, 1 - 2 * bit)))
+                    nxt.append((syn << 1 | bit, _project(m, s, 1 - 2 * bit)))
         sectors = nxt
     out = np.zeros((code.dim, code.dim), dtype=complex)
     bad_weight = 0.0
     for syn, m in sectors:
-        corr, label, guaranteed = correction_matrix(code.name, syn)
-        if label is None:
-            bad_weight += np.trace(m).real
-            out += m
-            continue
+        corr, _, guaranteed = correction_matrix(code.name, syn)
         if not guaranteed:
             bad_weight += np.trace(m).real
         out += _right(corr @ m, corr)

@@ -49,7 +49,8 @@ shor9 (chunks of 21).  Its bounds depend only on trajectory indices.
 Qubit-carrier Paulis (stabilizers, corrections, dephasing flips) are
 applied as bit masks, a basis permutation idx -> idx ^ x times a phase,
 with qubit 0 the most significant bit (dvcodes.PauliOp); the dense
-dvcodes.pauli_matrix stays as their test oracle.
+dvcodes.pauli_matrix stays as their test oracle.  A stabilizer syndrome
+is an int (dvcodes docstring), in the branch engine an int64 per row.
 
 Reproducibility: trajectory i draws from the stream of
 default_rng(SeedSequence([root_seed, i])), in a fixed order: the data
@@ -196,8 +197,7 @@ class _Carrier:
             code = dvcodes.three_qubit_phase_code()
             g, e = code.logical_g, code.logical_e
             self.code_name = code.name
-            self.dephasing_ops = tuple(dvcodes.PauliOp(dvcodes._pauli_string(3, j, "Z"))
-                                       for j in range(3))
+            self.dephasing_ops = tuple(map(dvcodes.PauliOp, ("ZII", "IZI", "IIZ")))
             self.stabilizers = dvcodes.stabilizer_ops(code.name)
         elif kind == "shor9":
             code = dvcodes.shor9_code()
@@ -886,12 +886,11 @@ def _scaled(ctx: _Context, data, anc, uni):
 
 
 def _groups(keys: np.ndarray):
-    """(key, rows) for each distinct entry, or 2-D row of bits, of keys in
-    increasing order: a row is packed into one int, bit 0 most significant."""
-    packed = keys @ (1 << np.arange(keys.shape[1])[::-1]) if keys.ndim > 1 else keys
-    _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
-    for j, i in enumerate(first.tolist()):
-        yield (tuple(keys[i].tolist()) if keys.ndim > 1 else int(keys[i])), inverse == j
+    """(key, rows) for each distinct entry of the int array keys, in
+    increasing order."""
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    for j, key in enumerate(uniq.tolist()):
+        yield key, inverse == j
 
 
 def _batch_ancilla_errors(ctx, state, anc, uniforms) -> None:
@@ -924,15 +923,13 @@ def _batch_recovery(ctx, state, uniforms) -> np.ndarray:
         # the shor9 product state takes its Paulis block by block
         shor = kind == "shor9"
         stabilizers = ctx.block_stabilizers if shor else ctx.stabilizers
-        bits = np.empty((len(state.gamma), len(stabilizers)), dtype=np.int64)
-        for s, stab in enumerate(stabilizers):
-            bits[:, s] = next(uniforms) >= state.stabilizer_plus_probability(stab)
-            state.project_stabilizer(stab, 1 - 2 * bits[:, s])
-        for syndrome, rows in _groups(bits):
-            corr, label, guaranteed = dvcodes.correction_matrix(ctx.code_name, syndrome)
-            if corr is None:
-                unrecoverable[rows] = True
-                continue
+        syndrome = np.zeros(len(state.gamma), dtype=np.int64)
+        for stab in stabilizers:
+            bit = next(uniforms) >= state.stabilizer_plus_probability(stab)
+            state.project_stabilizer(stab, 1 - 2 * bit)
+            syndrome = syndrome << 1 | bit
+        for s, rows in _groups(syndrome):
+            corr, label, guaranteed = dvcodes.correction_matrix(ctx.code_name, s)
             state.apply_pauli(_block_paulis(label) if shor else corr, rows)
             unrecoverable[rows] = not guaranteed
     elif kind == "binomial_n3":
@@ -993,19 +990,17 @@ def _ancilla_errors(ctx, state, rng) -> None:
 
 def _recovery(ctx, state, rng) -> bool:
     """Sampled syndrome extraction and correction; True if the syndrome
-    fell outside the lookup / correctable set."""
+    fell outside the correctable set."""
     kind = ctx.kind
     if kind in ("three_qubit_phase", "shor9"):
-        syndrome = []
+        syndrome = 0
         for stab in ctx.stabilizers:
             nrm = state.norm()
             p_plus = 0.5 * (nrm + state.carrier_expect(stab)) / nrm
             bit = 0 if rng.random() < p_plus else 1
             state.project_stabilizer(stab, +1 if bit == 0 else -1)
-            syndrome.append(bit)
-        corr, _, guaranteed = dvcodes.correction_matrix(ctx.code_name, tuple(syndrome))
-        if corr is None:
-            return True
+            syndrome = syndrome << 1 | bit
+        corr, _, guaranteed = dvcodes.correction_matrix(ctx.code_name, syndrome)
         state.apply_carrier(corr)
         return not guaranteed
     if kind == "binomial_n3":

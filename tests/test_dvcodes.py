@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from cvqec.dvcodes import (_STABILIZERS, _commutes, _full_lookup_table,
-                           _lookup_table, _pauli_product, binomial_code,
+from cvqec import dvcodes
+from cvqec.dvcodes import (_CORRECTABLE, _STABILIZERS, binomial_code,
                            PauliOp, binomial_recovery_basis,
                            binomial_recovery_kraus, correction_matrix, encode,
                            get_code, logical_flip_probability_three_qubit,
@@ -84,9 +84,8 @@ class TestPauliOp:
         """Every stabilizer and every decoder correction, as applied by the
         Monte Carlo engine, against the dense pauli_matrix product."""
         cases = list(zip(stabilizer_ops(name), stabilizer_matrices(name)))
-        for syndrome, label in _full_lookup_table(name).items():
-            op, op_label, _ = correction_matrix(name, syndrome)
-            assert op_label == label
+        for syndrome in range(2 ** len(_STABILIZERS[name])):
+            op, label, _ = correction_matrix(name, syndrome)
             cases.append((op, pauli_matrix(label)))
         dim = get_code(name).dim
         rng = np.random.default_rng(7)
@@ -110,27 +109,62 @@ class TestPauliOp:
         byte: all 64 three-qubit labels, every shor9 decoder correction and
         its stabilizers."""
         labels = ["".join(p) for p in itertools.product("IXYZ", repeat=3)]
-        labels += list(_full_lookup_table("shor9").values()) + _STABILIZERS["shor9"]
+        labels += [correction_matrix("shor9", syn)[1] for syn in range(2 ** 8)]
+        labels += _STABILIZERS["shor9"]
         for label in labels:
             assert PauliOp(label).phase.tobytes() == self._kron_phase(label).tobytes(), label
 
 
+def _commutes(pauli: str, stab: str) -> bool:
+    anti = sum(p != "I" and s != "I" and p != s for p, s in zip(pauli, stab))
+    return anti % 2 == 0
+
+
+def _pauli_product(a: str, b: str) -> str:
+    """a b up to a phase, qubit by qubit."""
+    out = []
+    for x, y in zip(a, b):
+        if x == "I":
+            out.append(y)
+        elif y == "I" or x == y:
+            out.append("I" if x == y else x)
+        else:
+            out.append(({"X", "Y", "Z"} - {x, y}).pop())
+    return "".join(out)
+
+
+def _string_syndrome(name, pauli):
+    """The syndrome of a Pauli string as a tuple of stabilizer bits."""
+    return tuple(0 if _commutes(pauli, s) else 1 for s in _STABILIZERS[name])
+
+
+def _pack(bits) -> int:
+    """A syndrome tuple as the decoder's int, stabilizer 0 most significant."""
+    return int("".join(map(str, bits)), 2)
+
+
 def _string_search_table(name):
-    """The decoder table by breadth-first products of Pauli strings, each
-    product's syndrome recomputed from its string against every
-    stabilizer: the reference for _full_lookup_table's syndrome masks."""
-    singles = _lookup_table(name)
-    stabs = _STABILIZERS[name]
-    table = dict(singles)
+    """Syndrome tuple -> (correction string, guaranteed) by a search on
+    Pauli strings: the identity, then the correctable singles (the first
+    to reach a syndrome keeps it), then breadth-first products with those
+    singles, each product's syndrome recomputed from its string against
+    every stabilizer.  The reference for the decoder's bit masks."""
+    n = len(_STABILIZERS[name][0])
+    singles = {_string_syndrome(name, "I" * n): "I" * n}
+    for pos in range(n):
+        for ch in _CORRECTABLE[name]:
+            err = "I" * pos + ch + "I" * (n - pos - 1)
+            singles.setdefault(_string_syndrome(name, err), err)
+    table = {syn: (err, True) for syn, err in singles.items()}
     frontier = list(singles.values())
-    while len(table) < 2 ** len(stabs) and frontier:
+    while len(table) < 2 ** len(_STABILIZERS[name]) and frontier:
         nxt = []
         for base in frontier:
             for err in singles.values():
                 cand = _pauli_product(base, err)
-                syn = tuple(0 if _commutes(cand, s) else 1 for s in stabs)
+                syn = _string_syndrome(name, cand)
                 if syn not in table:
-                    table[syn] = cand
+                    table[syn] = (cand, False)
                     nxt.append(cand)
         frontier = nxt
     return table
@@ -138,10 +172,26 @@ def _string_search_table(name):
 
 @pytest.mark.parametrize("name", ["three_qubit_phase", "shor9"])
 def test_decoder_table_matches_string_search(name):
-    expect = _string_search_table(name)
-    table = _full_lookup_table(name)
-    assert table == expect
-    assert list(table) == list(expect)  # same breadth-first order
+    """correction_matrix at every int syndrome: the label and guaranteed
+    flag the string search files under that syndrome's bits."""
+    expect = {_pack(syn): entry for syn, entry in _string_search_table(name).items()}
+    n_syndromes = 2 ** len(_STABILIZERS[name])
+    assert sorted(expect) == list(range(n_syndromes))
+    for syndrome in range(n_syndromes):
+        _, label, guaranteed = correction_matrix(name, syndrome)
+        assert (label, guaranteed) == expect[syndrome], syndrome
+
+
+def test_decoder_rejects_unreached_syndrome(monkeypatch):
+    # X errors commute with the phase code's X-type stabilizers, so an
+    # X-only alphabet reaches syndrome 0 alone
+    monkeypatch.setitem(_CORRECTABLE, "three_qubit_phase", "X")
+    dvcodes._decoder.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="misses syndrome 1"):
+            dvcodes._decoder("three_qubit_phase")
+    finally:
+        dvcodes._decoder.cache_clear()
 
 
 class TestShorRecovery:
@@ -182,15 +232,15 @@ class TestShorRecovery:
                 m = project(m, s, bit)
                 m /= np.trace(m).real
                 syndrome.append(bit)
-            corr = pauli_matrix(correction_matrix(code.name, tuple(syndrome))[1])
-            return corr @ m @ corr.conj().T, tuple(syndrome)
+            corr = pauli_matrix(correction_matrix(code.name, _pack(syndrome))[1])
+            return corr @ m @ corr.conj().T, _pack(syndrome)
         sectors = [((), rho.matrix)]
         for s in stabs:
             sectors = [(syn + (bit,), project(m, s, bit)) for syn, m in sectors
                        for bit in (0, 1) if weight(m, s, bit) > 1e-14]
         out = np.zeros_like(rho.matrix)
         for syn, m in sectors:
-            corr = pauli_matrix(correction_matrix(code.name, syn)[1])
+            corr = pauli_matrix(correction_matrix(code.name, _pack(syn))[1])
             out += corr @ m @ corr.conj().T
         return out, None
 
@@ -213,11 +263,9 @@ class TestShorRecovery:
     def test_full_syndrome_table(self):
         # every one of the 2^8 syndromes decodes to some Pauli, and that
         # Pauli reproduces the syndrome it is filed under
-        table = _full_lookup_table("shor9")
-        stabs = _STABILIZERS["shor9"]
-        assert len(table) == 256
-        for syn, label in table.items():
-            assert tuple(0 if _commutes(label, s) else 1 for s in stabs) == syn
+        for syndrome in range(2 ** 8):
+            label = correction_matrix("shor9", syndrome)[1]
+            assert _pack(_string_syndrome("shor9", label)) == syndrome
 
     def test_weight_two_error_returns_to_codespace(self):
         # not guaranteed to fix the logical content, but must land back in
@@ -386,5 +434,5 @@ class TestRecoverValidation:
             recover(code, rho, mode="sample")
 
     def test_syndrome_guarantee_flag(self):
-        mat, label, guaranteed = correction_matrix("shor9", (0,) * 8)
+        mat, label, guaranteed = correction_matrix("shor9", 0)
         assert guaranteed and label == "I" * 9

@@ -81,12 +81,14 @@ class TestEngineAgreement:
             assert fb == pytest.approx(fd, abs=1e-12)
 
     @pytest.mark.parametrize("state_kind", ["coherent", "fock1"])
-    def test_binomial_where_recovery_fails(self, state_kind):
-        """At sigma = 0.2 some trajectories take a best-effort remainder of
-        the binomial recovery; at those indices of a run's first chunk the
-        chunk, a one-row branch replay and the dense oracle agree, and the
-        dense oracle flags them too."""
-        plan = TrajectoryPlan(sigma=0.2, ancilla="binomial_n3", root_seed=5,
+    @pytest.mark.parametrize("ancilla, sigma", [("binomial_n3", 0.2), ("shor9", 0.25)])
+    def test_where_recovery_fails(self, ancilla, sigma, state_kind):
+        """At these sigmas some trajectories take a best-effort remainder of
+        the binomial recovery or a best-effort (product) entry of the shor9
+        decoder table; at those indices of a run's first chunk the chunk, a
+        one-row branch replay and the dense oracle agree, and the dense
+        oracle flags them too."""
+        plan = TrajectoryPlan(sigma=sigma, ancilla=ancilla, root_seed=5,
                               zeta=optimal_zeta(), state_kind=state_kind)
         ctx = _Context(plan)
         draws = montecarlo._standard_draws(plan.root_seed, plan.ancilla, 0, ctx.chunk_size)
@@ -232,19 +234,14 @@ class TestBinomialRecovery:
 
 @pytest.mark.parametrize("width", [2, 8])
 def test_groups_match_row_unique(width):
-    """_groups on packed row keys against np.unique(axis=0) on the rows:
-    the same keys, in the same order, with the same rows."""
+    """_groups on int syndromes of width bits and on binomial Kraus choices:
+    the distinct keys in increasing order, each with the rows that hold it."""
     rng = np.random.default_rng(width)
-    bits = (rng.random((200, width)) < 0.2).astype(np.int64)
-    uniq, inverse = np.unique(bits, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    got = list(montecarlo._groups(bits))
-    assert [key for key, _ in got] == [tuple(row.tolist()) for row in uniq]
-    for j, (_, rows) in enumerate(got):
-        assert np.array_equal(rows, inverse == j)
+    syndromes = rng.integers(0, 2 ** width, 200)
     choice = rng.integers(0, 21, 50)
-    assert [(k, r.tolist()) for k, r in montecarlo._groups(choice)] == [
-        (k, (choice == k).tolist()) for k in np.unique(choice).tolist()]
+    for keys in (syndromes, choice):
+        assert [(k, r.tolist()) for k, r in montecarlo._groups(keys)] == [
+            (k, (keys == k).tolist()) for k in sorted(set(keys.tolist()))]
 
 
 class TestShorProductState:
@@ -283,7 +280,7 @@ class TestShorProductState:
 
     def test_best_effort_correction(self):
         ctx, shor, branch = self._pair(20)
-        syndrome = next(syn for syn in dvcodes._full_lookup_table("shor9")
+        syndrome = next(syn for syn in range(2 ** 8)
                         if not dvcodes.correction_matrix("shor9", syn)[2])
         op, label, _ = dvcodes.correction_matrix("shor9", syndrome)
         assert sum(ch != "I" for ch in label) >= 2
