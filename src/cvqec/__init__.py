@@ -6,13 +6,11 @@ evaluation paths."""
 from .channels import (apply_displacement_channel, confine_single_boson,
                        confinement_kraus, dephasing, sample_displacement)
 from .dvcodes import (CodeSpec, SyndromeResult, binomial_code, encode,
-                      get_code, logical_flip_probability_three_qubit,
-                      logical_Y_measurement, logical_Y_probabilities, recover,
+                      get_code, logical_flip_probability_three_qubit, recover,
                       shor9_code, three_qubit_phase_code)
-from .fock import (DensityMatrix, DisplacementEngine, LinearOperator,
-                   PureState, TruncationError, TruncationWarning,
-                   coherent_state, displacement_operator, fidelity,
-                   fock_state, overlap_f)
+from .fock import (DensityMatrix, DisplacementEngine, PureState,
+                   TruncationError, TruncationWarning, coherent_state,
+                   displacement_operator, fidelity, fock_state, overlap_f)
 from .gaussian import (DEFAULT_QUADRATURE, FilteredMoments, IntegrationError,
                        NoiseModel, QuadratureSpec, gaussian_pdf, integrate,
                        qubit_filtered_moments, qubit_outcome_mean,

@@ -1,5 +1,5 @@
 """DV ancilla codes: 3-qubit phase-flip, 9-qubit Shor, and the binomial
-bosonic code, with encoding, syndrome recovery and logical Y measurement.
+bosonic code, with encoding and syndrome recovery.
 
 Qubit codes recover through stabilizer parity checks and a lookup table;
 the binomial code uses the boson-number mod-3 syndrome with recovery
@@ -34,8 +34,7 @@ __all__ = [
     "encode",
     "recover",
     "logical_flip_probability_three_qubit",
-    "logical_Y_measurement",
-    "logical_Y_probabilities",
+    "kraus_choice",
     "pauli_matrix",
     "PauliOp",
 ]
@@ -336,6 +335,15 @@ def _binomial_recovery(n_trunc: int):
     return kraus, primary, labels, np.array(bras), owner
 
 
+def kraus_choice(weights, u):
+    """The binomial Kraus operator a draw u picks from weights <K_k^dag K_k>
+    on the last axis, in sampled recover and both Monte Carlo engines: the
+    first k with u <= cumsum(weights)[k], or the last k if there is none.
+    u broadcasts against weights.shape[:-1]."""
+    hit = np.asarray(u)[..., None] <= np.cumsum(weights, axis=-1)
+    return np.where(hit.any(axis=-1), hit.argmax(axis=-1), hit.shape[-1] - 1)
+
+
 # --- recovery ---------------------------------------------------------------
 
 
@@ -403,11 +411,8 @@ def _recover_qubit_code(code, rho, mode, rng):
 def _recover_binomial(code, rho, mode, rng):
     kraus, primary, labels = binomial_recovery_kraus(code.dim - 1)
     if mode == "sample":
-        probs = np.array([np.trace(k @ rho.matrix @ k.conj().T).real for k in kraus])
-        probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum()
-        idx = int(np.searchsorted(np.cumsum(probs), rng.random()))
-        idx = min(idx, len(kraus) - 1)
+        weights = [np.trace(k @ rho.matrix @ k.conj().T).real for k in kraus]
+        idx = int(kraus_choice(weights, rng.random() * sum(weights)))
         k = kraus[idx]
         m = k @ rho.matrix @ k.conj().T
         m /= np.trace(m).real
@@ -455,33 +460,3 @@ def logical_flip_probability_three_qubit(p_phi: float) -> float:
                 weight *= p_phi if bit else (1.0 - p_phi)
             total += weight
     return total
-
-
-def logical_Y_probabilities(code: CodeSpec, state: DensityMatrix):
-    """(P(+Y_L), P(-Y_L), P(outside codespace))."""
-    plus, minus = code.y_states()
-    p_plus = np.real(plus.conj() @ state.matrix @ plus)
-    p_minus = np.real(minus.conj() @ state.matrix @ minus)
-    return float(p_plus), float(p_minus), float(max(1.0 - p_plus - p_minus, 0.0))
-
-
-def logical_Y_measurement(code: CodeSpec, state: DensityMatrix,
-                          rng: np.random.Generator):
-    """Projective measurement in {|+Y>_L, |-Y>_L, complement}; the
-    complement outcome is flagged with the label 'complement'."""
-    p_plus, p_minus, p_comp = logical_Y_probabilities(code, state)
-    u = rng.random()
-    plus, minus = code.y_states()
-    if u < p_plus:
-        proj = np.outer(plus, plus.conj())
-        outcome, p = "+", p_plus
-    elif u < p_plus + p_minus:
-        proj = np.outer(minus, minus.conj())
-        outcome, p = "-", p_minus
-    else:
-        pg, pe = np.outer(plus, plus.conj()), np.outer(minus, minus.conj())
-        proj = np.eye(code.dim, dtype=complex) - pg - pe
-        outcome, p = "complement", p_comp
-    m = proj @ state.matrix @ proj.conj().T
-    m /= np.trace(m).real
-    return outcome, DensityMatrix(m)

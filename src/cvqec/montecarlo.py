@@ -26,6 +26,9 @@ so T never exceeds six.  Per-row decisions are vectorized comparisons,
 and Kraus operators and Pauli corrections are applied once per distinct
 choice in the chunk; the binomial syndrome probabilities come from one
 projection onto the recovery basis (dvcodes.binomial_recovery_basis).
+Both engines displace carriers and the dense data mode with
+DisplacementEngine.apply (the branch engine with one beta per row) and
+pick the binomial Kraus operator with dvcodes.kraus_choice.
 
 The nine-qubit carrier runs on _ShorState, the same terms with each
 512-dim carrier vector held as a sum of at most four products of three
@@ -104,6 +107,7 @@ _BOSONIC_KINDS = ("binomial_n3", "shor9")
 _SHOR_MODE_DIM = 14  # per-mode Fock levels while a single-boson qubit is displaced
 _BINOMIAL_N_TRUNC = 23
 _BRANCH_TOL = 1e-14
+_FOCK_CHUNK = 8192  # trajectories per batch of _fock_outcome_probabilities
 _CHUNK_BUDGET = 2048  # carrier amplitudes per term slot in one chunk
 # a shor9 term slot: at most four products (two X-type stabilizer
 # projections each double them) of three 8-dim block vectors
@@ -114,11 +118,10 @@ _SHOR_SLOT = 4 * 3 * 8
 class TrajectoryPlan:
     """Everything one concatenated run depends on.
 
-    alpha defaults to the qubit optimum for the effective (squeezed)
-    p-quadrature noise sigma * exp(-2 zeta).  Bosonic ancillas see the
-    same displacement noise as the data mode unless ancilla_sigma says
-    otherwise; dephasing ancillas flip with probability p_phi per
-    physical qubit.
+    The conditional displacement alpha is the qubit optimum for the
+    effective (squeezed) p-quadrature noise sigma * exp(-2 zeta).  Bosonic
+    ancillas see the same displacement noise as the data mode; dephasing
+    ancillas flip with probability p_phi per physical qubit.
     """
 
     sigma: float
@@ -127,11 +130,8 @@ class TrajectoryPlan:
     n_trajectories: int = 1000
     root_seed: int = 0
     zeta: float = 0.0
-    alpha: float | None = None
     state_kind: str = "coherent"
     coherent_amplitude: complex = 0.0
-    n_trunc: int | None = None
-    ancilla_sigma: float | None = None
 
     def __post_init__(self):
         if not self.sigma > 0:
@@ -142,7 +142,7 @@ class TrajectoryPlan:
             raise ValueError(f"p_phi must lie in [0, 1/2], got {self.p_phi}")
         if self.p_phi > 0 and self.ancilla in _BOSONIC_KINDS:
             raise ValueError("p_phi is a dephasing rate; bosonic ancillas take "
-                             "displacement noise (ancilla_sigma) instead")
+                             "displacement noise instead")
         if self.n_trajectories < 1:
             raise ValueError("need at least one trajectory")
         if self.state_kind not in ("coherent", "fock1"):
@@ -150,8 +150,6 @@ class TrajectoryPlan:
 
     @property
     def effective_alpha(self) -> float:
-        if self.alpha is not None:
-            return self.alpha
         sigma_p = self.sigma * math.exp(-2.0 * self.zeta)
         return 1.0 / (2.0 * math.sqrt(2.0) * sigma_p)
 
@@ -252,8 +250,7 @@ class _Context:
         self.alpha = plan.effective_alpha
         sigma_p = plan.sigma * math.exp(-2.0 * plan.zeta)
         self.outcome_mean = qubit_outcome_mean(sigma_p, self.alpha)
-        self.anc_scale = (plan.ancilla_sigma if plan.ancilla_sigma is not None
-                          else plan.sigma) / math.sqrt(2.0)
+        self.anc_scale = plan.sigma / math.sqrt(2.0)
 
     def overlap(self, delta: np.ndarray) -> np.ndarray:
         """<psi0| D(delta) |psi0>, elementwise and exact."""
@@ -268,15 +265,12 @@ class _Context:
     @cached_property
     def psi0(self) -> np.ndarray:
         plan = self.plan
-        if plan.n_trunc is not None:
-            n_trunc = plan.n_trunc
-        else:
-            amp = abs(plan.coherent_amplitude) if plan.state_kind == "coherent" else 1.0
-            # a logical failure of a bosonic carrier leaves the data mode
-            # displaced by about 2 alpha
-            reach = 2.0 * self.alpha if self.kind in _BOSONIC_KINDS else self.alpha
-            peak = amp + reach + 2.0
-            n_trunc = int(peak * peak + 6.0 * peak + 12.0)
+        amp = abs(plan.coherent_amplitude) if plan.state_kind == "coherent" else 1.0
+        # a logical failure of a bosonic carrier leaves the data mode
+        # displaced by about 2 alpha
+        reach = 2.0 * self.alpha if self.kind in _BOSONIC_KINDS else self.alpha
+        peak = amp + reach + 2.0
+        n_trunc = int(peak * peak + 6.0 * peak + 12.0)
         if plan.state_kind == "coherent":
             return coherent_state(plan.coherent_amplitude, n_trunc).amplitudes
         return fock_state(1, n_trunc).amplitudes
@@ -300,17 +294,6 @@ def _block_paulis(label: str) -> tuple:
     non-identity 3-qubit blocks; block b holds qubits 3b, 3b+1, 3b+2."""
     return tuple((b, dvcodes.PauliOp(label[3 * b:3 * b + 3])) for b in range(3)
                  if label[3 * b:3 * b + 3] != "III")
-
-
-def _displace_rows(engine: DisplacementEngine, beta: np.ndarray,
-                   vecs: np.ndarray) -> np.ndarray:
-    """D(beta[r]) on the last axis of vecs, for row r of the result, through
-    the engine's two cached eigenbases (as DisplacementEngine.apply)."""
-    bq = beta.real[:, None, None]
-    bp = beta.imag[:, None, None]
-    out = (vecs @ engine._vk.conj()) * np.exp(-1j * bq * engine._lam_k)
-    out = (out @ engine._vk.T @ engine._vx.conj()) * np.exp(1j * bp * engine._lam_x)
-    return np.exp(-1j * bq * bp) * (out @ engine._vx.T)
 
 
 def _confine_levels(t: np.ndarray, outcome: int) -> np.ndarray:
@@ -693,7 +676,7 @@ class _DenseState:
     def displace_data(self, beta: complex):
         if beta == 0:
             return
-        self.psi = self.ctx.data_engine.apply(beta, self.psi.T).T
+        self.psi = self.ctx.data_engine.apply(beta, self.psi)
 
     def conditional_displace(self, alpha_g: complex, alpha_e: complex):
         g, e = self.ctx.g, self.ctx.e
@@ -900,11 +883,11 @@ def _batch_ancilla_errors(ctx, state, anc, uniforms) -> None:
             state.apply_pauli(z, next(uniforms) < ctx.p_phi)
     elif kind == "binomial_n3":
         beta = anc[:, 0, 0] + 1j * anc[:, 0, 1]
-        state.c = _displace_rows(ctx.anc_engine, beta, state.c)
+        state.c = ctx.anc_engine.apply(beta[:, None], state.c)
     elif kind == "shor9":
         low = np.eye(2, _SHOR_MODE_DIM, dtype=complex)  # |0>, |1> as rows
         beta = anc[..., 0] + 1j * anc[..., 1]  # [r, mode]
-        disps = _displace_rows(ctx.mode_engine, beta.reshape(-1), low).reshape(
+        disps = ctx.mode_engine.apply(beta.reshape(-1, 1), low).reshape(
             *beta.shape, 2, _SHOR_MODE_DIM)
         for m in range(ctx.n_modes):
             disp = disps[:, m]
@@ -934,9 +917,7 @@ def _batch_recovery(ctx, state, uniforms) -> np.ndarray:
             unrecoverable[rows] = not guaranteed
     elif kind == "binomial_n3":
         u = next(uniforms) * state.norm()
-        expect = state.kraus_expects()
-        hit = u[:, None] <= expect.cumsum(axis=1)
-        choice = np.where(hit.any(axis=1), hit.argmax(axis=1), len(ctx.binom_kraus) - 1)
+        choice = dvcodes.kraus_choice(state.kraus_expects(), u)
         for k, rows in _groups(choice):
             kraus, _, primary = ctx.binom_kraus[k]
             state.c[rows] = state.c[rows] @ kraus.T
@@ -1005,13 +986,8 @@ def _recovery(ctx, state, rng) -> bool:
         return not guaranteed
     if kind == "binomial_n3":
         u = rng.random() * state.norm()
-        acc = 0.0
-        for k, kk, primary in ctx.binom_kraus:
-            acc += state.carrier_expect(kk)
-            if u <= acc:
-                state.apply_carrier(k)
-                return not primary
-        k, _, primary = ctx.binom_kraus[-1]
+        expect = [state.carrier_expect(kk) for _, kk, _ in ctx.binom_kraus]
+        k, _, primary = ctx.binom_kraus[dvcodes.kraus_choice(expect, u)]
         state.apply_carrier(k)
         return not primary
     return False
@@ -1066,7 +1042,10 @@ def branch_decomposition_run(plan: TrajectoryPlan) -> RunResult:
 
 
 def trajectory_fidelity(plan: TrajectoryPlan, index: int, engine: str = "branch") -> float:
-    """Fidelity of a single trajectory; the two engines agree per index."""
+    """Fidelity of a single trajectory from the "branch" or the "dense"
+    engine; the two agree per index."""
+    if engine not in ("branch", "dense"):
+        raise ValueError(f"unknown engine {engine!r}")
     ctx = _Context(plan)
     if engine == "branch":
         draws = _standard_draws(plan.root_seed, plan.ancilla, index, index + 1)
@@ -1107,26 +1086,18 @@ def estimate_qubit_var_p(sigma: float, alpha: float, n_trajectories: int = 10**5
     return EstimateWithError(float(sq.mean()), std_error, n_trajectories)
 
 
-def _fock_outcome_probabilities(alpha: float, bp: np.ndarray,
-                                chunk: int = 8192) -> np.ndarray:
+def _fock_outcome_probabilities(alpha: float, bp: np.ndarray) -> np.ndarray:
     """P(+Y) per trajectory from D(+-alpha) D(i b_p) D(-+alpha) |0>."""
     dim = int(alpha * alpha + 8.0 * alpha + 24.0)
     engine = DisplacementEngine(dim)
-    lam, vx = engine._lam_x, engine._vx
-    d_plus = engine.matrix(complex(alpha))
-    d_minus = engine.matrix(complex(-alpha))
-    vac = np.zeros(dim, dtype=complex)
-    vac[0] = 1.0
-    u_g = vx.conj().T @ (d_minus @ vac)
-    u_e = vx.conj().T @ (d_plus @ vac)
-    m_g = d_plus @ vx
-    m_e = d_minus @ vx
+    vac = np.eye(1, dim, dtype=complex)[0]
+    # the g branch starts at D(-alpha)|0>, the e branch at D(+alpha)|0>
+    start = np.stack((engine.apply(-alpha, vac), engine.apply(alpha, vac)))
+    back_g, back_e = engine.matrix(alpha).T, engine.matrix(-alpha).T
     out = np.empty(len(bp))
-    for start in range(0, len(bp), chunk):
-        seg = bp[start:start + chunk]
-        phases = np.exp(1j * lam[:, None] * seg[None, :])
-        psi_g = m_g @ (phases * u_g[:, None])
-        psi_e = m_e @ (phases * u_e[:, None])
-        diff = psi_g - 1j * psi_e
-        out[start:start + chunk] = 0.25 * np.sum(np.abs(diff) ** 2, axis=0)
+    for lo in range(0, len(bp), _FOCK_CHUNK):
+        seg = bp[lo:lo + _FOCK_CHUNK]
+        kicked = engine.apply(1j * seg[:, None], start)  # [r, branch, level]
+        diff = kicked[:, 0] @ back_g - 1j * (kicked[:, 1] @ back_e)
+        out[lo:lo + _FOCK_CHUNK] = 0.25 * np.sum(np.abs(diff) ** 2, axis=1)
     return out

@@ -115,14 +115,16 @@ def _qubit_var_p(sigma: float, alpha: float) -> float:
 
 
 def _qudit_var_p(sigma: float, alpha: float, d: int) -> float:
-    """Outcome-averaged variance ``sum_l n_l var_l`` of the d-level round, summed
-    left to right like the per-outcome path (np.sum pairs 8+ terms differently)."""
+    """Outcome-averaged variance ``sum_l n_l var_l`` of the d-level round, in
+    Python floats and summed left to right like the per-outcome path:
+    np.sum pairs 8+ terms differently, and numpy's square of the mean can
+    differ in the last bit from the ``mean**2`` of FilteredMoments."""
     if d < 2:
         raise ValueError("qudit scheme needs d >= 2")
-    n0, m1, m2 = gaussian.qudit_moments(sigma, alpha, d)
-    var = m2 / n0 - (m1 / n0) ** 2
-    gaussian._check_moments(n0.tolist(), var.tolist())
-    return sum((n0 * var).tolist())
+    n0, m1, m2 = gaussian.qudit_moments(sigma, alpha, d).tolist()
+    var = [second / n - (first / n) ** 2 for n, first, second in zip(n0, m1, m2)]
+    gaussian._check_moments(n0, var)
+    return sum(n * v for n, v in zip(n0, var))
 
 
 def run_uncorrected(sigma: float) -> CorrectedNoise:

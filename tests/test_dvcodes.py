@@ -10,8 +10,8 @@ from cvqec import dvcodes
 from cvqec.dvcodes import (_CORRECTABLE, _STABILIZERS, binomial_code,
                            PauliOp, binomial_recovery_basis,
                            binomial_recovery_kraus, correction_matrix, encode,
-                           get_code, logical_flip_probability_three_qubit,
-                           logical_Y_measurement, logical_Y_probabilities,
+                           get_code, kraus_choice,
+                           logical_flip_probability_three_qubit,
                            pauli_matrix, recover, shor9_code,
                            stabilizer_matrices, stabilizer_ops,
                            three_qubit_phase_code)
@@ -327,6 +327,42 @@ class TestBinomialRecovery:
             rows = bras[owner == k]
             assert np.allclose(rows.conj().T @ rows, kk.conj().T @ kk, rtol=0, atol=1e-14)
 
+    def test_kraus_choice_is_the_early_exit_scan(self):
+        """kraus_choice, scalar and per row, against a running sum that stops
+        at the first u <= acc, on weights from carrier states and on draws
+        at and past the total (the last operator)."""
+        kraus, _, _ = binomial_recovery_kraus(23)
+        rng = np.random.default_rng(21)
+        c = rng.normal(size=(40, 24)) + 1j * rng.normal(size=(40, 24))
+        weights = np.stack([np.sum(np.abs(c @ k.T) ** 2, axis=1) for k in kraus], axis=1)
+        total = weights.sum(axis=1)
+        u = rng.random(40) * total
+        u[:3] = (weights[0, 0], total[1], 2.0 * total[2])
+
+        def scan(row, draw):
+            acc = 0.0
+            for k, w in enumerate(row):
+                acc += w
+                if draw <= acc:
+                    return k
+            return len(row) - 1
+
+        expect = [scan(row.tolist(), draw) for row, draw in zip(weights, u.tolist())]
+        assert kraus_choice(weights, u).tolist() == expect
+        assert [int(kraus_choice(row.tolist(), draw))
+                for row, draw in zip(weights, u.tolist())] == expect
+        assert expect[0] == 0 and expect[2] == len(kraus) - 1
+
+    def test_sampled_recovery_frequencies(self):
+        """Sampled recovery of |1> (the gain class) takes the primary
+        isometry with probability 1/22 (test_remainder_flagged)."""
+        code = binomial_code()
+        rho = fock_state(1, code.dim - 1).to_density()
+        rng = np.random.default_rng(8)
+        flags = [recover(code, rho, mode="sample", rng=rng)[1].unrecoverable
+                 for _ in range(880)]
+        assert abs(flags.count(False) - 40) < 4 * math.sqrt(40)
+
     def test_remainder_flagged(self):
         # |1> sits in the gain-syndrome class; its overlap with the primary
         # isometry's input is |<1|gain image of g>|^2 = (1/4)/(11/2) = 1/22,
@@ -387,32 +423,6 @@ class TestThreeQubitDephasing:
                 3 * p**2 - 2 * p**3, abs=1e-15)
         with pytest.raises(ValueError):
             logical_flip_probability_three_qubit(1.5)
-
-
-class TestLogicalOperations:
-    def test_y_probabilities_sum(self):
-        code = shor9_code()
-        rho = _encoded_probe(code).to_density()
-        p_plus, p_minus, p_comp = logical_Y_probabilities(code, rho)
-        assert p_plus + p_minus + p_comp == pytest.approx(1.0, abs=1e-12)
-        assert p_comp == pytest.approx(0.0, abs=1e-12)
-
-    def test_y_measurement_statistics(self):
-        code = three_qubit_phase_code()
-        plus_y = PureState(code.y_states()[0], leakage_budget=1.0).to_density()
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            outcome, post = logical_Y_measurement(code, plus_y, rng)
-            assert outcome == "+"
-            assert fidelity(PureState(code.y_states()[0], leakage_budget=1.0), post) == pytest.approx(
-                1.0, abs=1e-12)
-
-    def test_y_measurement_mixed(self):
-        code = three_qubit_phase_code()
-        g_rho = PureState(code.logical_g, leakage_budget=1.0).to_density()  # equal +/- Y weights
-        rng = np.random.default_rng(11)
-        outcomes = {logical_Y_measurement(code, g_rho, rng)[0] for _ in range(50)}
-        assert outcomes == {"+", "-"}
 
 
 class TestRecoverValidation:

@@ -38,9 +38,9 @@ def test_coherent_state_mean_boson_number():
 
 
 def test_displacement_unitary_and_inverse():
-    d = displacement_operator(0.6 + 0.2j, N_TRUNC).matrix
+    d = displacement_operator(0.6 + 0.2j, N_TRUNC)
     assert np.allclose(d @ d.conj().T, np.eye(DIM), atol=1e-12)
-    dinv = displacement_operator(-0.6 - 0.2j, N_TRUNC).matrix
+    dinv = displacement_operator(-0.6 - 0.2j, N_TRUNC)
     # D(-beta) D(beta) = 1 exactly (the generators are exact negatives)
     assert np.allclose(dinv @ d, np.eye(DIM), atol=1e-12)
 
@@ -61,7 +61,7 @@ def test_overlap_f_values():
 
 def test_overlap_f_matches_fock_calculation():
     beta = 0.21 - 0.13j
-    d = displacement_operator(beta, N_TRUNC).matrix
+    d = displacement_operator(beta, N_TRUNC)
     for kind, n in (("coherent", 0), ("fock1", 1)):
         psi = fock_state(n, N_TRUNC).amplitudes
         val = abs(psi.conj() @ d @ psi) ** 2
@@ -111,7 +111,7 @@ class TestDisplacementEngine:
     def test_matches_expm_construction(self):
         engine = DisplacementEngine(DIM)
         for beta in (0.4, 0.3j, 0.25 - 0.35j):
-            ref = displacement_operator(beta, N_TRUNC).matrix
+            ref = displacement_operator(beta, N_TRUNC)
             got = engine.matrix(beta)
             # agreement away from the cutoff; the factorized form differs
             # from the exponential only in the top rows
@@ -134,6 +134,27 @@ class TestDisplacementEngine:
         vec = rng.normal(size=12) + 1j * rng.normal(size=12)
         beta = 0.2 - 0.1j
         assert np.allclose(engine.apply(beta, vec), engine.matrix(beta) @ vec)
+
+    @pytest.mark.parametrize("dim, terms", [(14, None), (24, 1), (24, 3)])
+    def test_array_beta_is_the_per_row_scalar_call(self, dim, terms):
+        """beta of shape (n, 1) displaces row r of vecs (n, terms, dim), or
+        the shared (2, dim) vecs, by beta[r], bit for bit as the scalar call
+        on that row: the batched calls of the Monte Carlo engine."""
+        engine = DisplacementEngine(dim)
+        rng = np.random.default_rng(dim + (terms or 0))
+        n = 40
+        beta = rng.normal(0.0, 0.4, n) + 1j * rng.normal(0.0, 0.4, n)
+        beta[:3] = (0.0, 0.3, -0.2j)
+        if terms is None:
+            vecs = np.eye(2, dim, dtype=complex)
+            rows = [vecs] * n
+        else:
+            vecs = rng.normal(size=(n, terms, dim)) + 1j * rng.normal(size=(n, terms, dim))
+            rows = list(vecs)
+        got = engine.apply(beta[:, None], vecs)
+        assert got.shape == (n, 2 if terms is None else terms, dim)
+        for r in range(n):
+            assert got[r].tobytes() == engine.apply(complex(beta[r]), rows[r]).tobytes()
 
 
 @settings(max_examples=25, deadline=None)

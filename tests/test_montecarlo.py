@@ -12,7 +12,7 @@ from cvqec.channels import confinement_kraus
 from cvqec.cli import main
 from cvqec.montecarlo import (_SHOR_MODE_DIM, ANCILLA_KINDS,
                               EstimateWithError, TrajectoryPlan, _BranchState,
-                              _Context, _DenseState, _displace_rows,
+                              _Context, _DenseState,
                               _pcg64_states, _run_draws, _ShorState, _streams,
                               branch_decomposition_run, estimate_qubit_var_p,
                               run_concatenated, trajectory_fidelity)
@@ -61,9 +61,14 @@ class TestEngineAgreement:
         plan = TrajectoryPlan(sigma=0.15, ancilla=ancilla, root_seed=5, **kwargs)
         for index in range(4):
             fb = trajectory_fidelity(plan, index, engine="branch")
-            fd = trajectory_fidelity(plan, index, engine="direct")
+            fd = trajectory_fidelity(plan, index, engine="dense")
             assert fb == pytest.approx(fd, abs=1e-9)
             assert -1e-9 <= fb <= 1 + 1e-9
+
+    @pytest.mark.parametrize("engine", ["direct", "Dense", "brnach"])
+    def test_unknown_engine_name(self, engine):
+        with pytest.raises(ValueError, match="unknown engine"):
+            trajectory_fidelity(TrajectoryPlan(sigma=0.15), 0, engine=engine)
 
     @pytest.mark.parametrize("state_kind", ["coherent", "fock1"])
     @pytest.mark.parametrize("ancilla, sigma, n_index", [
@@ -153,7 +158,7 @@ class TestConfinement:
             c = _expand(state)
             data = [[ph * ctx.data_engine.apply(g, ctx.psi0)
                      for g, ph in zip(state.gamma[r], state.ph[r])] for r in range(n)]
-            disp = _displace_rows(ctx.mode_engine, beta, low)
+            disp = ctx.mode_engine.apply(beta[:, None], low)
             weights = state.mode_weights(m, disp)
             state.confine_mode(m, disp, np.arange(n))
             confined = _expand(state)
