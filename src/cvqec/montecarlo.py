@@ -47,7 +47,7 @@ coordinates in use.
 
 A chunk holds max(1, _CHUNK_BUDGET // slot) trajectories, slot the
 carrier amplitudes of one term slot: carrier_dim, or 4 * 3 * 8 = 96 for
-shor9 (chunks of 21).  Its bounds depend only on trajectory indices.
+shor9 (chunks of 21).
 
 Qubit-carrier Paulis (stabilizers, corrections, dephasing flips) are
 applied as bit masks, a basis permutation idx -> idx ^ x times a phase,
@@ -71,17 +71,25 @@ run key (_run_draws) and scale it: normal(0, s) is 0.0 + s *
 standard_normal bit for bit.  Per-index agreement of the engines also
 checks the order.
 
-A run's output depends only on its plan: the chunk size is fixed per
-carrier.  A slot is dropped only when it is empty in every row of its
-chunk, so a trajectory run alone (trajectory_fidelity) can differ from
-its value inside a run in the last bit.
+The points of a p_phi sweep also share trajectories: at two points where
+trajectory i's dephasing uniforms give the same flip pattern it is the
+same computation, so the sweep's first run computes each distinct pair
+(index, flip pattern) once (_sweep_rows) and every point reads its rows
+from it.  A run's output depends only on its plan.  Chunks are cut from
+the distinct rows in order, and a one-row chunk runs as two copies of its
+row, because np.einsum sums a batch of one in another order.  For the
+dephasing kinds a row's value then does not move with its chunk's other
+rows (checked across chunk budgets in the tests), so a trajectory
+replayed alone (trajectory_fidelity) equals its row in a run bit for bit.
+For the bosonic kinds a slot is dropped only when it is empty in every
+row of its chunk, so a replay can differ from its row in the last bit.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -876,11 +884,12 @@ def _groups(keys: np.ndarray):
         yield key, inverse == j
 
 
-def _batch_ancilla_errors(ctx, state, anc, uniforms) -> None:
+def _batch_ancilla_errors(ctx, state, anc, uniforms, p_phi) -> None:
+    """p_phi holds one dephasing rate per row."""
     kind = ctx.kind
     if kind in _DEPHASING_KINDS:
         for z in ctx.dephasing_ops:
-            state.apply_pauli(z, next(uniforms) < ctx.p_phi)
+            state.apply_pauli(z, next(uniforms) < p_phi)
     elif kind == "binomial_n3":
         beta = anc[:, 0, 0] + 1j * anc[:, 0, 1]
         state.c = ctx.anc_engine.apply(beta[:, None], state.c)
@@ -925,22 +934,51 @@ def _batch_recovery(ctx, state, uniforms) -> np.ndarray:
     return unrecoverable
 
 
-def _run_chunk(ctx: _Context, data, anc, uni):
+def _run_chunk(ctx: _Context, data, anc, uni, p_phi=None):
     """Infidelity, unrecoverable flag and complement flag of the chunk of
-    trajectories with these _scaled draws; the circuit of _one_trajectory,
-    row by row."""
+    trajectories with these _scaled draws and per-row dephasing rates
+    p_phi (default ctx.p_phi); the circuit of _one_trajectory, row by row.
+    np.einsum sums a batch of one row in another order than a batch of
+    two or more, so a one-row chunk runs as two copies of its row."""
+    n = len(data)
+    p_phi = np.full(n, ctx.p_phi) if p_phi is None else p_phi
+    if n == 1:
+        data, anc, uni, p_phi = (np.repeat(a, 2, axis=0) for a in (data, anc, uni, p_phi))
     uniforms = iter(uni.T)
     state = (_ShorState if ctx.kind == "shor9" else _BranchState)(ctx, len(data))
     # squeezing frame: see _one_trajectory
     beta = data[:, 0] * math.exp(2.0 * ctx.zeta) + 1j * (data[:, 1] * math.exp(-2.0 * ctx.zeta))
     state.conditional_displace(-ctx.alpha, +ctx.alpha)
     state.displace_data(beta)
-    _batch_ancilla_errors(ctx, state, anc, uniforms)
+    _batch_ancilla_errors(ctx, state, anc, uniforms, p_phi)
     unrecoverable = _batch_recovery(ctx, state, uniforms)
     state.conditional_displace(+ctx.alpha, -ctx.alpha)
     outcome = state.measure_y(next(uniforms))
     state.displace_data(-1j * outcome * ctx.outcome_mean)
-    return 1.0 - state.fidelity(), unrecoverable, outcome == 0
+    return 1.0 - state.fidelity()[:n], unrecoverable[:n], outcome[:n] == 0
+
+
+@lru_cache(maxsize=1)
+def _sweep_rows(base: TrajectoryPlan, points: tuple):
+    """Every distinct trajectory of the p_phi sweep over points of the plan
+    base (p_phi = 0), run once: (samples, unrecoverable, complement) of the
+    distinct rows, and [point, index] -> row.  A row is a trajectory index
+    with the flip pattern uni[:, :k] < p of its k dephasing uniforms; it
+    runs at the first point with that pattern, which flips the same Zs as
+    every point that shares it, so each point's rows are its own run's."""
+    for p in points:
+        replace(base, p_phi=p)  # a plan validates each point
+    ctx = _Context(base)
+    n, k = base.n_trajectories, len(ctx.dephasing_ops)
+    data, anc, uni = _scaled(ctx, *_run_draws(base.root_seed, base.ancilla, n))
+    bits = 1 << np.arange(k)
+    keys = np.stack([np.arange(n) << k | (uni[:, :k] < p) @ bits for p in points])
+    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rows, size = uniq >> k, ctx.chunk_size
+    draws = [a[rows] for a in (data, anc, uni)] + [np.array(points)[first // n]]
+    parts = [_run_chunk(ctx, *(a[lo:lo + size] for a in draws))
+             for lo in range(0, len(rows), size)]
+    return tuple(np.concatenate(p) for p in zip(*parts)), inverse.reshape(len(points), n)
 
 
 # --- per-trajectory driver of the dense oracle ------------------------------
@@ -1029,16 +1067,18 @@ def run_concatenated(plan: TrajectoryPlan) -> RunResult:
     return _result(plan, samples, unrecoverable, complement, "direct")
 
 
-def branch_decomposition_run(plan: TrajectoryPlan) -> RunResult:
+def branch_decomposition_run(plan: TrajectoryPlan, sweep: tuple = ()) -> RunResult:
     """Batched branch-decomposition simulation; same trajectories as the
-    reference engine, without a Fock cutoff on the data mode."""
-    ctx = _Context(plan)
-    n, size = plan.n_trajectories, ctx.chunk_size
-    data, anc, uni = _scaled(ctx, *_run_draws(plan.root_seed, plan.ancilla, n))
-    parts = [_run_chunk(ctx, data[start:start + size], anc[start:start + size],
-                        uni[start:start + size]) for start in range(0, n, size)]
-    samples, unrecoverable, complement = (np.concatenate(p) for p in zip(*parts))
-    return _result(plan, samples, unrecoverable, complement, "branch")
+    reference engine, without a Fock cutoff on the data mode.
+
+    sweep holds the p_phi values of the sweep that plan belongs to.  The
+    first call of a sweep runs each of its distinct trajectories once
+    (_sweep_rows), and every call takes its own point's rows from them."""
+    points = tuple(sorted(set(sweep) | {plan.p_phi}))
+    (samples, unrecoverable, complement), inverse = _sweep_rows(
+        replace(plan, p_phi=0.0), points)
+    pick = inverse[points.index(plan.p_phi)]
+    return _result(plan, samples[pick], unrecoverable[pick], complement[pick], "branch")
 
 
 def trajectory_fidelity(plan: TrajectoryPlan, index: int, engine: str = "branch") -> float:

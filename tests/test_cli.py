@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import cvqec
+from cvqec import montecarlo
 from cvqec.cli import main
 from cvqec.protocol import optimal_alpha_qubit
 
@@ -133,6 +134,32 @@ class TestFig4:
         threaded = (tmp_path / "fig4_none_coherent_pphi.csv").read_bytes()
         assert serial == threaded
 
+    # Budget 1 makes every chunk one row (run as two copies of it), 14 gives
+    # chunks of 7 bare or 1 phase-code rows.  The sweep memo is not keyed by
+    # the budget, so it is emptied with the carriers.
+    @pytest.mark.parametrize("code", ["none", "three_qubit"])
+    def test_chunk_budget_does_not_change_bytes(self, tmp_path, monkeypatch, code):
+        def clear():
+            montecarlo._carrier.cache_clear()
+            montecarlo._sweep_rows.cache_clear()
+
+        stem = f"fig4_{code}_coherent_pphi"
+        outputs = []
+        try:
+            for budget in (1, 14, 2048, 65536):
+                monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", budget)
+                clear()
+                out = tmp_path / str(budget)
+                out.mkdir()
+                assert main(["fig4", "--code", code, "--trajectories", "300",
+                             "--seed", "11", "--out", str(out)]) == 0
+                outputs.append([(out / name).read_bytes()
+                                for name in (f"{stem}.csv", f"{stem}_config.json")])
+        finally:
+            monkeypatch.undo()
+            clear()
+        assert all(o == outputs[0] for o in outputs)
+
     # Text written by the dense-matrix implementation of the qubit-carrier
     # Paulis and confinement; the bit-mask path must reproduce it exactly.
     @pytest.mark.parametrize("argv, name, text", [
@@ -148,6 +175,25 @@ class TestFig4:
         assert main(["fig4", *argv, "--points", "0.15", "--trajectories", "8",
                      "--seed", "5", "--out", str(tmp_path)]) == 0
         assert (tmp_path / name).read_text() == text
+
+    # Text written by one run per point, before the points of a p_phi sweep
+    # shared their trajectories.
+    @pytest.mark.parametrize("code, text", [
+        ("none", "pphi,infidelity,std_error,n,unrecoverable,complement\n"
+                 + "0,0.00616261985,0.00076259889,40,0,0\n"
+                 + "".join(f"{p},0.00616261985,0.00076259889,40,0,0\n"
+                           for p in ("0.01", "0.02", "0.05", "0.1"))
+                 + "0.15,0.00660414725,0.000820805066,40,0,0\n"
+                 + "0.2,0.00682244718,0.000825701787,40,0,0\n"),
+        ("three_qubit", "pphi,infidelity,std_error,n,unrecoverable,complement\n"
+                        + "".join(f"{p},0.00630303823,0.000858372187,40,0,0\n"
+                                  for p in ("0", "0.01", "0.02", "0.05", "0.1",
+                                            "0.15", "0.2"))),
+    ])
+    def test_pinned_default_pphi_sweep_text(self, tmp_path, code, text):
+        assert main(["fig4", "--code", code, "--trajectories", "40", "--seed", "5",
+                     "--out", str(tmp_path)]) == 0
+        assert (tmp_path / f"fig4_{code}_coherent_pphi.csv").read_text() == text
 
     # Text written with one seeded generator per trajectory and sweep point;
     # three chunks of 85 trajectories share one set of draws across points.

@@ -14,6 +14,7 @@ from cvqec.montecarlo import (_SHOR_MODE_DIM, ANCILLA_KINDS,
                               EstimateWithError, TrajectoryPlan, _BranchState,
                               _Context, _DenseState,
                               _pcg64_states, _run_draws, _ShorState, _streams,
+                              _sweep_rows,
                               branch_decomposition_run, estimate_qubit_var_p,
                               run_concatenated, trajectory_fidelity)
 from cvqec.protocol import (exact_infidelity, optimal_alpha_qubit,
@@ -356,6 +357,46 @@ class TestReproducibility:
         threaded = branch_decomposition_run(plan)
         assert serial.infidelity.mean == threaded.infidelity.mean
 
+    # Per-trajectory values of a sweep's distinct rows; the CSV's %.9g would
+    # hide a last-bit change.  Budget 1 runs every row as a two-copy chunk.
+    @pytest.mark.parametrize("ancilla", ["bare", "three_qubit_phase"])
+    def test_chunk_budget_does_not_change_rows(self, monkeypatch, ancilla):
+        base = TrajectoryPlan(sigma=0.15, ancilla=ancilla, n_trajectories=300,
+                              root_seed=11, zeta=optimal_zeta())
+        rows = []
+        try:
+            for budget in (1, 14, 2048, 65536):
+                monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", budget)
+                montecarlo._carrier.cache_clear()
+                _sweep_rows.cache_clear()
+                parts, _ = _sweep_rows(base, (0.0, 0.05, 0.1, 0.2))
+                rows.append(b"".join(part.tobytes() for part in parts))
+        finally:
+            monkeypatch.undo()
+            montecarlo._carrier.cache_clear()
+            _sweep_rows.cache_clear()
+        assert rows == [rows[0]] * 4
+
+    @pytest.mark.parametrize("ancilla", ["bare", "three_qubit_phase"])
+    def test_replays_equal_run_rows(self, monkeypatch, ancilla):
+        # A one-row replay runs as two copies of its row; run alone, np.einsum
+        # moved the last bit of several of these rows.
+        plan = TrajectoryPlan(sigma=0.15, ancilla=ancilla, p_phi=0.1,
+                              n_trajectories=300, root_seed=11, zeta=optimal_zeta())
+        run_chunk, values = montecarlo._run_chunk, []
+
+        def recording(*args):
+            result = run_chunk(*args)
+            values.extend(result[0].tolist())
+            return result
+
+        monkeypatch.setattr(montecarlo, "_run_chunk", recording)
+        _sweep_rows.cache_clear()
+        branch_decomposition_run(plan)
+        assert len(values) == 300
+        for index in np.random.default_rng(0).choice(300, 20, replace=False).tolist():
+            assert trajectory_fidelity(plan, index, "branch") == 1.0 - values[index]
+
 
 def _assert_stream(rng, root_seed, index):
     """rng is at the start of the stream of SeedSequence([root_seed, index]):
@@ -457,6 +498,32 @@ class TestSweepSharing:
                                                     root_seed=seed))
             assert _run_draws.cache_info().currsize == 1
         assert not any(a.flags.writeable for a in _run_draws(2, "perfect", 20))
+
+    # the first two sweeps end in a one-row chunk: 257 distinct rows in
+    # chunks of 256, 1025 in chunks of 1024
+    @pytest.mark.parametrize("state_kind", ["coherent", "fock1"])
+    @pytest.mark.parametrize("ancilla, seed, n, one_row_tail", [
+        ("three_qubit_phase", 0, 164, True), ("bare", 0, 865, True),
+        ("three_qubit_phase", 5, 300, False), ("bare", 5, 160, False),
+    ])
+    def test_sweep_equals_single_runs(self, ancilla, seed, n, one_row_tail, state_kind):
+        points = (0.0, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2)
+        base = TrajectoryPlan(sigma=0.1, ancilla=ancilla, n_trajectories=n, root_seed=seed,
+                              zeta=optimal_zeta(), state_kind=state_kind)
+        plans = [dataclasses.replace(base, p_phi=p) for p in points]
+        _sweep_rows.cache_clear()
+        swept = [branch_decomposition_run(plan, points) for plan in plans]
+        info = _sweep_rows.cache_info()
+        assert (info.misses, info.hits) == (1, len(points) - 1)
+        distinct = len(_sweep_rows(base, points)[0][0])
+        assert (distinct % _Context(base).chunk_size == 1) == one_row_tail
+        for plan, result in zip(plans, swept):
+            assert branch_decomposition_run(plan) == result
+
+    def test_sweep_rejects_dephasing_of_bosonic_plan(self):
+        plan = TrajectoryPlan(sigma=0.1, ancilla="binomial_n3", n_trajectories=4)
+        with pytest.raises(ValueError, match="dephasing rate"):
+            branch_decomposition_run(plan, sweep=(0.1,))
 
     def test_single_trajectory_past_the_run(self):
         plan = TrajectoryPlan(sigma=0.15, ancilla="three_qubit_phase", p_phi=0.1,
