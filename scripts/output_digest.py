@@ -30,7 +30,15 @@ in the flags where the infidelity barely moves.  The values are the ones the chu
 a branch_decomposition_run return (montecarlo._run_chunk is wrapped while
 the run executes), not one-row replays of single trajectories.
 
-Usage: scripts/output_digest.py [--trajectories]
+With --header it first prints the numpy version and the BLAS name and
+version as ``#`` lines.  tests/data/output_digest.txt and
+tests/data/trajectories.txt are the two outputs with --header, and
+tests/test_output_digest.py compares them with this checkout's output:
+
+    scripts/output_digest.py --header > tests/data/output_digest.txt
+    scripts/output_digest.py --header --trajectories > tests/data/trajectories.txt
+
+Usage: scripts/output_digest.py [--trajectories] [--header]
 """
 
 import argparse
@@ -102,14 +110,10 @@ def trajectory_lines() -> list[str]:
     return lines
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--trajectories", action="store_true",
-                        help="print per-trajectory infidelities and flags instead of file digests")
-    if parser.parse_args().trajectories:
-        print("\n".join(trajectory_lines()))
-        return 0
-    status = 0
+def file_digest_lines() -> list[str]:
+    """One line per file that the commands write; a failing command gives
+    one ``FAILED`` line instead."""
+    lines = []
     for argv in commands():
         command = " ".join(argv)
         with tempfile.TemporaryDirectory() as tmp:
@@ -117,13 +121,36 @@ def main() -> int:
                       if argv[0] == "optimize" else ["--out", tmp])
             rc = cli.main(argv + target)
             if rc != 0:
-                print(f"FAILED rc={rc}  {command}")
-                status = 1
+                lines.append(f"FAILED rc={rc}  {command}")
                 continue
             for path in sorted(Path(tmp).iterdir()):
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                print(f"{digest}  {command}  {path.name}")
-    return status
+                lines.append(f"{digest}  {command}  {path.name}")
+    return lines
+
+
+def header_lines() -> list[str]:
+    """The numpy and BLAS build that the digests depend on, as comments."""
+    import numpy
+
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError, ValueError):
+        blas = {}
+    return [f"# numpy {numpy.__version__}",
+            f"# blas {blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--trajectories", action="store_true",
+                        help="print per-trajectory infidelities and flags instead of file digests")
+    parser.add_argument("--header", action="store_true",
+                        help="first print the numpy and BLAS build as '#' lines")
+    args = parser.parse_args()
+    lines = trajectory_lines() if args.trajectories else file_digest_lines()
+    print("\n".join((header_lines() if args.header else []) + lines))
+    return int(any(line.startswith("FAILED") for line in lines))
 
 
 if __name__ == "__main__":
