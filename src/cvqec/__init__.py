@@ -4,16 +4,15 @@ code-concatenated protocols, with closed-form, quadrature and Monte Carlo
 evaluation paths."""
 
 from .channels import (apply_displacement_channel, confine_single_boson,
-                       confinement_kraus, dephasing, sample_displacement)
+                       confinement_kraus)
 from .dvcodes import (CodeSpec, SyndromeResult, binomial_code, encode,
-                      get_code, logical_flip_probability_three_qubit, recover,
+                      logical_flip_probability_three_qubit, recover,
                       shor9_code, three_qubit_phase_code)
 from .fock import (DensityMatrix, DisplacementEngine, PureState,
                    TruncationError, TruncationWarning, coherent_state,
                    displacement_operator, fidelity, fock_state, overlap_f)
-from .gaussian import (DEFAULT_QUADRATURE, FilteredMoments, IntegrationError,
-                       NoiseModel, QuadratureSpec, gaussian_pdf, integrate,
-                       qubit_filtered_moments, qubit_outcome_mean,
+from .gaussian import (FilteredMoments, IntegrationError, gaussian_pdf,
+                       integrate, qubit_filtered_moments, qubit_outcome_mean,
                        qudit_filter, qudit_filtered_moments)
 from .montecarlo import (EstimateWithError, RunResult, TrajectoryPlan,
                          branch_decomposition_run, estimate_qubit_var_p,

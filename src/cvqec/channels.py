@@ -1,76 +1,61 @@
-"""Error channels: random displacement, qubit dephasing, boson-number confinement.
+"""Error channels: random displacement and boson-number confinement.
 
-The displacement channel exists in two interchangeable forms, a
-density-matrix transform (2-D Gauss-Hermite average over displacements)
-and a Kraus-sampling form (draw one displacement per trajectory); the
-Monte Carlo engine uses the latter.  Confinement is the dissipative map
-that pumps every n >= 2 Fock level of an auxiliary mode back to |1>,
-turning the mode into a qubit.
+The displacement channel is a density-matrix transform, a 2-D
+Gauss-Hermite average over displacements, kept as an oracle for the
+tests: both Monte Carlo engines draw their displacements in
+``montecarlo``.  Confinement is the dissipative map that pumps every
+n >= 2 Fock level of an auxiliary mode back to |1>, turning the mode into
+a qubit; ``montecarlo`` applies :func:`confinement_kraus` to the
+nine-qubit carrier's modes.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .fock import DensityMatrix, DisplacementEngine, TruncationError
-from .gaussian import NoiseModel
 
 __all__ = [
-    "sample_displacement",
     "apply_displacement_channel",
-    "dephasing",
     "confine_single_boson",
     "confinement_kraus",
 ]
 
-_Z = np.diag([1.0, -1.0]).astype(complex)
+# Order of the Gauss-Hermite rule in each quadrature.
+_N_NODES = 64
 
 
-def sample_displacement(noise: NoiseModel, rng: np.random.Generator) -> complex:
-    """One draw of the complex displacement; both quadratures are i.i.d.
-    zero-mean Gaussian with variance sigma^2 / 2."""
-    scale = noise.sigma / np.sqrt(2.0)
-    bq, bp = rng.normal(0.0, scale, size=2)
-    return complex(bq, bp)
-
-
-def apply_displacement_channel(rho: DensityMatrix, noise: NoiseModel,
-                               n_nodes: int = 64) -> DensityMatrix:
+def apply_displacement_channel(rho: DensityMatrix, sigma: float) -> DensityMatrix:
     """Average D(beta) rho D(beta)^dag over the Gaussian displacement
-    distribution with a tensor-product Gauss-Hermite rule."""
+    distribution of strength sigma (per-quadrature variance sigma^2/2)
+    with a tensor-product Gauss-Hermite rule."""
+    if not (sigma > 0 and math.isfinite(sigma)):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     dim = rho.dim
-    t, w = hermgauss(n_nodes)
+    t, w = hermgauss(_N_NODES)
     # Effective support: nodes past |t| ~ 5.7 carry Gaussian weight < 1e-14.
-    beta_eff = noise.sigma * min(t[-1], 5.7)
+    beta_eff = sigma * min(t[-1], 5.7)
     if 2.0 * beta_eff**2 > (dim - 1) / 4.0:
         raise TruncationError(
-            f"sigma={noise.sigma} needs displacements up to |beta|^2="
+            f"sigma={sigma} needs displacements up to |beta|^2="
             f"{2 * beta_eff**2:.3g}, beyond headroom (dim-1)/4={(dim - 1) / 4}")
     engine = DisplacementEngine(dim)
     # The 2-D average factorizes: D(bq + i bp) rho D^dag is a q-congruence
     # followed by a p-congruence, so two 1-D passes suffice.
     inner = np.zeros((dim, dim), dtype=complex)
-    for j in range(n_nodes):
-        d = engine.matrix(complex(noise.sigma * t[j], 0.0))
+    for j in range(_N_NODES):
+        d = engine.matrix(complex(sigma * t[j], 0.0))
         inner += w[j] * (d @ rho.matrix @ d.conj().T)
     out = np.zeros((dim, dim), dtype=complex)
-    for i in range(n_nodes):
-        d = engine.matrix(complex(0.0, noise.sigma * t[i]))
+    for i in range(_N_NODES):
+        d = engine.matrix(complex(0.0, sigma * t[i]))
         out += w[i] * (d @ inner @ d.conj().T)
     out /= np.pi
     out = 0.5 * (out + out.conj().T)
     return DensityMatrix(out)
-
-
-def dephasing(rho: DensityMatrix, p_phi: float) -> DensityMatrix:
-    """(1 - p) rho + p Z rho Z on a single qubit."""
-    if rho.dim != 2:
-        raise ValueError(f"dephasing acts on a qubit, got dimension {rho.dim}")
-    if not 0.0 <= p_phi <= 0.5:
-        raise ValueError(f"p_phi must lie in [0, 1/2], got {p_phi}")
-    m = (1.0 - p_phi) * rho.matrix + p_phi * (_Z @ rho.matrix @ _Z)
-    return DensityMatrix(m)
 
 
 def confinement_kraus(dim: int) -> list[np.ndarray]:

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import DensityMatrix, PureState, annihilation
+from .fock import LEAKAGE_BUDGET, DensityMatrix, PureState, annihilation
 
 __all__ = [
     "CodeSpec",
@@ -30,7 +30,6 @@ __all__ = [
     "three_qubit_phase_code",
     "shor9_code",
     "binomial_code",
-    "get_code",
     "encode",
     "recover",
     "logical_flip_probability_three_qubit",
@@ -122,11 +121,6 @@ class CodeSpec:
     def dim(self) -> int:
         return len(self.logical_g)
 
-    def codeword_projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        pg = np.outer(self.logical_g, self.logical_g.conj())
-        pe = np.outer(self.logical_e, self.logical_e.conj())
-        return pg, pe
-
     def y_states(self) -> tuple[np.ndarray, np.ndarray]:
         plus = (self.logical_g + 1j * self.logical_e) / np.sqrt(2.0)
         minus = (self.logical_g - 1j * self.logical_e) / np.sqrt(2.0)
@@ -175,16 +169,6 @@ def binomial_code(n_trunc: int = 23) -> CodeSpec:
     return CodeSpec("binomial_n3", "single_mode", g, e)
 
 
-def get_code(name: str, n_trunc: int = 23) -> CodeSpec:
-    if name == "three_qubit_phase":
-        return three_qubit_phase_code()
-    if name == "shor9":
-        return shor9_code()
-    if name == "binomial_n3":
-        return binomial_code(n_trunc)
-    raise ValueError(f"unknown code {name!r}")
-
-
 def encode(code: CodeSpec, logical: PureState) -> PureState:
     """a|g> + b|e>  ->  a|g>_L + b|e>_L on the physical carrier."""
     if logical.dim != 2:
@@ -192,9 +176,7 @@ def encode(code: CodeSpec, logical: PureState) -> PureState:
     a, b = logical.amplitudes
     # the cutoff-leakage check is meaningless for qubit registers, where
     # population on the top basis states is perfectly ordinary
-    budget = 1.0 if code.carrier == "qubits" else None
-    if budget is None:
-        return PureState(a * code.logical_g + b * code.logical_e)
+    budget = 1.0 if code.carrier == "qubits" else LEAKAGE_BUDGET
     return PureState(a * code.logical_g + b * code.logical_e, leakage_budget=budget)
 
 

@@ -66,10 +66,6 @@ class PureState:
                           TruncationWarning, stacklevel=2)
 
     @property
-    def n_trunc(self) -> int:
-        return len(self.amplitudes) - 1
-
-    @property
     def dim(self) -> int:
         return len(self.amplitudes)
 

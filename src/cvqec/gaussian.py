@@ -20,12 +20,10 @@ of ``e^{i t b}`` are exact:
 ``E[b^2 e^{itb}] = (sigma^2/2 - t^2 sigma^4/4) e^{-t^2 sigma^2/4}``.
 Every qudit moment is therefore a sum of ``2d - 1`` terms, summed for
 all d outcomes at once by :func:`qudit_moments`; ``protocol``'s optimizers
-minimize the variances its scheme runners report from it.  The
-quadrature routines (:func:`integrate`, :class:`QuadratureSpec`) remain
-as a general-purpose oracle and for the Gauss-Hermite nodes used by
-``protocol.exact_infidelity``.  Gauss-Hermite needs only numpy; the
-adaptive method is scipy's ``quad``, imported on its first call, so no
-command of the package loads scipy.
+minimize the variances its scheme runners report from it.
+:func:`integrate`, scipy's adaptive ``quad``, is the independent oracle
+the tests check these closed forms against; scipy is imported on its
+first call, so no command of the package loads scipy.
 """
 
 from __future__ import annotations
@@ -35,12 +33,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 __all__ = [
-    "NoiseModel",
     "FilteredMoments",
-    "QuadratureSpec",
     "IntegrationError",
     "gaussian_pdf",
     "integrate",
@@ -61,21 +56,9 @@ QUDIT_MEASUREMENT_OFFSET = 0.5
 
 _SQRT_PI = math.sqrt(math.pi)
 
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Random displacement noise of strength ``sigma`` (per-quadrature
-    variance ``sigma**2 / 2``)."""
-
-    sigma: float
-
-    def __post_init__(self):
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
-
-    @property
-    def quadrature_variance(self) -> float:
-        return 0.5 * self.sigma**2
+# Tolerances of :func:`integrate`.
+_ABS_TOL = 1e-12
+_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -111,27 +94,6 @@ def _moments(prob: float, mean: float, second_moment: float) -> FilteredMoments:
     return FilteredMoments(prob, mean, second_moment, second_moment - mean**2)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Quadrature method and tolerances used for the moment integrals."""
-
-    method: str = "gauss-hermite"
-    nodes: int = 200
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.method not in ("gauss-hermite", "adaptive"):
-            raise ValueError(f"unknown quadrature method {self.method!r}")
-        if self.nodes < 16:
-            raise ValueError("need at least 16 quadrature nodes")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
-
-
 class IntegrationError(RuntimeError):
     """Quadrature failed to converge; carries the best estimate seen."""
 
@@ -150,39 +112,9 @@ def gaussian_pdf(x, sigma: float):
     return out if out.ndim else float(out)
 
 
-_GH_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-# numpy's hermgauss weights underflow to zero (and then to NaN after
-# normalization) somewhere between order 370 and 390; stay well clear.
-MAX_GH_NODES = 350
-
-
-def _gh_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n > MAX_GH_NODES:
-        raise ValueError(
-            f"Gauss-Hermite order {n} exceeds the stable limit {MAX_GH_NODES}; "
-            "use the adaptive method for integrands this oscillatory")
-    if n not in _GH_CACHE:
-        t, w = hermgauss(n)
-        _GH_CACHE[n] = (t, w)
-    return _GH_CACHE[n]
-
-
-def _gh_integrate(f, lower, upper, nodes):
-    # Treat f as a Gaussian-weighted integrand: sum w_i * f(x_i) * e^{x_i^2}
-    # over Hermite nodes inside the interval.  Weights are combined in log
-    # space so large-node evaluations cannot overflow.
-    t, w = _gh_nodes(nodes)
-    keep = (t >= lower) & (t <= upper)
-    t = t[keep]
-    fv = np.asarray([f(x) for x in t], dtype=float)
-    wexp = np.exp(np.log(w[keep]) + t * t)
-    return float(np.sum(wexp * fv))
-
-
 class _sciint:
     """The part of ``scipy.integrate`` that :func:`integrate` uses; scipy
-    is imported on the first adaptive integral, not with this module."""
+    is imported on the first integral, not with this module."""
 
     @staticmethod
     def quad(*args, **kwargs):
@@ -190,35 +122,20 @@ class _sciint:
         return quad(*args, **kwargs)
 
 
-def integrate(f: Callable[[float], float], lower: float, upper: float,
-              spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """Integrate ``f`` over ``[lower, upper]``.
+def integrate(f: Callable[[float], float], lower: float, upper: float) -> float:
+    """Integrate ``f`` over ``[lower, upper]`` with scipy's adaptive
+    Gauss-Kronrod rule (absolute tolerance 1e-12, relative 1e-10).
 
-    The gauss-hermite method assumes the integrand decays at least as fast
-    as a unit Gaussian (true for every integrand in this package); the
-    adaptive method delegates to scipy's Gauss-Kronrod rule.  Raises
-    :class:`IntegrationError` when the node budget is exhausted before the
-    two finest estimates agree to tolerance.
+    Raises :class:`IntegrationError` when the error estimate exceeds ten
+    times the tolerance.
     """
     if not lower < upper:
         raise ValueError("need lower < upper")
-    if spec.method == "adaptive":
-        value, err = _sciint.quad(f, lower, upper, epsabs=spec.abs_tol,
-                                  epsrel=spec.rel_tol, limit=400)
-        if err > max(spec.abs_tol, spec.rel_tol * abs(value)) * 10:
-            raise IntegrationError("adaptive quadrature did not converge", value, err)
-        return value
-
-    n = spec.nodes
-    prev = _gh_integrate(f, lower, upper, n)
-    while n < MAX_GH_NODES:
-        n = min(2 * n, MAX_GH_NODES)
-        cur = _gh_integrate(f, lower, upper, n)
-        resid = abs(cur - prev)
-        if resid <= max(spec.abs_tol, spec.rel_tol * abs(cur)):
-            return cur
-        prev = cur
-    raise IntegrationError("Gauss-Hermite refinement stalled", cur, resid)
+    value, err = _sciint.quad(f, lower, upper, epsabs=_ABS_TOL, epsrel=_REL_TOL,
+                              limit=400)
+    if err > max(_ABS_TOL, _REL_TOL * abs(value)) * 10:
+        raise IntegrationError("adaptive quadrature did not converge", value, err)
+    return value
 
 
 def qubit_outcome_mean(sigma: float, alpha: float) -> float:

@@ -15,10 +15,10 @@ import numpy as np
 __all__ = ["minimize_scalar"]
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GRID_POINTS = 32
 
 
-def minimize_scalar(f, lower: float, upper: float, tol: float = 1e-6,
-                    grid_points: int = 32):
+def minimize_scalar(f, lower: float, upper: float, tol: float = 1e-6):
     """Minimize ``f`` on ``[lower, upper]``; returns ``(argmin, min_value)``.
 
     A 32-point scan (log-spaced when the bracket is positive) picks the
@@ -29,15 +29,15 @@ def minimize_scalar(f, lower: float, upper: float, tol: float = 1e-6,
     if not lower < upper:
         raise ValueError("need lower < upper")
     if lower > 0:
-        grid = np.geomspace(lower, upper, grid_points)
+        grid = np.geomspace(lower, upper, _GRID_POINTS)
     else:
-        grid = np.linspace(lower, upper, grid_points)
+        grid = np.linspace(lower, upper, _GRID_POINTS)
     vals = np.array([f(x) for x in grid], dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("objective returned a non-finite value on the scan grid")
     i = int(np.argmin(vals))
     a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, grid_points - 1)]
+    b = grid[min(i + 1, _GRID_POINTS - 1)]
 
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)

@@ -15,9 +15,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.hermite import hermgauss
 
 from . import gaussian
 from .fock import overlap_f
@@ -45,6 +47,9 @@ __all__ = [
     "squeezing_db",
     "second_derivative_at_origin",
 ]
+
+# Finite-difference step of second_derivative_at_origin.
+_FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -231,13 +236,12 @@ def optimize_qubit_alpha_for(sigma_p: float):
                            0.2 / sigma_p, 8.0 / sigma_p, tol=1e-8)
 
 
-def second_derivative_at_origin(state_kind: str, quadrature: str = "q",
-                                h: float = 1e-4) -> float:
+def second_derivative_at_origin(state_kind: str, quadrature: str = "q") -> float:
     """Central finite-difference d^2 f / d beta_x^2 at beta = 0 of the
     displacement overlap; -2 for coherent states, -6 for the single boson."""
-    step = h if quadrature == "q" else 1j * h
+    step = _FD_STEP if quadrature == "q" else 1j * _FD_STEP
     return (overlap_f(state_kind, step) - 2.0 * overlap_f(state_kind, 0.0)
-            + overlap_f(state_kind, -step)) / h**2
+            + overlap_f(state_kind, -step)) / _FD_STEP**2
 
 
 def infidelity_from_noise(state_kind: str, noise: CorrectedNoise) -> float:
@@ -250,6 +254,12 @@ def infidelity_from_noise(state_kind: str, noise: CorrectedNoise) -> float:
     return -0.5 * (fq * noise.var_q + fp * noise.var_p)
 
 
+@lru_cache(maxsize=None)
+def _gh_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The order-200 Gauss-Hermite rule of each exact_infidelity quadrature."""
+    return hermgauss(200)
+
+
 def _overlap_grid(state_kind: str, bq: np.ndarray, bp: np.ndarray) -> np.ndarray:
     r2 = bq[:, None] ** 2 + bp[None, :] ** 2
     if state_kind == "coherent":
@@ -259,12 +269,11 @@ def _overlap_grid(state_kind: str, bq: np.ndarray, bp: np.ndarray) -> np.ndarray
     raise ValueError(f"unknown state kind {state_kind!r}")
 
 
-def exact_infidelity(state_kind: str, noise: CorrectedNoise,
-                     n_nodes: int = 200) -> float:
+def exact_infidelity(state_kind: str, noise: CorrectedNoise) -> float:
     """Outcome-averaged infidelity 1 - sum_l N_l int P_l,corr f d^2 beta,
     evaluated by 2-D Gauss-Hermite quadrature without any small-noise
     assumption."""
-    t, w = gaussian._gh_nodes(n_nodes)
+    t, w = _gh_rule()
     fid = 0.0
     for bq_branch in noise.q.branches:
         uq = noise.q.sigma * t

@@ -4,23 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cvqec.channels import (apply_displacement_channel, confine_single_boson,
-                            confinement_kraus, dephasing, sample_displacement)
+                            confinement_kraus)
 from cvqec.fock import (DensityMatrix, TruncationError, coherent_state,
                         fock_state)
-from cvqec.gaussian import NoiseModel
-
-
-def test_sample_displacement_statistics():
-    rng = np.random.default_rng(0)
-    noise = NoiseModel(0.2)
-    draws = np.array([sample_displacement(noise, rng) for _ in range(20000)])
-    assert np.var(draws.real) == pytest.approx(0.02, rel=0.05)
-    assert np.var(draws.imag) == pytest.approx(0.02, rel=0.05)
-    assert abs(np.mean(draws)) < 5e-3
 
 
 class TestDisplacementChannel:
@@ -28,38 +16,25 @@ class TestDisplacementChannel:
         # <0| E(|0><0|) |0> = integral G(bq) G(bp) e^{-|b|^2} = 1/(1+sigma^2)
         sigma = 0.2
         rho = fock_state(0, 19).to_density()
-        out = apply_displacement_channel(rho, NoiseModel(sigma))
+        out = apply_displacement_channel(rho, sigma)
         assert out.matrix[0, 0].real == pytest.approx(1 / (1 + sigma**2), abs=1e-10)
 
     def test_trace_and_hermiticity(self):
         rho = coherent_state(0.4, 13).to_density()
-        out = apply_displacement_channel(rho, NoiseModel(0.2))
+        out = apply_displacement_channel(rho, 0.2)
         assert np.trace(out.matrix).real == pytest.approx(1.0, abs=1e-10)
         assert np.max(np.abs(out.matrix - out.matrix.conj().T)) < 1e-12
 
     def test_headroom_guard(self):
         rho = fock_state(0, 4).to_density()
         with pytest.raises(TruncationError):
-            apply_displacement_channel(rho, NoiseModel(0.5))
+            apply_displacement_channel(rho, 0.5)
 
-
-class TestDephasing:
-    def test_coherence_shrinks(self):
-        plus = DensityMatrix(np.full((2, 2), 0.5, dtype=complex))
-        out = dephasing(plus, 0.2)
-        assert out.matrix[0, 1].real == pytest.approx(0.5 * (1 - 2 * 0.2))
-
-    def test_p_range(self):
-        plus = DensityMatrix(np.full((2, 2), 0.5, dtype=complex))
-        with pytest.raises(ValueError):
-            dephasing(plus, 0.7)
-
-    @settings(max_examples=25, deadline=None)
-    @given(p=st.floats(0.0, 0.5), x=st.floats(0.05, 0.95))
-    def test_trace_preserved(self, p, x):
-        rho = DensityMatrix(np.diag([x, 1 - x]).astype(complex))
-        out = dephasing(rho, p)
-        assert np.trace(out.matrix).real == pytest.approx(1.0, abs=1e-12)
+    def test_rejects_bad_sigma(self):
+        rho = fock_state(0, 19).to_density()
+        for sigma in (0.0, -0.1, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                apply_displacement_channel(rho, sigma)
 
 
 class TestConfinement:
@@ -82,7 +57,6 @@ class TestConfinement:
         # eta = (|0><0| + (1+s^2)|1><1|) / (2+s^2)
         sigma = 0.3
         dim = 28
-        noise = NoiseModel(sigma)
         s2 = sigma**2
         eta = np.diag([1.0, 1 + s2]).astype(complex) / (2 + s2)
         p_keep = 1 / (1 + s2) ** 2
@@ -93,7 +67,7 @@ class TestConfinement:
             big = np.zeros((dim, dim), dtype=complex)
             rho_in = np.outer(qubit, qubit.conj())
             big[:2, :2] = rho_in
-            noisy = apply_displacement_channel(DensityMatrix(big), noise)
+            noisy = apply_displacement_channel(DensityMatrix(big), sigma)
             out = confine_single_boson(noisy)
             expect = p_keep * rho_in + p_err * eta
             assert np.max(np.abs(out.matrix - expect)) < 1e-12

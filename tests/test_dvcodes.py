@@ -10,13 +10,22 @@ from cvqec import dvcodes
 from cvqec.dvcodes import (_CORRECTABLE, _STABILIZERS, binomial_code,
                            PauliOp, binomial_recovery_basis,
                            binomial_recovery_kraus, correction_matrix, encode,
-                           get_code, kraus_choice,
+                           kraus_choice,
                            logical_flip_probability_three_qubit,
                            pauli_matrix, recover, shor9_code,
                            stabilizer_matrices, stabilizer_ops,
                            three_qubit_phase_code)
 from cvqec.fock import (DensityMatrix, PureState, annihilation, fidelity,
                         fock_state)
+
+
+_CODES = {"three_qubit_phase": three_qubit_phase_code, "shor9": shor9_code,
+          "binomial_n3": binomial_code}
+
+
+def _codespace_projector(code):
+    return (np.outer(code.logical_g, code.logical_g.conj())
+            + np.outer(code.logical_e, code.logical_e.conj()))
 
 
 def _encoded_probe(code):
@@ -28,7 +37,7 @@ def _encoded_probe(code):
 class TestCodewords:
     @pytest.mark.parametrize("name", ["three_qubit_phase", "shor9", "binomial_n3"])
     def test_orthonormal(self, name):
-        code = get_code(name)
+        code = _CODES[name]()
         assert np.linalg.norm(code.logical_g) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(code.logical_e) == pytest.approx(1.0, abs=1e-12)
         assert abs(np.vdot(code.logical_g, code.logical_e)) < 1e-12
@@ -59,10 +68,6 @@ class TestCodewords:
         with pytest.raises(ValueError):
             binomial_code(8)
 
-    def test_unknown_code(self):
-        with pytest.raises(ValueError):
-            get_code("steane7")
-
 
 class TestEncoding:
     def test_encode_superposition(self):
@@ -87,7 +92,7 @@ class TestPauliOp:
         for syndrome in range(2 ** len(_STABILIZERS[name])):
             op, label, _ = correction_matrix(name, syndrome)
             cases.append((op, pauli_matrix(label)))
-        dim = get_code(name).dim
+        dim = _CODES[name]().dim
         rng = np.random.default_rng(7)
         operands = [rng.normal(size=shape) + 1j * rng.normal(size=shape)
                     for shape in ((dim,), (dim, 5))]
@@ -276,8 +281,7 @@ class TestShorRecovery:
         rho = DensityMatrix(np.outer(err @ psi.amplitudes,
                                      (err @ psi.amplitudes).conj()))
         out, _ = recover(code, rho)
-        pg, pe = code.codeword_projectors()
-        in_code = np.trace((pg + pe) @ out.matrix).real
+        in_code = np.trace(_codespace_projector(code) @ out.matrix).real
         assert in_code == pytest.approx(1.0, abs=1e-10)
 
 
@@ -372,8 +376,7 @@ class TestBinomialRecovery:
         out, res = recover(code, rho)
         assert res.unrecoverable
         assert res.unrecoverable_weight == pytest.approx(21 / 22, abs=1e-10)
-        pg, pe = code.codeword_projectors()
-        assert np.trace((pg + pe) @ out.matrix).real == pytest.approx(1.0, abs=1e-10)
+        assert np.trace(_codespace_projector(code) @ out.matrix).real == pytest.approx(1.0, abs=1e-10)
 
 
 class TestThreeQubitDephasing:

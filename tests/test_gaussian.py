@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvqec import gaussian
-from cvqec.gaussian import (DEFAULT_QUADRATURE, NoiseModel, QuadratureSpec,
-                            QUDIT_MEASUREMENT_OFFSET, gaussian_pdf, integrate,
-                            qubit_filtered_moments, qubit_outcome_mean,
-                            qudit_filter, qudit_filtered_moments, qudit_moments)
+from cvqec.gaussian import (QUDIT_MEASUREMENT_OFFSET, IntegrationError,
+                            gaussian_pdf, integrate, qubit_filtered_moments,
+                            qubit_outcome_mean, qudit_filter,
+                            qudit_filtered_moments, qudit_moments)
 
 
 def fourier_qudit_moments(sigma, alpha, d):
@@ -60,13 +60,12 @@ class TestClosedForms:
 
     def test_qubit_moments_against_quadrature(self):
         sigma, alpha = 0.12, 2.3
-        spec = QuadratureSpec(method="adaptive")
         m = qubit_filtered_moments(sigma, alpha, "+Y")
         f = lambda b: 0.5 * (1 + np.sin(4 * alpha * b))
         lo, hi = -12 * sigma, 12 * sigma
-        n = integrate(lambda b: gaussian_pdf(b, sigma) * f(b), lo, hi, spec)
-        m1 = integrate(lambda b: b * gaussian_pdf(b, sigma) * f(b), lo, hi, spec)
-        m2 = integrate(lambda b: b**2 * gaussian_pdf(b, sigma) * f(b), lo, hi, spec)
+        n = integrate(lambda b: gaussian_pdf(b, sigma) * f(b), lo, hi)
+        m1 = integrate(lambda b: b * gaussian_pdf(b, sigma) * f(b), lo, hi)
+        m2 = integrate(lambda b: b**2 * gaussian_pdf(b, sigma) * f(b), lo, hi)
         assert m.outcome_prob == pytest.approx(n, abs=1e-12)
         assert m.mean == pytest.approx(m1 / n, abs=1e-12)
         assert m.variance == pytest.approx(m2 / n - (m1 / n) ** 2, abs=1e-12)
@@ -152,14 +151,13 @@ class TestQuditMoments:
     def test_against_adaptive_quadrature(self, d, sigma, alpha):
         # independent oracle: scipy's adaptive rule on the filtered
         # Gaussian over the support extended by one kernel period
-        spec = QuadratureSpec(method="adaptive")
         half = 8.0 * sigma + np.pi / alpha
         for l in range(d):
             l_eff = l + QUDIT_MEASUREMENT_OFFSET
             n, m1, m2 = (
                 integrate(lambda b, k=k: gaussian_pdf(b, sigma)
                           * qudit_filter(b, alpha, d, l_eff) * b**k,
-                          -half, half, spec)
+                          -half, half)
                 for k in (0, 1, 2))
             m = qudit_filtered_moments(sigma, alpha, d, l)
             assert m.outcome_prob == pytest.approx(n, abs=1e-10)
@@ -176,18 +174,21 @@ class TestQuditMoments:
         assert total == pytest.approx(1.0, abs=1e-8)
 
 
-class TestValidation:
-    def test_noise_model_rejects_bad_sigma(self):
-        with pytest.raises(ValueError):
-            NoiseModel(sigma=0.0)
+class TestIntegrate:
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_nonconvergence_raises_with_best_estimate(self):
+        # sin(1/x)/x oscillates without bound at 0: quad exhausts its
+        # subdivisions and reports an error estimate far above tolerance
+        with pytest.raises(IntegrationError) as info:
+            integrate(lambda x: math.sin(1 / x) / x if x else 0.0, -1.0, 1.0)
+        assert math.isfinite(info.value.best_estimate)
+        assert info.value.residual > 1e-3
+        assert str(info.value.best_estimate) in str(info.value)
 
-    def test_quadrature_spec_rejects_bad_method(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(method="simpson")
-
-    def test_default_spec(self):
-        assert DEFAULT_QUADRATURE.method == "gauss-hermite"
-        assert DEFAULT_QUADRATURE.nodes >= 16
+    @pytest.mark.parametrize("lower, upper", [(1.0, 1.0), (2.0, -2.0)])
+    def test_rejects_empty_interval(self, lower, upper):
+        with pytest.raises(ValueError, match="lower < upper"):
+            integrate(math.exp, lower, upper)
 
 
 def test_adaptive_method_calls_quad_through_sciint(monkeypatch):
@@ -201,8 +202,7 @@ def test_adaptive_method_calls_quad_through_sciint(monkeypatch):
         return quad(*args, **kwargs)
 
     monkeypatch.setattr(gaussian, "_sciint", types.SimpleNamespace(quad=counted_quad))
-    value = integrate(lambda x: math.exp(-x * x), -8.0, 8.0,
-                      QuadratureSpec(method="adaptive"))
+    value = integrate(lambda x: math.exp(-x * x), -8.0, 8.0)
     assert calls == [(-8.0, 8.0)]
     assert value == pytest.approx(math.sqrt(math.pi), rel=1e-10)
 
