@@ -1,12 +1,12 @@
 """Truncated Fock-space states, operators and analytic overlaps.
 
 All operators act on the number basis 0..n_trunc (dimension n_trunc + 1).
-displacement_operator exponentiates the truncated generator, which keeps
-it exactly unitary; truncation error shows up only in the matrix elements
-near the cutoff, and every constructor guards against states that push
-population into the top of the basis.  DisplacementEngine is the fast
-form that every engine uses: D(beta) from two cached eigenbases, applied
-to the last axis of an array with one beta per vector.
+DisplacementEngine, the displacement every engine uses, builds D(beta)
+from two cached eigenbases and applies it to the last axis of an array
+with one beta per vector.  Truncation error shows up only in the matrix
+elements near the cutoff (the tests compare with the exponential of the
+truncated generator), and every constructor guards against states that
+push population into the top of the basis.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "annihilation",
     "fock_state",
     "coherent_state",
-    "displacement_operator",
     "fidelity",
     "overlap_f",
     "DisplacementEngine",
@@ -126,20 +125,6 @@ def coherent_state(amplitude: complex, n_trunc: int) -> PureState:
     return PureState(amps)
 
 
-def displacement_operator(beta: complex, n_trunc: int) -> np.ndarray:
-    """exp(beta a^dag - beta* a) on the truncated space."""
-    if n_trunc < 2:
-        raise ValueError("n_trunc must be >= 2")
-    if abs(beta) ** 2 > n_trunc / 4:
-        raise TruncationError(
-            f"|beta|^2 = {abs(beta)**2:.3g} exceeds n_trunc/4 = {n_trunc / 4}")
-    from scipy.linalg import expm
-
-    a = annihilation(n_trunc)
-    gen = beta * a.conj().T - np.conj(beta) * a
-    return expm(gen)
-
-
 def fidelity(a: PureState, b: DensityMatrix) -> float:
     """<a| b |a>."""
     if a.dim != b.dim:
@@ -168,7 +153,7 @@ class DisplacementEngine:
     D(beta) = exp(-i bq bp) * exp(i bp (a + a^dag)) * exp(bq (a^dag - a)),
     so after diagonalizing the two quadrature generators once, applying an
     arbitrary displacement to a vector costs four dense mat-vecs.  Agrees
-    with the expm construction away from the cutoff.
+    with exp(beta a^dag - beta* a) away from the cutoff.
     """
 
     def __init__(self, dim: int):

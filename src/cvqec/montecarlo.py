@@ -95,9 +95,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import dvcodes
-from .channels import confinement_kraus
 from .fock import DisplacementEngine, coherent_state, fock_state
 from .gaussian import qubit_outcome_mean
+from .protocol import optimal_alpha_qubit
 
 __all__ = [
     "TrajectoryPlan",
@@ -106,6 +106,7 @@ __all__ = [
     "run_concatenated",
     "branch_decomposition_run",
     "estimate_qubit_var_p",
+    "confinement_kraus",
     "ANCILLA_KINDS",
 ]
 
@@ -115,7 +116,6 @@ _BOSONIC_KINDS = ("binomial_n3", "shor9")
 _SHOR_MODE_DIM = 14  # per-mode Fock levels while a single-boson qubit is displaced
 _BINOMIAL_N_TRUNC = 23
 _BRANCH_TOL = 1e-14
-_FOCK_CHUNK = 8192  # trajectories per batch of _fock_outcome_probabilities
 _CHUNK_BUDGET = 2048  # carrier amplitudes per term slot in one chunk
 # a shor9 term slot: at most four products (two X-type stabilizer
 # projections each double them) of three 8-dim block vectors
@@ -158,8 +158,7 @@ class TrajectoryPlan:
 
     @property
     def effective_alpha(self) -> float:
-        sigma_p = self.sigma * math.exp(-2.0 * self.zeta)
-        return 1.0 / (2.0 * math.sqrt(2.0) * sigma_p)
+        return optimal_alpha_qubit(self.sigma * math.exp(-2.0 * self.zeta))
 
 
 @dataclass(frozen=True)
@@ -302,6 +301,27 @@ def _block_paulis(label: str) -> tuple:
     non-identity 3-qubit blocks; block b holds qubits 3b, 3b+1, 3b+2."""
     return tuple((b, dvcodes.PauliOp(label[3 * b:3 * b + 3])) for b in range(3)
                  if label[3 * b:3 * b + 3] != "III")
+
+
+def confinement_kraus(dim: int) -> list[np.ndarray]:
+    """Kraus operators (dim -> 2) confining a mode to the {|0>, |1>} subspace.
+
+    The qubit subspace is untouched (single identity-like Kraus term, so
+    0-1 coherence survives); each n >= 2 level is pumped incoherently to
+    |1>.  Composed with the Gaussian displacement channel this reproduces
+    the closed-form single-boson-qubit error channel.
+    """
+    if dim < 3:
+        raise ValueError("confinement needs at least 3 Fock levels")
+    k0 = np.zeros((2, dim), dtype=complex)
+    k0[0, 0] = 1.0
+    k0[1, 1] = 1.0
+    ops = [k0]
+    for n in range(2, dim):
+        k = np.zeros((2, dim), dtype=complex)
+        k[1, n] = 1.0
+        ops.append(k)
+    return ops
 
 
 def _confine_levels(t: np.ndarray, outcome: int) -> np.ndarray:
@@ -1099,45 +1119,16 @@ def trajectory_fidelity(plan: TrajectoryPlan, index: int, engine: str = "branch"
 
 
 def estimate_qubit_var_p(sigma: float, alpha: float, n_trajectories: int = 10**5,
-                         root_seed: int = 0, engine: str = "analytic",
-                         ) -> EstimateWithError:
+                         root_seed: int = 0) -> EstimateWithError:
     """Monte Carlo estimate of the corrected p-quadrature variance of the
-    bare-qubit scheme.
-
-    'analytic' samples the measurement outcome from the closed-form filter;
-    'fock' evolves truncated Fock vectors through the conditional
-    displacements and derives outcome probabilities from state overlaps.
-    Both use the same draws, so outcomes coincide except on the
-    measure-zero set where the probabilities differ by rounding.
-    """
-    if engine not in ("analytic", "fock"):
-        raise ValueError(f"unknown engine {engine!r}")
+    bare-qubit scheme, sampling the measurement outcome from the
+    closed-form filter."""
     rng = np.random.default_rng(np.random.SeedSequence([root_seed]))
     bp = rng.normal(0.0, sigma / math.sqrt(2.0), size=n_trajectories)
     u = rng.random(n_trajectories)
-    if engine == "analytic":
-        p_plus = 0.5 * (1.0 + np.sin(4.0 * alpha * bp))
-    else:
-        p_plus = _fock_outcome_probabilities(alpha, bp)
+    p_plus = 0.5 * (1.0 + np.sin(4.0 * alpha * bp))
     sign = np.where(u < p_plus, 1.0, -1.0)
     residual = bp - sign * qubit_outcome_mean(sigma, alpha)
     sq = residual * residual
     std_error = float(sq.std(ddof=1) / math.sqrt(n_trajectories)) if n_trajectories > 1 else 0.0
     return EstimateWithError(float(sq.mean()), std_error, n_trajectories)
-
-
-def _fock_outcome_probabilities(alpha: float, bp: np.ndarray) -> np.ndarray:
-    """P(+Y) per trajectory from D(+-alpha) D(i b_p) D(-+alpha) |0>."""
-    dim = int(alpha * alpha + 8.0 * alpha + 24.0)
-    engine = DisplacementEngine(dim)
-    vac = np.eye(1, dim, dtype=complex)[0]
-    # the g branch starts at D(-alpha)|0>, the e branch at D(+alpha)|0>
-    start = np.stack((engine.apply(-alpha, vac), engine.apply(alpha, vac)))
-    back_g, back_e = engine.matrix(alpha).T, engine.matrix(-alpha).T
-    out = np.empty(len(bp))
-    for lo in range(0, len(bp), _FOCK_CHUNK):
-        seg = bp[lo:lo + _FOCK_CHUNK]
-        kicked = engine.apply(1j * seg[:, None], start)  # [r, branch, level]
-        diff = kicked[:, 0] @ back_g - 1j * (kicked[:, 1] @ back_e)
-        out[lo:lo + _FOCK_CHUNK] = 0.25 * np.sum(np.abs(diff) ** 2, axis=1)
-    return out

@@ -231,9 +231,9 @@ def optimize_zeta(sigma: float, tol: float = 1e-6):
 
 
 def optimize_qubit_alpha_for(sigma_p: float):
-    # Inner loop of the nested zeta optimization; same bracket convention.
-    return minimize_scalar(lambda a: _qubit_var_p(sigma_p, a),
-                           0.2 / sigma_p, 8.0 / sigma_p, tol=1e-8)
+    """Inner loop of the nested zeta optimization: the qubit optimum at the
+    squeezed noise sigma_p, to a tighter tolerance."""
+    return optimize_qubit_alpha(sigma_p, tol=1e-8)
 
 
 def second_derivative_at_origin(state_kind: str, quadrature: str = "q") -> float:

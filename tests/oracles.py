@@ -1,0 +1,104 @@
+"""Slow, independent constructions that the tests check the package against.
+
+No command path uses them; each is a direct form of something the package
+computes another way:
+
+- displacement_operator: exp(beta a^dag - beta* a) by scipy's expm, against
+  fock.DisplacementEngine's two cached eigenbases.
+- apply_displacement_channel: the Gaussian displacement channel as a 2-D
+  Gauss-Hermite average of density matrices, against the closed-form
+  single-boson-qubit channel.
+- confine_single_boson: montecarlo.confinement_kraus summed over a density
+  matrix, the Kraus form of the confinement that the nine-qubit carrier
+  applies level by level.
+- fock_outcome_probabilities: the bare-qubit readout probabilities from
+  truncated Fock vectors, against the closed-form filter of
+  montecarlo.estimate_qubit_var_p.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from numpy.polynomial.hermite import hermgauss
+
+from cvqec.fock import (DensityMatrix, DisplacementEngine, TruncationError,
+                        annihilation)
+from cvqec.montecarlo import confinement_kraus
+
+# Order of the Gauss-Hermite rule in each quadrature.
+_N_NODES = 64
+_FOCK_CHUNK = 8192  # trajectories per batch of fock_outcome_probabilities
+
+
+def displacement_operator(beta: complex, n_trunc: int) -> np.ndarray:
+    """exp(beta a^dag - beta* a) on the truncated space."""
+    if n_trunc < 2:
+        raise ValueError("n_trunc must be >= 2")
+    if abs(beta) ** 2 > n_trunc / 4:
+        raise TruncationError(
+            f"|beta|^2 = {abs(beta)**2:.3g} exceeds n_trunc/4 = {n_trunc / 4}")
+    from scipy.linalg import expm
+
+    a = annihilation(n_trunc)
+    gen = beta * a.conj().T - np.conj(beta) * a
+    return expm(gen)
+
+
+def apply_displacement_channel(rho: DensityMatrix, sigma: float) -> DensityMatrix:
+    """Average D(beta) rho D(beta)^dag over the Gaussian displacement
+    distribution of strength sigma (per-quadrature variance sigma^2/2)
+    with a tensor-product Gauss-Hermite rule."""
+    if not (sigma > 0 and math.isfinite(sigma)):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    dim = rho.dim
+    t, w = hermgauss(_N_NODES)
+    # Effective support: nodes past |t| ~ 5.7 carry Gaussian weight < 1e-14.
+    beta_eff = sigma * min(t[-1], 5.7)
+    if 2.0 * beta_eff**2 > (dim - 1) / 4.0:
+        raise TruncationError(
+            f"sigma={sigma} needs displacements up to |beta|^2="
+            f"{2 * beta_eff**2:.3g}, beyond headroom (dim-1)/4={(dim - 1) / 4}")
+    engine = DisplacementEngine(dim)
+    # The 2-D average factorizes: D(bq + i bp) rho D^dag is a q-congruence
+    # followed by a p-congruence, so two 1-D passes suffice.
+    inner = np.zeros((dim, dim), dtype=complex)
+    for j in range(_N_NODES):
+        d = engine.matrix(complex(sigma * t[j], 0.0))
+        inner += w[j] * (d @ rho.matrix @ d.conj().T)
+    out = np.zeros((dim, dim), dtype=complex)
+    for i in range(_N_NODES):
+        d = engine.matrix(complex(0.0, sigma * t[i]))
+        out += w[i] * (d @ inner @ d.conj().T)
+    out /= np.pi
+    out = 0.5 * (out + out.conj().T)
+    return DensityMatrix(out)
+
+
+def confine_single_boson(rho_mode: DensityMatrix) -> DensityMatrix:
+    """Dissipative map sending all population with n >= 1 to |1> while
+    leaving the {|0>, |1>} block coherent; returns a qubit state."""
+    if rho_mode.dim < 8:
+        raise ValueError(f"mode truncation {rho_mode.dim - 1} too small, need >= 8")
+    out = np.zeros((2, 2), dtype=complex)
+    for k in confinement_kraus(rho_mode.dim):
+        out += k @ rho_mode.matrix @ k.conj().T
+    return DensityMatrix(out)
+
+
+def fock_outcome_probabilities(alpha: float, bp: np.ndarray) -> np.ndarray:
+    """P(+Y) per trajectory from D(+-alpha) D(i b_p) D(-+alpha) |0>."""
+    dim = int(alpha * alpha + 8.0 * alpha + 24.0)
+    engine = DisplacementEngine(dim)
+    vac = np.eye(1, dim, dtype=complex)[0]
+    # the g branch starts at D(-alpha)|0>, the e branch at D(+alpha)|0>
+    start = np.stack((engine.apply(-alpha, vac), engine.apply(alpha, vac)))
+    back_g, back_e = engine.matrix(alpha).T, engine.matrix(-alpha).T
+    out = np.empty(len(bp))
+    for lo in range(0, len(bp), _FOCK_CHUNK):
+        seg = bp[lo:lo + _FOCK_CHUNK]
+        kicked = engine.apply(1j * seg[:, None], start)  # [r, branch, level]
+        diff = kicked[:, 0] @ back_g - 1j * (kicked[:, 1] @ back_e)
+        out[lo:lo + _FOCK_CHUNK] = 0.25 * np.sum(np.abs(diff) ** 2, axis=1)
+    return out

@@ -1,14 +1,15 @@
-"""Error channels against their closed-form reductions."""
+"""Error channels against their closed-form reductions: the displacement
+channel and confinement oracles, and the confinement Kraus operators."""
 
 import math
 
 import numpy as np
 import pytest
 
-from cvqec.channels import (apply_displacement_channel, confine_single_boson,
-                            confinement_kraus)
 from cvqec.fock import (DensityMatrix, TruncationError, coherent_state,
                         fock_state)
+from cvqec.montecarlo import confinement_kraus
+from oracles import apply_displacement_channel, confine_single_boson
 
 
 class TestDisplacementChannel:

@@ -347,9 +347,10 @@ print(json.dumps(sorted(m for m in sys.modules
 
 
 def test_no_command_loads_scipy(tmp_path):
-    """scipy serves only the oracles (adaptive quadrature, expm, the
-    Cholesky check), so importing the CLI and running one small command
-    of each kind leaves it unloaded."""
+    """scipy serves only the oracles (adaptive quadrature and the
+    Cholesky check in the package, expm in tests/oracles.py), so
+    importing the CLI and running one small command of each kind leaves
+    it unloaded."""
     out = ["--out", str(tmp_path)]
     commands = [["fig2", *out], ["fig3", "--dmax", "3", *out]]
     commands += [["optimize", "--scheme", scheme, "--d", "3",

@@ -8,18 +8,20 @@ import numpy as np
 import pytest
 
 from cvqec import dvcodes, montecarlo
-from cvqec.channels import confinement_kraus
 from cvqec.cli import main
+from cvqec.gaussian import qubit_outcome_mean
 from cvqec.montecarlo import (_SHOR_MODE_DIM, ANCILLA_KINDS,
                               EstimateWithError, TrajectoryPlan, _BranchState,
                               _Context, _DenseState,
                               _pcg64_states, _run_draws, _ShorState, _streams,
                               _sweep_rows,
-                              branch_decomposition_run, estimate_qubit_var_p,
-                              run_concatenated, trajectory_fidelity)
+                              branch_decomposition_run, confinement_kraus,
+                              estimate_qubit_var_p, run_concatenated,
+                              trajectory_fidelity)
 from cvqec.protocol import (exact_infidelity, optimal_alpha_qubit,
                             optimal_zeta, run_qubit_p_scheme,
                             run_squeezed_scheme)
+from oracles import fock_outcome_probabilities
 
 
 class TestPlanValidation:
@@ -45,10 +47,9 @@ class TestPlanValidation:
 
     def test_default_alpha_is_qubit_optimum(self):
         plan = TrajectoryPlan(sigma=0.1)
-        assert plan.effective_alpha == pytest.approx(optimal_alpha_qubit(0.1))
+        assert plan.effective_alpha == optimal_alpha_qubit(0.1)
         squeezed = TrajectoryPlan(sigma=0.1, zeta=-0.05)
-        assert squeezed.effective_alpha == pytest.approx(
-            optimal_alpha_qubit(0.1 * math.exp(0.1)))
+        assert squeezed.effective_alpha == optimal_alpha_qubit(0.1 * math.exp(0.1))
 
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
@@ -629,20 +630,19 @@ class TestQubitVarianceEstimator:
         assert abs(est.mean - expect) < 3 * est.std_error
 
     def test_fock_engine_agrees_with_analytic(self):
-        sigma = 0.1
+        sigma, n = 0.1, 20000
         alpha = optimal_alpha_qubit(sigma)
-        a = estimate_qubit_var_p(sigma, alpha, n_trajectories=20000,
-                                 root_seed=4, engine="analytic")
-        f = estimate_qubit_var_p(sigma, alpha, n_trajectories=20000,
-                                 root_seed=4, engine="fock")
+        est = estimate_qubit_var_p(sigma, alpha, n_trajectories=n, root_seed=4)
+        # the estimator's draws, with outcome probabilities from Fock vectors
+        rng = np.random.default_rng(np.random.SeedSequence([4]))
+        bp = rng.normal(0.0, sigma / math.sqrt(2.0), size=n)
+        u = rng.random(n)
+        sign = np.where(u < fock_outcome_probabilities(alpha, bp), 1.0, -1.0)
+        residual = bp - sign * qubit_outcome_mean(sigma, alpha)
         # same draws, probabilities equal to rounding: identical outcomes
-        assert a.mean == pytest.approx(f.mean, abs=1e-12)
+        assert est.mean == pytest.approx(np.mean(residual * residual), abs=1e-12)
 
     def test_zero_drive_gives_raw_variance(self):
         sigma = 0.1
         est = estimate_qubit_var_p(sigma, 0.0, n_trajectories=10**5, root_seed=2)
         assert abs(est.mean - 0.5 * sigma**2) < 3 * est.std_error
-
-    def test_unknown_engine(self):
-        with pytest.raises(ValueError):
-            estimate_qubit_var_p(0.1, 1.0, engine="mps")
