@@ -81,8 +81,8 @@ def cmd_fig2(args) -> None:
 
 def cmd_fig3(args) -> None:
     sigma, dmax, s = args.sigma, args.dmax, args.s
-    if dmax > 32:
-        raise ValueError("dmax must be <= 32")
+    if not 2 <= dmax <= 32:
+        raise ValueError("dmax must lie in [2, 32]")
     out = Path(args.out)
     rows = []
     for d in range(2, dmax + 1):

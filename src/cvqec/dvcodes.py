@@ -108,7 +108,6 @@ class CodeSpec:
     carrier: str  # qubits | single_mode
     logical_g: np.ndarray = field(repr=False)
     logical_e: np.ndarray = field(repr=False)
-    n_qubits: int = 0
 
     def __post_init__(self):
         for v in (self.logical_g, self.logical_e):
@@ -136,7 +135,7 @@ def three_qubit_phase_code() -> CodeSpec:
     mmm = np.kron(np.kron(minus, minus), minus)
     g = (ppp + mmm) / np.sqrt(2.0)
     e = (ppp - mmm) / np.sqrt(2.0)
-    return CodeSpec("three_qubit_phase", "qubits", g.astype(complex), e.astype(complex), 3)
+    return CodeSpec("three_qubit_phase", "qubits", g.astype(complex), e.astype(complex))
 
 
 def _shor9_blocks() -> np.ndarray:
@@ -153,7 +152,7 @@ def shor9_code() -> CodeSpec:
     b0, b1 = _shor9_blocks()
     g = np.kron(np.kron(b0, b0), b0) / (2.0 * np.sqrt(2.0))
     e = np.kron(np.kron(b1, b1), b1) / (2.0 * np.sqrt(2.0))
-    return CodeSpec("shor9", "qubits", g.astype(complex), e.astype(complex), 9)
+    return CodeSpec("shor9", "qubits", g.astype(complex), e.astype(complex))
 
 
 def binomial_code(n_trunc: int = 23) -> CodeSpec:

@@ -19,13 +19,16 @@ is the per-trajectory oracle.
 
 _BranchState runs a chunk of trajectories at once as arrays: carrier
 terms c of shape (n, T, D), gamma and ph of shape (n, T).  The
-conditional displacement is the only operation that splits terms; it
-splits each term slot three ways (g, e, codespace complement), pruned
-terms are exact zeros, and a slot that is empty in every row is dropped,
-so T never exceeds six.  Per-row decisions are vectorized comparisons,
-and Kraus operators and Pauli corrections are applied once per distinct
-choice in the chunk; the binomial syndrome probabilities come from one
-projection onto the recovery basis (dvcodes.binomial_recovery_basis).
+conditional displacement is the only operation that splits terms.  The
+carrier is in the code space at both displacements (the circuit starts in
+|+>_L and every recovery maps back into it; the tests check this on runs
+of every kind), so it splits each term slot into its g and e parts.
+Pruned terms are exact zeros, and a slot that is empty in every row is
+dropped, so T never exceeds four.  Per-row decisions are vectorized
+comparisons, and Kraus operators and Pauli corrections are applied once
+per distinct choice in the chunk; the binomial syndrome probabilities
+come from one projection onto the recovery basis
+(dvcodes.binomial_recovery_basis).
 Both engines displace carriers and the dense data mode with
 DisplacementEngine.apply (the branch engine with one beta per row) and
 pick the binomial Kraus operator with dvcodes.kraus_choice.
@@ -41,9 +44,10 @@ stabilizers act on one block, an X-type stabilizer projection doubles P
 products are products of block overlaps weighted by the data Gram
 matrix; the confinement of a mode needs only its 2x2 moment matrix for
 the outcome weights and the two kept rows of its displacement for the
-Kraus step.  Only the norm of the codespace complement, which decides
-pruning, is taken from 512-dim entries, restricted to the block
-coordinates in use.
+Kraus step.  The conditional displacement leaves one product per slot,
+its codeword, and the Y readout at most P + 2.  The readout keeps its
+outcome outside the code space (RunResult.complement_count, the fig4
+CSV's complement column), which stays 0 up to rounding.
 
 A chunk holds max(1, _CHUNK_BUDGET // slot) trajectories, slot the
 carrier amplitudes of one term slot: carrier_dim, or 4 * 3 * 8 = 96 for
@@ -361,24 +365,25 @@ class _Terms:
         self.gamma = self.gamma + beta
         self._gd = None
 
-    def _split(self, sizes: np.ndarray, alpha_g: float, alpha_e: float):
+    def _split(self, a: np.ndarray, alpha_g: float, alpha_e: float):
         """Data side of the conditional displacement, which splits each term
-        slot three ways (g, e, codespace complement): sizes[r] holds the
-        carrier norms of the 3T new terms in that order.  Shifts the data
-        factors, prunes the terms whose norm times |ph| is at most
-        _BRANCH_TOL, and drops each slot that is pruned in every row.
-        Returns the keep mask of the surviving slots and their indices."""
-        keep = sizes * np.tile(np.abs(self.ph), 3) > _BRANCH_TOL
-        gamma = np.tile(self.gamma, 3)
-        shift = np.repeat([alpha_g, alpha_e, 0.0], self.gamma.shape[1])
-        ph = np.tile(self.ph, 3) * np.exp(1j * (shift * gamma.conj()).imag)
+        slot into its g and e parts: a[r] holds <g|c_t> over the T slots,
+        then <e|c_t>.  Shifts the data factors, prunes the new terms whose
+        |a| |ph| is at most _BRANCH_TOL and drops each slot pruned in every
+        row.  Returns a on the surviving slots, zero where pruned, and the
+        codeword of each slot (0 for g, 1 for e)."""
+        t = self.gamma.shape[1]
+        keep = np.abs(a) * np.tile(np.abs(self.ph), 2) > _BRANCH_TOL
+        gamma = np.tile(self.gamma, 2)
+        shift = np.repeat([alpha_g, alpha_e], t)
+        ph = np.tile(self.ph, 2) * np.exp(1j * (shift * gamma.conj()).imag)
         gamma = gamma + shift
         alive = keep.any(axis=0)
         keep = keep[:, alive]
         self.gamma = np.where(keep, gamma[:, alive], 0.0)
         self.ph = np.where(keep, ph[:, alive], 0.0)
         self._gd = None
-        return keep, alive
+        return np.where(keep, a[:, alive], 0.0), np.repeat([0, 1], t)[alive]
 
 
 class _BranchState(_Terms):
@@ -403,13 +408,9 @@ class _BranchState(_Terms):
 
     def conditional_displace(self, alpha_g: float, alpha_e: float):
         g, e = self.ctx.g, self.ctx.e
-        ag = self.c @ g.conj()
-        ae = self.c @ e.conj()
-        rest = self.c - ag[..., None] * g - ae[..., None] * e
-        c = np.concatenate((ag[..., None] * g, ae[..., None] * e, rest), axis=1)
-        keep, alive = self._split(np.concatenate(
-            (np.abs(ag), np.abs(ae), np.linalg.norm(rest, axis=-1)), axis=1), alpha_g, alpha_e)
-        self.c = np.where(keep[..., None], c[:, alive], 0.0)
+        a, codeword = self._split(np.concatenate((self.c @ g.conj(), self.c @ e.conj()), axis=1),
+                                  alpha_g, alpha_e)
+        self.c = a[..., None] * np.stack((g, e))[codeword]
 
     def apply_pauli(self, op: dvcodes.PauliOp, rows):
         self.c[rows] = _pauli(op, self.c[rows])
@@ -460,12 +461,12 @@ class _ShorState(_Terms):
     (n, T, P, 3, 8).  Block b holds qubits 3b..3b+2, the first the most
     significant bit, so the Kronecker product of the blocks is the 512-dim
     carrier vector.  The codewords are products, g = scale b0 x b0 x b0
-    and e = scale b1 x b1 x b1.  Mode displacement, confinement and Z-type
-    stabilizers act on one block; an X-type stabilizer projection (c +
-    sign S c) / 2 doubles P, so P stays at most four.  Inner products are
-    sums over pairs of products of three block overlaps.  The codespace
-    complement c - <g|c> g - <e|c> e is a small difference of products, so
-    its norm, which decides pruning, is taken from 512-dim entries.
+    and e = scale b1 x b1 x b1.  The conditional displacement splits a
+    code-space slot into one product per codeword.  Mode displacement,
+    confinement and Z-type stabilizers act on one block; an X-type
+    stabilizer projection (c + sign S c) / 2 doubles P, so P stays at most
+    four.  Inner products are sums over pairs of products of three block
+    overlaps.
     """
 
     def __init__(self, ctx: _Context, n: int):
@@ -542,50 +543,14 @@ class _ShorState(_Terms):
         a = (self.coef[..., None] * over).sum(axis=2) * self.ctx.block_scale
         return a[..., 0], a[..., 1]
 
-    def _complement_norms(self, ag: np.ndarray, ae: np.ndarray) -> np.ndarray:
-        """|c_t - ag g - ae e| per [r, t], from the entries of the 512-dim
-        vectors on the block coordinates that are nonzero in some product or
-        codeword (the other entries are zero)."""
-        n, t, p = self.coef.shape
-        used = np.any(self.v != 0.0, axis=(0, 1, 2)) | np.any(self.ctx.blocks != 0.0, axis=0)
-        v0, v1, v2 = (self.v[..., b, used[b]] for b in range(3))
-        pair = (self.coef[..., None, None] * v0[..., :, None] * v1[..., None, :]).reshape(n, t, p, -1)
-        c = (pair.swapaxes(-1, -2) @ v2).reshape(n, t, -1)
-        sub = np.ix_(*used)
-        g = self.ctx.g.reshape(8, 8, 8)[sub].ravel()
-        e = self.ctx.e.reshape(8, 8, 8)[sub].ravel()
-        return np.linalg.norm(c - ag[..., None] * g - ae[..., None] * e, axis=-1)
-
-    def _assign(self, coef: np.ndarray, v: np.ndarray):
-        """Store the products, dropping trailing ones that are zero in every
-        row and slot."""
-        used = np.flatnonzero(np.any(coef != 0.0, axis=(0, 1)))
-        width = used[-1] + 1 if len(used) else 1
-        self.coef = coef[..., :width]
-        self.v = v[:, :, :width]
-        self._changed()
-
     def conditional_displace(self, alpha_g: float, alpha_e: float):
-        ag, ae = self._codeword_overlaps()
-        sizes = np.concatenate((np.abs(ag), np.abs(ae), self._complement_norms(ag, ae)), axis=1)
-        keep, alive = self._split(sizes, alpha_g, alpha_e)
-        n, t, p = self.coef.shape
-        scale, blocks = self.ctx.block_scale, self.ctx.blocks
-        # Products of the new slots: their codeword first; a complement slot
-        # continues with the other codeword and the old products, and is
-        # formed only if it survives somewhere.
-        width = p + 2 if alive[2 * t:].any() else 1
-        coef = np.zeros((n, 3, t, width), dtype=complex)
-        v = np.zeros((n, 3, t, width, 3, 8), dtype=complex)
-        coef[:, 0, :, 0], coef[:, 1, :, 0] = scale * ag, scale * ae
-        v[:, (0, 2), :, 0], v[:, 1, :, 0] = blocks[0], blocks[1]
-        if width > 1:
-            coef[:, 2, :, 0], coef[:, 2, :, 1] = -scale * ag, -scale * ae
-            coef[:, 2, :, 2:] = self.coef
-            v[:, 2, :, 1], v[:, 2, :, 2:] = blocks[1], self.v
-        coef = coef.reshape(n, 3 * t, width)[:, alive]
-        self._assign(np.where(keep[..., None], coef, 0.0),
-                     v.reshape(n, 3 * t, width, 3, 8)[:, alive])
+        a, codeword = self._split(np.concatenate(self._codeword_overlaps(), axis=1),
+                                  alpha_g, alpha_e)
+        # each new slot is one product, its codeword
+        self.coef = self.ctx.block_scale * a[..., None]
+        self.v = np.broadcast_to(self.ctx.blocks[codeword, None, None],
+                                 (*self.coef.shape, 3, 8)).astype(complex)
+        self._changed()
 
     def measure_y(self, u: np.ndarray) -> np.ndarray:
         ag, ae = self._codeword_overlaps()
@@ -611,7 +576,8 @@ class _ShorState(_Terms):
             coef[rest, :, 0], coef[rest, :, 1] = -scale * ag[rest], -scale * ae[rest]
             coef[rest, :, 2:] = self.coef[rest]
             v[:, :, 2:] = self.v
-        self._assign(coef, v)
+        self.coef, self.v = coef, v
+        self._changed()
         return outcome
 
     def fidelity(self) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Ideal-ancilla correction schemes and their infidelity evaluation.
 
 Each scheme runner returns a :class:`CorrectedNoise` describing the
-post-correction displacement distribution: the per-quadrature variances
-plus, per measurement outcome, the filter reweighting the original
+post-correction displacement distribution: per quadrature, the variance
+and, per measurement outcome, the filter reweighting the original
 Gaussian and the counter-displacement that was applied.  Infidelity can
 then be evaluated either through the small-noise variance expansion or by
 exact quadrature of the outcome-averaged overlap.  The optimizers minimize
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -23,8 +23,7 @@ from numpy.polynomial.hermite import hermgauss
 
 from . import gaussian
 from .fock import overlap_f
-from .gaussian import (FilteredMoments, qubit_filtered_moments, qudit_filter,
-                       qudit_filtered_moments)
+from .gaussian import qubit_filtered_moments, qudit_filter, qudit_filtered_moments
 from .optimize import minimize_scalar
 
 __all__ = [
@@ -88,25 +87,29 @@ def _plain(sigma: float) -> QuadratureNoise:
 class CorrectedNoise:
     """Residual displacement noise after one correction round."""
 
-    var_q: float
-    var_p: float
-    per_outcome: tuple[FilteredMoments, ...]
-    q: QuadratureNoise = field(repr=False, default=None)
-    p: QuadratureNoise = field(repr=False, default=None)
+    q: QuadratureNoise
+    p: QuadratureNoise
+
+    @property
+    def var_q(self) -> float:
+        return self.q.variance
+
+    @property
+    def var_p(self) -> float:
+        return self.p.variance
 
     @property
     def total_variance(self) -> float:
         return self.var_q + self.var_p
 
 
-def _qubit_noise(sigma: float, alpha: float) -> tuple[QuadratureNoise, tuple]:
-    moments = tuple(qubit_filtered_moments(sigma, alpha, o) for o in ("+Y", "-Y"))
-    branches = []
-    for sign, m in zip((1.0, -1.0), moments):
-        branches.append(OutcomeBranch(
-            m.outcome_prob, m.mean,
-            lambda b, s=sign: 0.5 * (1.0 + s * np.sin(4.0 * alpha * b))))
-    return QuadratureNoise(sigma, tuple(branches), _qubit_var_p(sigma, alpha)), moments
+def _qubit_noise(sigma: float, alpha: float) -> QuadratureNoise:
+    branches = tuple(
+        OutcomeBranch(m.outcome_prob, m.mean,
+                      lambda b, s=sign: 0.5 * (1.0 + s * np.sin(4.0 * alpha * b)))
+        for sign, m in ((1.0, qubit_filtered_moments(sigma, alpha, "+Y")),
+                        (-1.0, qubit_filtered_moments(sigma, alpha, "-Y"))))
+    return QuadratureNoise(sigma, branches, _qubit_var_p(sigma, alpha))
 
 
 def _qubit_var_p(sigma: float, alpha: float) -> float:
@@ -135,24 +138,19 @@ def _qudit_var_p(sigma: float, alpha: float, d: int) -> float:
 def run_uncorrected(sigma: float) -> CorrectedNoise:
     """Both quadratures left as the raw Gaussian; baseline for comparisons."""
     q = _plain(sigma)
-    return CorrectedNoise(q.variance, q.variance,
-                          (FilteredMoments(1.0, 0.0, q.variance, q.variance),), q, q)
+    return CorrectedNoise(q, q)
 
 
 def run_qubit_p_scheme(sigma: float, alpha: float) -> CorrectedNoise:
     """Single qubit ancilla measured along +/-Y; corrects p only."""
-    p, moments = _qubit_noise(sigma, alpha)
-    q = _plain(sigma)
-    return CorrectedNoise(q.variance, p.variance, moments, q, p)
+    return CorrectedNoise(_plain(sigma), _qubit_noise(sigma, alpha))
 
 
 def run_two_qubit_scheme(sigma: float, alpha_q: float, alpha_p: float) -> CorrectedNoise:
     """One ancilla per quadrature; each follows the single-qubit formula
     independently (the q corrector uses an imaginary-strength conditional
     displacement, which leaves the p analysis untouched)."""
-    pq, _ = _qubit_noise(sigma, alpha_q)
-    pp, moments = _qubit_noise(sigma, alpha_p)
-    return CorrectedNoise(pq.variance, pp.variance, moments, pq, pp)
+    return CorrectedNoise(_qubit_noise(sigma, alpha_q), _qubit_noise(sigma, alpha_p))
 
 
 def run_squeezed_scheme(sigma: float, alpha: float, zeta: float) -> CorrectedNoise:
@@ -162,9 +160,7 @@ def run_squeezed_scheme(sigma: float, alpha: float, zeta: float) -> CorrectedNoi
     zeta therefore trades correctable p noise against q noise."""
     sigma_q = sigma * math.exp(2.0 * zeta)
     sigma_p = sigma * math.exp(-2.0 * zeta)
-    p, moments = _qubit_noise(sigma_p, alpha)
-    q = _plain(sigma_q)
-    return CorrectedNoise(q.variance, p.variance, moments, q, p)
+    return CorrectedNoise(_plain(sigma_q), _qubit_noise(sigma_p, alpha))
 
 
 def run_qudit_scheme(sigma: float, alpha: float, d: int) -> CorrectedNoise:
@@ -176,9 +172,7 @@ def run_qudit_scheme(sigma: float, alpha: float, d: int) -> CorrectedNoise:
         OutcomeBranch(m.outcome_prob, m.mean,
                       lambda b, l=l: qudit_filter(b, alpha, d, l + offset))
         for l, m in enumerate(moments))
-    p = QuadratureNoise(sigma, branches, variance)
-    q = _plain(sigma)
-    return CorrectedNoise(q.variance, variance, moments, q, p)
+    return CorrectedNoise(_plain(sigma), QuadratureNoise(sigma, branches, variance))
 
 
 def qudit_bound(sigma: float, s: float, d: int) -> float:

@@ -68,8 +68,10 @@ class TestFig3:
             if float(r["d"]) >= 4:
                 assert float(r["var_at_alpha_s"]) < float(r["bound"])
 
-    def test_dmax_cap(self, tmp_path):
-        assert main(["fig3", "--dmax", "64", "--out", str(tmp_path)]) == 3
+    @pytest.mark.parametrize("dmax", ["64", "1", "0"])
+    def test_dmax_cap(self, tmp_path, dmax):
+        assert main(["fig3", "--dmax", dmax, "--out", str(tmp_path)]) == 3
+        assert not (tmp_path / "fig3_qudit.csv").exists()
 
     # Text written by the quadrature implementation of the qudit moments;
     # the closed-form Fejer sum must reproduce it exactly.

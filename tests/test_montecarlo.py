@@ -1,6 +1,7 @@
 """Trajectory sampling: engine agreement, statistics, and reproducibility."""
 
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -299,17 +300,17 @@ class TestShorProductState:
     @pytest.mark.parametrize("signs", [(-1, 1), (1, -1)])
     def test_conditional_displacement(self, signs):
         ctx, shor, branch = self._pair(30)
-        # row 0 in the codespace, so that its complement term is pruned
-        shor.coef[0] = 0.0
-        shor.coef[0, :, 0] = (0.6, 0.8j)
-        shor.v[0, :, 0] = ctx.blocks[0]
-        shor.v[0, 1, 0] = ctx.blocks[1]
+        # the circuit displaces only code-space states (see
+        # test_code_space_invariant): random logical amplitudes on the
+        # codeword products
+        amp = np.random.default_rng(31).normal(size=(*shor.coef.shape, 2)) @ [1, 1j]
+        shor.coef = ctx.block_scale * amp / np.linalg.norm(amp, axis=(1, 2))[:, None, None]
+        shor.v[:, :, 0], shor.v[:, :, 1] = ctx.blocks[0], ctx.blocks[1]
         branch.c = _expand(shor)
         alpha_g, alpha_e = signs[0] * 0.7, signs[1] * 0.7
         shor.conditional_displace(alpha_g, alpha_e)
         branch.conditional_displace(alpha_g, alpha_e)
-        assert shor.coef.shape[1] == branch.c.shape[1] == 6
-        assert np.all(shor.ph[0, 4:] == 0) and np.all(shor.coef[0, 4:] == 0)
+        assert shor.coef.shape == (6, 4, 1) and branch.c.shape[1] == 4
         self._assert_same(shor, branch)
         assert np.allclose(shor.norm(), branch.norm(), rtol=0, atol=1e-13)
 
@@ -332,6 +333,42 @@ class TestShorProductState:
         shor.displace_data(beta)
         branch.displace_data(beta)
         assert np.allclose(shor.fidelity(), branch.fidelity(), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("ancilla", ANCILLA_KINDS)
+def test_code_space_invariant(monkeypatch, ancilla):
+    """Both batched engines split each slot into its g and e parts only, so
+    every conditional displacement of a run must see carriers in the code
+    space: per row and slot, |c - <g|c> g - <e|c> e| |ph| is at most
+    _BRANCH_TOL, the pruning cut, before each call."""
+    weights = []
+
+    def checked(cls):
+        displace = cls.conditional_displace
+
+        def wrapper(state, alpha_g, alpha_e):
+            c = _expand(state) if isinstance(state, _ShorState) else state.c
+            g, e = state.ctx.g, state.ctx.e
+            rest = c - (c @ g.conj())[..., None] * g - (c @ e.conj())[..., None] * e
+            weights.append(np.max(np.linalg.norm(rest, axis=-1) * np.abs(state.ph)))
+            displace(state, alpha_g, alpha_e)
+        monkeypatch.setattr(cls, "conditional_displace", wrapper)
+
+    checked(_BranchState)
+    checked(_ShorState)
+    rates = (0.05, 0.2, 0.5) if ancilla in ("bare", "three_qubit_phase") else (0.0,)
+    states = (("coherent", 0.0), ("coherent", 1.0), ("fock1", 0.0))
+    _sweep_rows.cache_clear()
+    try:
+        for sigma, p_phi, (state_kind, amplitude) in itertools.product(
+                (0.05, 0.2, 0.5), rates, states):
+            branch_decomposition_run(TrajectoryPlan(
+                sigma=sigma, ancilla=ancilla, p_phi=p_phi, n_trajectories=200,
+                root_seed=7, zeta=optimal_zeta(), state_kind=state_kind,
+                coherent_amplitude=amplitude))
+    finally:
+        _sweep_rows.cache_clear()
+    assert len(weights) >= 18 and max(weights) <= montecarlo._BRANCH_TOL
 
 
 class TestReproducibility:

@@ -98,7 +98,7 @@ class TestQuditScheme:
 
     def test_outcome_weights_complete(self):
         noise = run_qudit_scheme(0.1, 3.0, 5)
-        assert sum(m.outcome_prob for m in noise.per_outcome) == pytest.approx(
+        assert sum(b.weight for b in noise.p.branches) == pytest.approx(
             1.0, abs=1e-10)
 
 
