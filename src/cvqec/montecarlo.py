@@ -66,14 +66,17 @@ for binomial_n3 a normal(size=2); for shor9, per mode, a normal(size=2)
 and then a uniform); one uniform per stabilizer, or the binomial Kraus
 uniform; the Y-measurement uniform.  The dense oracle draws them one at a
 time from default_rng as its circuit runs.  The branch engine takes them
-up front, from the same streams seeded in bulk (_streams: SeedSequence's
-hash and PCG64's seeding for all indices at once, checked against
-default_rng at the first index).  Its standard normals and uniforms
-depend only on the root seed, the ancilla kind and the index, so the
-points of one sweep, which differ in sigma or p_phi, share one set per
-run key (_run_draws) and scale it: normal(0, s) is 0.0 + s *
-standard_normal bit for bit.  Per-index agreement of the engines also
-checks the order.
+up front, the same numbers bit for bit, computed as arrays (_bulk_draws:
+PCG64's LCG jumped ahead per output, O'Neill 2014, and numpy's ziggurat
+fast path, Marsaglia & Tsang 2000, with numpy's tables in ziggurat.bin).
+A trajectory with a normal off the fast path is redrawn from a generator
+at its seeded state; root seeds or indices past 2**32, or a first
+trajectory that disagrees with default_rng, draw every trajectory from
+default_rng.  The numbers depend only on the root seed, the ancilla kind
+and the index, so the points of one sweep, which differ in sigma or
+p_phi, share one set per run key (_run_draws) and scale it: normal(0, s)
+is 0.0 + s * standard_normal bit for bit.  Per-index agreement of the
+engines also checks the order.
 
 The points of a p_phi sweep also share trajectories: at two points where
 trajectory i's dephasing uniforms give the same flip pattern it is the
@@ -95,6 +98,8 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from itertools import groupby
+from pathlib import Path
 
 import numpy as np
 
@@ -241,6 +246,12 @@ class _Carrier:
         self.n_uniform = (len(self.dephasing_ops) + self.n_modes
                           + (len(self.stabilizers) or int(kind == "binomial_n3")) + 1)
         self.n_anc_normals = self.n_modes or int(kind == "binomial_n3")
+        # a trajectory's numbers in draw order: True for a standard normal,
+        # False for a uniform; runs of each, as (normal, count)
+        self.normal_mask = np.array([True, True] + ([True, True, False] * self.n_modes
+                                                    or [True, True] * self.n_anc_normals)
+                                    + [False] * (self.n_uniform - self.n_modes))
+        self.runs = [(normal, len(list(run))) for normal, run in groupby(self.normal_mask)]
 
 
 @lru_cache(maxsize=len(ANCILLA_KINDS))
@@ -738,112 +749,161 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_LOW32 = np.uint64(0xFFFFFFFF)
+_U32 = np.uint64(32)
+# the values init mult**k mod 2**32 of a SeedSequence hash constant: 16
+# hashmix calls of the pool mix, 8 words of generate_state
+_HASH_A, _HASH_B = (np.array([init * pow(mult, k, 1 << 32) & 0xFFFFFFFF for k in range(n)],
+                             dtype=np.uint32)
+                    for init, mult, n in ((_INIT_A, _MULT_A, 17), (_INIT_B, _MULT_B, 9)))
+
+# numpy's standard normal ziggurat tables (ziggurat_constants.h): ki, 256
+# uint64 fast-path bounds, then wi, 256 float64 layer widths, little-endian
+_ZIGGURAT = np.fromfile(Path(__file__).with_name("ziggurat.bin"), dtype="<u8")
+_ZIGGURAT.flags.writeable = False
+_ZIG_KI, _ZIG_WI = _ZIGGURAT[:256], _ZIGGURAT[256:].view("<f8")
 
 
-def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
-    """The first n + 1 values of a SeedSequence hash constant."""
-    out = [init]
-    for _ in range(n):
-        out.append(out[-1] * mult & 0xFFFFFFFF)
-    return np.array(out, dtype=np.uint32)
+def _split128(values) -> tuple:
+    """Python ints mod 2**128 as a (hi, lo) pair of uint64 arrays, the form
+    of the 128-bit integers below."""
+    return (np.array([v >> 64 & (1 << 64) - 1 for v in values], dtype=np.uint64),
+            np.array([v & (1 << 64) - 1 for v in values], dtype=np.uint64))
 
 
-_HASH_A = _hash_consts(_INIT_A, _MULT_A, 16)  # 16 hashmix calls of the pool mix
-_HASH_B = _hash_consts(_INIT_B, _MULT_B, 8)   # 8 words of generate_state
+def _int128(x, r: int) -> int:
+    return int(x[0][r]) << 64 | int(x[1][r])
 
 
-def _pcg64_states(root_seed: int, start: int, stop: int) -> list[tuple[int, int]]:
+def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The high words of the 128-bit products a b, from 32-bit limbs."""
+    a0, a1, b0, b1 = a & _LOW32, a >> _U32, b & _LOW32, b >> _U32
+    mid = a1 * b0 + (a0 * b0 >> _U32)
+    low = a0 * b1 + (mid & _LOW32)
+    return a1 * b1 + (mid >> _U32) + (low >> _U32)
+
+
+def _mul128(x, y) -> tuple:
+    """x y mod 2**128; uint64 products wrap mod 2**64."""
+    return _mulhi(x[1], y[1]) + x[1] * y[0] + x[0] * y[1], x[1] * y[1]
+
+
+def _add128(x, y) -> tuple:
+    lo = x[1] + y[1]
+    return x[0] + y[0] + (lo < y[1]), lo
+
+
+@lru_cache(maxsize=None)
+def _jumps(k: int) -> tuple:
+    """(M^j, M^(j-1) + ... + M + 1) mod 2**128 for j = 1..k, M the PCG64
+    multiplier: j LCG steps take s to M^j s + (M^(j-1) + ... + 1) inc."""
+    powers = [_PCG_MULT ** j for j in range(1, k + 1)]
+    return _split128(powers), _split128([(p - 1) // (_PCG_MULT - 1) for p in powers])
+
+
+def _pcg64_states(root_seed: int, start: int, stop: int) -> tuple:
     """(state, inc) of PCG64(SeedSequence([root_seed, i])) for i in
-    start..stop-1, for a root seed and indices in [0, 2**32).
+    start..stop-1, for a root seed and indices in [0, 2**32); each is a
+    (hi, lo) pair of uint64 arrays.
 
     SeedSequence's pool mix and generate_state(4, uint64) run for all
     indices at once in uint32 arithmetic; the hash constants do not depend
     on the data.  PCG64 then seeds with two steps of its LCG."""
-    calls = iter(range(16))
-
-    def hashmix(value):
-        k = next(calls)
-        value = (value ^ _HASH_A[k]) * _HASH_A[k + 1]
+    def hashmix(value, k):
+        """hashmix calls k, k + 1, ... on the rows of value."""
+        h = _HASH_A[k:k + len(value) + 1, None]
+        value = (value ^ h[:-1]) * h[1:]
         return value ^ (value >> np.uint32(16))
 
-    def mix(x, y):
-        value = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-        return value ^ (value >> np.uint32(16))
-
-    n = stop - start
     # the entropy words [root_seed, i], padded with zeros to the pool size 4
-    zeros = np.zeros(n, dtype=np.uint32)
-    pool = [hashmix(word) for word in (np.full(n, root_seed, dtype=np.uint32),
-                                       np.arange(start, stop, dtype=np.uint64).astype(np.uint32),
-                                       zeros, zeros)]
+    pool = np.zeros((4, stop - start), dtype=np.uint32)
+    pool[0] = root_seed
+    pool[1] = np.arange(start, stop, dtype=np.uint64).astype(np.uint32)
+    pool = hashmix(pool, 0)
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    words = []
-    for j in range(8):
-        value = (pool[j % 4] ^ _HASH_B[j]) * _HASH_B[j + 1]
-        words.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
-    # little-endian pairs of words: seed = (w64[0], w64[1]), inc = (w64[2], w64[3])
-    w64 = [(words[2 * j] | (words[2 * j + 1] << np.uint64(32))).tolist() for j in range(4)]
-    states = []
-    for seed_hi, seed_lo, inc_hi, inc_lo in zip(*w64):
-        inc = ((inc_hi << 65) | (inc_lo << 1) | 1) & _MASK128
-        state = (inc + ((seed_hi << 64) | seed_lo)) * _PCG_MULT + inc
-        states.append((state & _MASK128, inc))
-    return states
+        dst = [d for d in range(4) if d != src]
+        value = (pool[dst] * np.uint32(_MIX_MULT_L)
+                 - hashmix(pool[[src] * 3], 4 + 3 * src) * np.uint32(_MIX_MULT_R))
+        pool[dst] = value ^ (value >> np.uint32(16))
+    value = (np.tile(pool, (2, 1)) ^ _HASH_B[:-1, None]) * _HASH_B[1:, None]
+    words = (value ^ (value >> np.uint32(16))).astype(np.uint64)
+    # little-endian pairs of words: seed = (w[0], w[1]), inc = 2 (w[2], w[3]) + 1
+    w = words[0::2] | words[1::2] << _U32
+    inc = (w[2] << np.uint64(1) | w[3] >> np.uint64(63), w[3] << np.uint64(1) | np.uint64(1))
+    return _add128(_mul128(_add128(inc, (w[0], w[1])), _jumps(1)[0]), inc), inc
 
 
-def _streams(root_seed: int, start: int, stop: int):
-    """The generators _rng(root_seed, i) for i in start..stop-1, in order.
+def _draw_row(rng: np.random.Generator, runs, out: np.ndarray):
+    """One trajectory's numbers from its generator, in draw order."""
+    lo = 0
+    for normal, count in runs:
+        (rng.standard_normal if normal else rng.random)(out=out[lo:lo + count])
+        lo += count
 
-    For a root seed and indices in [0, 2**32) one generator is reused: its
-    state is set from _pcg64_states, so each generator must be drawn from
-    before the next is taken.  The first state is checked against _rng;
-    outside that range, or on a mismatch, the streams come from _rng."""
-    if 0 <= root_seed < 2**32 and 0 <= start < stop <= 2**32:
-        states = _pcg64_states(root_seed, start, stop)
-        first, inc = states[0]
-        if _rng(root_seed, start).bit_generator.state["state"] == {"state": first, "inc": inc}:
-            bitgen = np.random.PCG64(0)
-            rng = np.random.Generator(bitgen)
-            for state, inc in states:
-                bitgen.state = {"bit_generator": "PCG64",
-                                "state": {"state": state, "inc": inc},
-                                "has_uint32": 0, "uinteger": 0}
-                yield rng
-            return
-        warnings.warn("bulk PCG64 seeding disagrees with numpy's SeedSequence; "
-                      "seeding each trajectory with default_rng instead",
-                      RuntimeWarning, stacklevel=2)
-    for i in range(start, stop):
-        yield _rng(root_seed, i)
+
+def _bulk_draws(root_seed: int, carrier: _Carrier, start: int, stop: int):
+    """The numbers of trajectories start..stop-1 in draw order, shape (n,
+    len(normal_mask)), for a root seed and indices in [0, 2**32); or None,
+    with a RuntimeWarning, when the first row disagrees with _rng.
+
+    Output j of a row's stream, r, is the XSL-RR output of its LCG state
+    after j + 1 steps, one jump (_jumps) from its seeded state.  A uniform
+    is (r >> 11) 2**-53.  A standard normal takes numpy's ziggurat fast
+    path: idx = r & 0xff, sign bit 8 and rabs = r >> 9 & (2**52 - 1) give
+    +-rabs wi[idx] when rabs < ki[idx].  Otherwise it takes further
+    outputs, which moves the rest of the row, so a row with a normal off
+    the fast path is redrawn from a generator at its seeded state."""
+    mask = carrier.normal_mask
+    state, inc = _pcg64_states(root_seed, start, stop)
+    mult, add = _jumps(len(mask))
+    hi, lo = _add128(_mul128([a[:, None] for a in state], mult),
+                     _mul128([a[:, None] for a in inc], add))
+    r, rot = hi ^ lo, hi >> np.uint64(58)
+    r = r >> rot | r << (np.uint64(64) - rot & np.uint64(63))
+    idx = r & np.uint64(0xFF)
+    rabs = r >> np.uint64(9) & np.uint64((1 << 52) - 1)
+    x = rabs * _ZIG_WI[idx]
+    flat = np.where(mask, np.where(r & np.uint64(0x100), -x, x),
+                    (r >> np.uint64(11)) * 2.0 ** -53)
+    # the guard: the first row's seeded state and numbers, bit for bit; its
+    # generator then redraws the rows with a normal off the fast path
+    ref = _rng(root_seed, start)
+    seeded = ref.bit_generator.state["state"] == {"state": _int128(state, 0),
+                                                  "inc": _int128(inc, 0)}
+    first = np.empty(len(mask))
+    _draw_row(ref, carrier.runs, first)
+    for row in np.flatnonzero((mask & (rabs >= _ZIG_KI[idx])).any(axis=1)).tolist():
+        ref.bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": _int128(state, row),
+                                             "inc": _int128(inc, row)},
+                                   "has_uint32": 0, "uinteger": 0}
+        _draw_row(ref, carrier.runs, flat[row])
+    if seeded and first.tobytes() == flat[0].tobytes():
+        return flat
+    warnings.warn("bulk PCG64 seeding and draws disagree with numpy's default_rng; "
+                  "drawing each trajectory from default_rng instead",
+                  RuntimeWarning, stacklevel=3)
+    return None
 
 
 def _standard_draws(root_seed: int, kind: str, start: int, stop: int):
     """Every random number of trajectories start..stop-1 before scaling, in
     the order _one_trajectory draws them: data standard normals (n, 2),
-    ancilla standard normals (n, k, 2) and uniforms (n, n_uniform) in the
-    order they are used.  They depend only on the root seed, the ancilla
-    kind and the indices; see _scaled for the normals of a plan."""
+    ancilla standard normals (n, k, 2) and uniforms (n, n_uniform).  They
+    depend only on the root seed, the ancilla kind and the indices; see
+    _scaled for the normals of a plan.  Past 2**32, or when _bulk_draws'
+    guard fails, each row draws from _rng."""
     carrier = _carrier(kind)
-    n = stop - start
-    data = np.empty((n, 2))
-    anc = np.empty((n, carrier.n_anc_normals, 2))
-    uni = np.empty((n, carrier.n_uniform))
-    for r, rng in enumerate(_streams(root_seed, start, stop)):
-        rng.standard_normal(out=data[r])
-        if kind == "shor9":
-            for m in range(carrier.n_modes):
-                rng.standard_normal(out=anc[r, m])
-                uni[r, m] = rng.random()
-            rng.random(out=uni[r, carrier.n_modes:])
-            continue
-        if carrier.n_anc_normals:
-            rng.standard_normal(out=anc[r, 0])
-        rng.random(out=uni[r])
-    return data, anc, uni
+    mask, n = carrier.normal_mask, stop - start
+    flat = None
+    if 0 <= root_seed < 2**32 and 0 <= start < stop <= 2**32:
+        flat = _bulk_draws(root_seed, carrier, start, stop)
+    if flat is None:
+        flat = np.empty((n, len(mask)))
+        for row in range(n):
+            _draw_row(_rng(root_seed, start + row), carrier.runs, flat[row])
+    normals = flat[:, mask]
+    return normals[:, :2], normals[:, 2:].reshape(n, carrier.n_anc_normals, 2), flat[:, ~mask]
 
 
 @lru_cache(maxsize=1)

@@ -14,6 +14,12 @@ computes another way:
 - fock_outcome_probabilities: the bare-qubit readout probabilities from
   truncated Fock vectors, against the closed-form filter of
   montecarlo.estimate_qubit_var_p.
+- standard_draws: each trajectory's numbers from its own
+  default_rng(SeedSequence([root_seed, i])), row by row, against
+  montecarlo._standard_draws, which computes PCG64 and numpy's ziggurat
+  fast path as arrays.
+- ziggurat_tables: numpy's standard normal ziggurat tables read back
+  through PCG64's state setter, against the copy the package ships.
 """
 
 from __future__ import annotations
@@ -25,11 +31,12 @@ from numpy.polynomial.hermite import hermgauss
 
 from cvqec.fock import (DensityMatrix, DisplacementEngine, TruncationError,
                         annihilation)
-from cvqec.montecarlo import confinement_kraus
+from cvqec.montecarlo import _carrier, confinement_kraus
 
 # Order of the Gauss-Hermite rule in each quadrature.
 _N_NODES = 64
 _FOCK_CHUNK = 8192  # trajectories per batch of fock_outcome_probabilities
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
 
 
 def displacement_operator(beta: complex, n_trunc: int) -> np.ndarray:
@@ -102,3 +109,63 @@ def fock_outcome_probabilities(alpha: float, bp: np.ndarray) -> np.ndarray:
         diff = kicked[:, 0] @ back_g - 1j * (kicked[:, 1] @ back_e)
         out[lo:lo + _FOCK_CHUNK] = 0.25 * np.sum(np.abs(diff) ** 2, axis=1)
     return out
+
+
+def standard_draws(root_seed: int, kind: str, start: int, stop: int):
+    """(data, anc, uni) as montecarlo._standard_draws lays them out, drawn
+    row by row in the circuit's order, and per row whether its stream took
+    one 64-bit output per number (every normal on the ziggurat fast path)."""
+    carrier = _carrier(kind)
+    n, modes = stop - start, carrier.n_modes
+    data, uni = np.empty((n, 2)), np.empty((n, carrier.n_uniform))
+    anc = np.empty((n, carrier.n_anc_normals, 2))
+    fast = np.empty(n, dtype=bool)
+    for r in range(n):
+        rng = np.random.default_rng(np.random.SeedSequence([root_seed, start + r]))
+        data[r] = rng.standard_normal(2)
+        for m in range(modes):
+            anc[r, m] = rng.standard_normal(2)
+            uni[r, m] = rng.random()
+        if kind == "binomial_n3":
+            anc[r, 0] = rng.standard_normal(2)
+        uni[r, modes:] = rng.random(carrier.n_uniform - modes)
+        once = np.random.default_rng(np.random.SeedSequence([root_seed, start + r]))
+        once.bit_generator.advance(2 + anc[r].size + carrier.n_uniform)
+        fast[r] = rng.bit_generator.state == once.bit_generator.state
+    return data, anc, uni, fast
+
+
+def ziggurat_tables():
+    """numpy's ziggurat tables ki (uint64) and wi (float64) for
+    Generator.standard_normal, read back through PCG64's state setter.
+
+    A draw maps one output r to idx = r & 0xff, a sign bit and rabs = r >>
+    9, and returns rabs wi[idx] on the fast path, rabs < ki[idx].  The state
+    s with s M + inc = r (hi word 0, so XSL-RR does not rotate) makes r the
+    next output.  rabs = 1 gives wi[idx]; idx = 1 has ki = 0 and returns it
+    from the wedge, whose acceptance test 1 passes.  ki[idx] is the first
+    rabs whose draw takes more than one step, found by bisection."""
+    inv = pow(_PCG_MULT, -1, 1 << 128)
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+
+    def draw(r):
+        """(standard_normal with r next, whether it took one output)"""
+        bitgen.state = {"bit_generator": "PCG64",
+                        "state": {"state": (r - 1) * inv % (1 << 128), "inc": 1},
+                        "has_uint32": 0, "uinteger": 0}
+        x = rng.standard_normal()
+        return x, bitgen.state["state"]["state"] == r
+
+    ki, wi = np.empty(256, dtype=np.uint64), np.empty(256)
+    for idx in range(256):
+        wi[idx] = draw(idx | 1 << 9)[0]
+        lo, hi = 0, 1 << 52
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if draw(idx | mid << 9)[1]:
+                lo = mid + 1
+            else:
+                hi = mid
+        ki[idx] = lo
+    return ki, wi

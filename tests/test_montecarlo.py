@@ -13,16 +13,16 @@ from cvqec.cli import main
 from cvqec.gaussian import qubit_outcome_mean
 from cvqec.montecarlo import (_SHOR_MODE_DIM, ANCILLA_KINDS,
                               EstimateWithError, TrajectoryPlan, _BranchState,
-                              _Context, _DenseState,
-                              _pcg64_states, _run_draws, _ShorState, _streams,
-                              _sweep_rows,
+                              _Context, _DenseState, _int128,
+                              _pcg64_states, _run_draws, _ShorState,
+                              _standard_draws, _sweep_rows,
                               branch_decomposition_run, confinement_kraus,
                               estimate_qubit_var_p, run_concatenated,
                               trajectory_fidelity)
 from cvqec.protocol import (exact_infidelity, optimal_alpha_qubit,
                             optimal_zeta, run_qubit_p_scheme,
                             run_squeezed_scheme)
-from oracles import fock_outcome_probabilities
+from oracles import fock_outcome_probabilities, standard_draws, ziggurat_tables
 
 
 class TestPlanValidation:
@@ -452,7 +452,8 @@ _RANDOM_PAIRS = [tuple(map(int, pair)) for pair in
 
 
 class TestSeeding:
-    """Bulk seeding against numpy's own default_rng(SeedSequence(...))."""
+    """Bulk seeding and draws against numpy's own
+    default_rng(SeedSequence(...))."""
 
     @staticmethod
     def _generator(state, inc):
@@ -462,44 +463,93 @@ class TestSeeding:
                         "has_uint32": 0, "uinteger": 0}
         return np.random.Generator(bitgen)
 
+    @staticmethod
+    def _bulk_states(root_seed, start, stop):
+        """_pcg64_states as (state, inc) ints, one pair per index."""
+        state, inc = _pcg64_states(root_seed, start, stop)
+        return [(_int128(state, r), _int128(inc, r)) for r in range(stop - start)]
+
+    @staticmethod
+    def _assert_draws(root_seed, kind, start, stop):
+        """_standard_draws equals the row-by-row oracle byte for byte;
+        returns the oracle's per-row fast-path flags."""
+        *want, fast = standard_draws(root_seed, kind, start, stop)
+        for got, ref in zip(_standard_draws(root_seed, kind, start, stop), want):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        return fast
+
     @pytest.mark.parametrize("root_seed, index", _EDGE_PAIRS + _RANDOM_PAIRS)
     def test_bulk_state_matches_seed_sequence(self, root_seed, index):
-        (state, inc), = _pcg64_states(root_seed, index, index + 1)
+        (state, inc), = self._bulk_states(root_seed, index, index + 1)
         _assert_stream(self._generator(state, inc), root_seed, index)
 
     @pytest.mark.parametrize("root_seed, start", [(0, 0), (7, 2**32 - 40), (2**32 - 1, 5)])
     def test_bulk_run_of_indices(self, root_seed, start):
-        states = _pcg64_states(root_seed, start, start + 40)
+        states = self._bulk_states(root_seed, start, start + 40)
         for offset, (state, inc) in enumerate(states):
             _assert_stream(self._generator(state, inc), root_seed, start + offset)
 
     @pytest.mark.parametrize("root_seed, start", [(3, 0), (2**32 - 1, 2**32 - 3)])
-    def test_streams_take_the_bulk_path(self, root_seed, start):
+    def test_streams_take_the_bulk_path(self, monkeypatch, root_seed, start):
+        calls = []
+        bulk = montecarlo._pcg64_states
+        monkeypatch.setattr(montecarlo, "_pcg64_states",
+                            lambda *args: calls.append(args) or bulk(*args))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for offset, rng in enumerate(_streams(root_seed, start, start + 3)):
-                _assert_stream(rng, root_seed, start + offset)
+            for kind in ANCILLA_KINDS:
+                self._assert_draws(root_seed, kind, start, start + 3)
+        assert len(calls) == len(ANCILLA_KINDS)
 
     @pytest.mark.parametrize("root_seed, start", [(2**32, 0), (5, 2**32), (5, 2**32 - 1)])
     def test_fallback_past_one_word(self, monkeypatch, root_seed, start):
         # past 2**32 SeedSequence takes more entropy words than bulk seeding
-        # models, so every stream must come from default_rng
+        # models, so every row must draw from default_rng
         def no_bulk(*args):
             raise AssertionError("bulk seeding used past one 32-bit word")
 
         monkeypatch.setattr(montecarlo, "_pcg64_states", no_bulk)
-        for offset, rng in enumerate(_streams(root_seed, start, start + 2)):
-            _assert_stream(rng, root_seed, start + offset)
+        for kind in ANCILLA_KINDS:
+            self._assert_draws(root_seed, kind, start, start + 2)
 
     def test_guard_falls_back_on_mismatch(self, monkeypatch):
         wrong = montecarlo._HASH_B.copy()
         wrong[3] += np.uint32(1)
-        monkeypatch.setattr(montecarlo, "_HASH_B", wrong)
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "_HASH_B", wrong)
+            with pytest.warns(RuntimeWarning, match="bulk PCG64 seeding"):
+                self._assert_draws(11, "bare", 4, 7)
+        # a wrong layer width that the first row's first normal uses on the
+        # fast path
+        r = int(montecarlo._rng(11, 4).bit_generator.random_raw())
+        idx, rabs = r & 0xFF, r >> 9 & (1 << 52) - 1
+        assert rabs < montecarlo._ZIG_KI[idx]
+        wi = montecarlo._ZIG_WI.copy()
+        wi[idx] = np.nextafter(wi[idx], 1.0)
+        monkeypatch.setattr(montecarlo, "_ZIG_WI", wi)
         with pytest.warns(RuntimeWarning, match="bulk PCG64 seeding"):
-            streams = list(zip(range(3), _streams(11, 4, 7)))
-        # fallback generators are independent objects, so check each in turn
-        for offset, rng in streams:
-            _assert_stream(rng, 11, 4 + offset)
+            self._assert_draws(11, "bare", 4, 7)
+
+    def test_ziggurat_tables_match_numpy(self):
+        ki, wi = ziggurat_tables()
+        assert ki[1] == 0
+        assert np.array_equal(ki, montecarlo._ZIG_KI)
+        assert wi.astype("<f8").tobytes() == montecarlo._ZIG_WI.astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("kind", ANCILLA_KINDS)
+    def test_draws_match_default_rng(self, kind):
+        """Bulk runs at edge seeds and indices, single rows, and the
+        per-row path past one 32-bit word, byte for byte; the bulk rows
+        include rows on the fast path and rows redrawn off it."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = np.concatenate([
+                self._assert_draws(root_seed, kind, start, start + n)
+                for root_seed, start, n in [(0, 0, 300), (2**32 - 1, 2**32 - 60, 60),
+                                            (123456, 5, 1), (7, 2**32 - 1, 1)]])
+        assert fast.any() and not fast.all()
+        for root_seed, start in [(2**32, 0), (9, 2**32)]:
+            self._assert_draws(root_seed, kind, start, start + 3)
 
     def test_negative_seed_is_a_numerical_failure(self, tmp_path, capsys):
         assert main(["fig4", "--trajectories", "5", "--points", "0.05",
