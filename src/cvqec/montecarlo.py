@@ -751,17 +751,28 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _LOW32 = np.uint64(0xFFFFFFFF)
 _U32 = np.uint64(32)
-# the values init mult**k mod 2**32 of a SeedSequence hash constant: 16
-# hashmix calls of the pool mix, 8 words of generate_state
-_HASH_A, _HASH_B = (np.array([init * pow(mult, k, 1 << 32) & 0xFFFFFFFF for k in range(n)],
-                             dtype=np.uint32)
-                    for init, mult, n in ((_INIT_A, _MULT_A, 17), (_INIT_B, _MULT_B, 9)))
 
-# numpy's standard normal ziggurat tables (ziggurat_constants.h): ki, 256
-# uint64 fast-path bounds, then wi, 256 float64 layer widths, little-endian
-_ZIGGURAT = np.fromfile(Path(__file__).with_name("ziggurat.bin"), dtype="<u8")
-_ZIGGURAT.flags.writeable = False
-_ZIG_KI, _ZIG_WI = _ZIGGURAT[:256], _ZIGGURAT[256:].view("<f8")
+
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """The first n + 1 values of a SeedSequence hash constant."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)
+
+
+_HASH_A = _hash_consts(_INIT_A, _MULT_A, 16)  # 16 hashmix calls of the pool mix
+_HASH_B = _hash_consts(_INIT_B, _MULT_B, 8)   # 8 words of generate_state
+
+
+@lru_cache(maxsize=1)
+def _ziggurat() -> tuple:
+    """numpy's standard normal ziggurat tables (ziggurat_constants.h), read
+    only: ki, 256 uint64 fast-path bounds, and wi, 256 float64 layer
+    widths, stored in that order, little-endian, in ziggurat.bin."""
+    raw = np.fromfile(Path(__file__).with_name("ziggurat.bin"), dtype="<u8")
+    raw.flags.writeable = False
+    return raw[:256], raw[256:].view("<f8")
 
 
 def _split128(values) -> tuple:
@@ -853,7 +864,7 @@ def _bulk_draws(root_seed: int, carrier: _Carrier, start: int, stop: int):
     +-rabs wi[idx] when rabs < ki[idx].  Otherwise it takes further
     outputs, which moves the rest of the row, so a row with a normal off
     the fast path is redrawn from a generator at its seeded state."""
-    mask = carrier.normal_mask
+    mask, (ki, wi) = carrier.normal_mask, _ziggurat()
     state, inc = _pcg64_states(root_seed, start, stop)
     mult, add = _jumps(len(mask))
     hi, lo = _add128(_mul128([a[:, None] for a in state], mult),
@@ -862,7 +873,7 @@ def _bulk_draws(root_seed: int, carrier: _Carrier, start: int, stop: int):
     r = r >> rot | r << (np.uint64(64) - rot & np.uint64(63))
     idx = r & np.uint64(0xFF)
     rabs = r >> np.uint64(9) & np.uint64((1 << 52) - 1)
-    x = rabs * _ZIG_WI[idx]
+    x = rabs * wi[idx]
     flat = np.where(mask, np.where(r & np.uint64(0x100), -x, x),
                     (r >> np.uint64(11)) * 2.0 ** -53)
     # the guard: the first row's seeded state and numbers, bit for bit; its
@@ -872,11 +883,10 @@ def _bulk_draws(root_seed: int, carrier: _Carrier, start: int, stop: int):
                                                   "inc": _int128(inc, 0)}
     first = np.empty(len(mask))
     _draw_row(ref, carrier.runs, first)
-    for row in np.flatnonzero((mask & (rabs >= _ZIG_KI[idx])).any(axis=1)).tolist():
-        ref.bit_generator.state = {"bit_generator": "PCG64",
+    for row in np.flatnonzero((mask & (rabs >= ki[idx])).any(axis=1)).tolist():
+        ref.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                                    "state": {"state": _int128(state, row),
-                                             "inc": _int128(inc, row)},
-                                   "has_uint32": 0, "uinteger": 0}
+                                             "inc": _int128(inc, row)}}
         _draw_row(ref, carrier.runs, flat[row])
     if seeded and first.tobytes() == flat[0].tobytes():
         return flat

@@ -521,20 +521,22 @@ class TestSeeding:
                 self._assert_draws(11, "bare", 4, 7)
         # a wrong layer width that the first row's first normal uses on the
         # fast path
+        ki, wi = montecarlo._ziggurat()
         r = int(montecarlo._rng(11, 4).bit_generator.random_raw())
         idx, rabs = r & 0xFF, r >> 9 & (1 << 52) - 1
-        assert rabs < montecarlo._ZIG_KI[idx]
-        wi = montecarlo._ZIG_WI.copy()
+        assert rabs < ki[idx]
+        wi = wi.copy()
         wi[idx] = np.nextafter(wi[idx], 1.0)
-        monkeypatch.setattr(montecarlo, "_ZIG_WI", wi)
+        monkeypatch.setattr(montecarlo, "_ziggurat", lambda: (ki, wi))
         with pytest.warns(RuntimeWarning, match="bulk PCG64 seeding"):
             self._assert_draws(11, "bare", 4, 7)
 
     def test_ziggurat_tables_match_numpy(self):
         ki, wi = ziggurat_tables()
+        shipped_ki, shipped_wi = montecarlo._ziggurat()
         assert ki[1] == 0
-        assert np.array_equal(ki, montecarlo._ZIG_KI)
-        assert wi.astype("<f8").tobytes() == montecarlo._ZIG_WI.astype("<f8").tobytes()
+        assert np.array_equal(ki, shipped_ki)
+        assert wi.astype("<f8").tobytes() == shipped_wi.astype("<f8").tobytes()
 
     @pytest.mark.parametrize("kind", ANCILLA_KINDS)
     def test_draws_match_default_rng(self, kind):
