@@ -540,9 +540,9 @@ class TestSeeding:
 
     @pytest.mark.parametrize("kind", ANCILLA_KINDS)
     def test_draws_match_default_rng(self, kind):
-        """Bulk runs at edge seeds and indices, single rows, and the
-        per-row path past one 32-bit word, byte for byte; the bulk rows
-        include rows on the fast path and rows redrawn off it."""
+        """Bulk runs at edge seeds and indices and single rows, byte for
+        byte; the rows include rows on the fast path and rows redrawn off
+        it (test_fallback_past_one_word covers the per-row path)."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fast = np.concatenate([
@@ -550,8 +550,6 @@ class TestSeeding:
                 for root_seed, start, n in [(0, 0, 300), (2**32 - 1, 2**32 - 60, 60),
                                             (123456, 5, 1), (7, 2**32 - 1, 1)]])
         assert fast.any() and not fast.all()
-        for root_seed, start in [(2**32, 0), (9, 2**32)]:
-            self._assert_draws(root_seed, kind, start, start + 3)
 
     def test_negative_seed_is_a_numerical_failure(self, tmp_path, capsys):
         assert main(["fig4", "--trajectories", "5", "--points", "0.05",
