@@ -1,7 +1,7 @@
 """Simulation and optimization toolkit for ancilla-assisted correction of
 random displacement errors on a bosonic mode: qubit, squeezed, qudit and
-code-concatenated protocols, with closed-form, quadrature and Monte Carlo
-evaluation paths."""
+code-concatenated protocols, with closed-form and Monte Carlo evaluation
+paths."""
 
 from .dvcodes import (CodeSpec, SyndromeResult, binomial_code, encode,
                       logical_flip_probability_three_qubit, recover,
@@ -11,7 +11,7 @@ from .fock import (DensityMatrix, DisplacementEngine, PureState,
                    fidelity, fock_state, overlap_f)
 from .gaussian import (FilteredMoments, IntegrationError, gaussian_pdf,
                        integrate, qubit_filtered_moments, qubit_outcome_mean,
-                       qudit_filter, qudit_filtered_moments)
+                       qudit_filtered_moments)
 from .montecarlo import (EstimateWithError, RunResult, TrajectoryPlan,
                          branch_decomposition_run, confinement_kraus,
                          estimate_qubit_var_p, run_concatenated)

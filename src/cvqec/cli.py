@@ -87,7 +87,7 @@ def cmd_fig3(args) -> None:
     rows = []
     for d in range(2, dmax + 1):
         alpha_opt, var_opt = protocol.optimize_qudit_alpha(sigma, d)
-        var_at_s = protocol.run_qudit_scheme(sigma, math.pi / (s * sigma), d).var_p
+        var_at_s = protocol._qudit_var_p(sigma, math.pi / (s * sigma), d)
         bound = protocol.qudit_bound(sigma, s, d)
         rows.append((float(d), alpha_opt, var_opt, var_at_s, bound))
     _write_csv(out / "fig3_qudit.csv",

@@ -19,8 +19,10 @@ of ``e^{i t b}`` are exact:
 ``E[b e^{itb}] = (i t sigma^2/2) e^{-t^2 sigma^2/4}`` and
 ``E[b^2 e^{itb}] = (sigma^2/2 - t^2 sigma^4/4) e^{-t^2 sigma^2/4}``.
 Every qudit moment is therefore a sum of ``2d - 1`` terms, summed for
-all d outcomes at once by :func:`qudit_moments`; ``protocol``'s optimizers
-minimize the variances its scheme runners report from it.
+all d outcomes at once by :func:`qudit_moments` from one coefficient
+table, whose rows are also the filters of ``protocol``'s qudit outcome
+branches; ``protocol``'s optimizers minimize the variances its scheme
+runners report from it.
 :func:`integrate`, scipy's adaptive ``quad``, is the independent oracle
 the tests check these closed forms against; scipy is imported on its
 first call, so no command of the package loads scipy.
@@ -41,7 +43,6 @@ __all__ = [
     "integrate",
     "qubit_filtered_moments",
     "qubit_outcome_mean",
-    "qudit_filter",
     "qudit_filtered_moments",
     "qudit_moments",
     "QUDIT_MEASUREMENT_OFFSET",
@@ -159,35 +160,18 @@ def qubit_filtered_moments(sigma: float, alpha: float, outcome: str) -> Filtered
     return _moments(0.5, mean, 0.5 * sigma**2)
 
 
-def qudit_filter(beta, alpha: float, d: int, l) -> np.ndarray | float:
-    """Fourier-outcome filter ``sin^2(d a b + l pi) / (d^2 sin^2(a b + l pi/d))``.
-
-    Removable singularities (every kernel peak) evaluate to their limit 1
-    via a series expansion, never to NaN.  ``l`` may be half-integer,
-    which is how the rotated measurement basis used by
-    :func:`qudit_filtered_moments` is expressed.
-    """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    beta = np.asarray(beta, dtype=float)
-    # The kernel depends on beta only through u = alpha*beta + l*pi/d:
-    # F = (sin(d u) / (d sin u))^2, periodic in u with period pi.
-    u = alpha * beta + l * np.pi / d
-    v = u - np.round(u / np.pi) * np.pi
-    small = np.abs(v) < 1e-6
-    sv = np.where(small, 1.0, np.sin(v))
-    out = np.where(
-        small,
-        1.0 - (d * d - 1) * v * v / 3.0,
-        (np.sin(d * v) / (d * sv)) ** 2,
-    )
-    return out if out.ndim else float(out)
-
-
-# d -> (m, the factor of c_m that depends on d alone, one row per outcome l)
 _FEJER_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _fejer_table(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(m, c)`` with ``m = -(d-1)..d-1`` and ``c[l, m] = (d - |m|)/d^2
+    e^{2 i pi l_eff m / d}``: outcome l's filter is the Fourier series
+    ``Re sum_m c[l, m] e^{2 i m alpha b}``, shared by every alpha."""
+    if d not in _FEJER_CACHE:
+        m = np.arange(-(d - 1), d)
+        l_eff = np.arange(d)[:, None] + QUDIT_MEASUREMENT_OFFSET
+        _FEJER_CACHE[d] = m, (d - np.abs(m)) / d**2 * np.exp(2j * np.pi * l_eff * m / d)
+    return _FEJER_CACHE[d]
 
 
 def qudit_moments(sigma: float, alpha: float, d: int):
@@ -209,11 +193,7 @@ def qudit_moments(sigma: float, alpha: float, d: int):
     _check_drive(sigma, alpha)
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if d not in _FEJER_CACHE:
-        m = np.arange(-(d - 1), d)
-        l_eff = np.arange(d)[:, None] + QUDIT_MEASUREMENT_OFFSET
-        _FEJER_CACHE[d] = m, (d - np.abs(m)) / d**2 * np.exp(2j * np.pi * l_eff * m / d)
-    m, factors = _FEJER_CACHE[d]
+    m, factors = _fejer_table(d)
     c = factors * np.exp(-(m * alpha * sigma) ** 2)
     return np.array((c, c * (1j * m * alpha * sigma**2),
                      c * (0.5 * sigma**2 - (m * alpha * sigma**2) ** 2))).sum(axis=-1).real

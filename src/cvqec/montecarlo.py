@@ -372,7 +372,8 @@ class _Terms:
 
     def displace_data(self, beta: np.ndarray):
         beta = beta[:, None]
-        self.ph = self.ph * np.exp(1j * (beta * self.gamma.conj()).imag)
+        # numpy never elides an explicit ufunc call: ph x exp at every size
+        self.ph = np.multiply(self.ph, np.exp(1j * (beta * self.gamma.conj()).imag))
         self.gamma = self.gamma + beta
         self._gd = None
 
@@ -387,7 +388,7 @@ class _Terms:
         keep = np.abs(a) * np.tile(np.abs(self.ph), 2) > _BRANCH_TOL
         gamma = np.tile(self.gamma, 2)
         shift = np.repeat([alpha_g, alpha_e], t)
-        ph = np.tile(self.ph, 2) * np.exp(1j * (shift * gamma.conj()).imag)
+        ph = np.multiply(np.tile(self.ph, 2), np.exp(1j * (shift * gamma.conj()).imag))
         gamma = gamma + shift
         alive = keep.any(axis=0)
         keep = keep[:, alive]
@@ -395,6 +396,14 @@ class _Terms:
         self.ph = np.where(keep, ph[:, alive], 0.0)
         self._gd = None
         return np.where(keep, a[:, alive], 0.0), np.repeat([0, 1], t)[alive]
+
+    def _y_outcome(self, a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The Y readout's outcome per row (1 for +Y, -1 for -Y, 0 outside the
+        code space) from the slot overlaps a = <y+|c_t>, b = <y-|c_t> and u."""
+        gd, nrm = self.data_gram(), self.norm()
+        p_plus = np.einsum("ni,nij,nj->n", a.conj(), gd, a).real / nrm
+        p_minus = np.einsum("ni,nij,nj->n", b.conj(), gd, b).real / nrm
+        return np.where(u < p_plus, 1, np.where(u < p_plus + p_minus, -1, 0))
 
 
 class _BranchState(_Terms):
@@ -446,11 +455,7 @@ class _BranchState(_Terms):
         yp, ym = self.ctx.yplus, self.ctx.yminus
         a = self.c @ yp.conj()
         b = self.c @ ym.conj()
-        gd = self.data_gram()
-        nrm = self.norm()
-        p_plus = np.einsum("ni,nij,nj->n", a.conj(), gd, a).real / nrm
-        p_minus = np.einsum("ni,nij,nj->n", b.conj(), gd, b).real / nrm
-        outcome = np.where(u < p_plus, 1, np.where(u < p_plus + p_minus, -1, 0))
+        outcome = self._y_outcome(a, b, u)
         on_plus, on_minus = a[..., None] * yp, b[..., None] * ym
         self.c = np.where((outcome == 1)[:, None, None], on_plus,
                           np.where((outcome == -1)[:, None, None], on_minus,
@@ -567,11 +572,7 @@ class _ShorState(_Terms):
         ag, ae = self._codeword_overlaps()
         a = (ag - 1j * ae) / math.sqrt(2.0)  # <y+|c>, y+ = (g + i e) / sqrt(2)
         b = (ag + 1j * ae) / math.sqrt(2.0)  # <y-|c>
-        gd = self.data_gram()
-        nrm = self.norm()
-        p_plus = np.einsum("ni,nij,nj->n", a.conj(), gd, a).real / nrm
-        p_minus = np.einsum("ni,nij,nj->n", b.conj(), gd, b).real / nrm
-        outcome = np.where(u < p_plus, 1, np.where(u < p_plus + p_minus, -1, 0))
+        outcome = self._y_outcome(a, b, u)
         # products [g, e, old...]: a y+, b y-, or the complement c - ag g - ae e
         n, t, p = self.coef.shape
         scale, blocks = self.ctx.block_scale, self.ctx.blocks

@@ -3,9 +3,10 @@
 Each scheme runner returns a :class:`CorrectedNoise` describing the
 post-correction displacement distribution: per quadrature, the variance
 and, per measurement outcome, the filter reweighting the original
-Gaussian and the counter-displacement that was applied.  Infidelity can
-then be evaluated either through the small-noise variance expansion or by
-exact quadrature of the outcome-averaged overlap.  The optimizers minimize
+Gaussian, a finite Fourier series, and the counter-displacement that was
+applied.  Infidelity can then be evaluated either through the small-noise
+variance expansion or exactly: the outcome-averaged overlap is a sum of
+Gaussian integrals in closed form.  The optimizers minimize
 the closed-form p variances that the runners report, :func:`_qubit_var_p`
 and :func:`_qudit_var_p`.
 """
@@ -15,15 +16,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from . import gaussian
 from .fock import overlap_f
-from .gaussian import qubit_filtered_moments, qudit_filter, qudit_filtered_moments
+from .gaussian import qubit_filtered_moments, qudit_filtered_moments
 from .optimize import minimize_scalar
 
 __all__ = [
@@ -51,21 +49,21 @@ __all__ = [
 _FD_STEP = 1e-4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compared and hashed by identity
 class OutcomeBranch:
     """One measurement outcome: its probability, the pre-correction mean
     of the displacement (equal to the applied counter-displacement), and
-    the filter multiplying the Gaussian, normalized so the filtered
-    density is gaussian_pdf(b, sigma) * filter(b) / weight."""
+    the filter multiplying the Gaussian as a finite Fourier series
+    ``filter(b) = Re sum_k coeffs[k] e^{i freqs[k] b}``, normalized so the
+    filtered density is gaussian_pdf(b, sigma) * filter(b) / weight."""
 
     weight: float
     mean: float
-    filter: Callable[[np.ndarray], np.ndarray] | None = None
+    freqs: tuple | np.ndarray = (0.0,)
+    coeffs: tuple | np.ndarray = (1.0,)
 
     def filter_values(self, b: np.ndarray) -> np.ndarray:
-        if self.filter is None:
-            return np.ones_like(b)
-        return self.filter(b)
+        return (np.exp(1j * np.multiply.outer(b, self.freqs)) @ self.coeffs).real
 
 
 @dataclass(frozen=True)
@@ -104,9 +102,10 @@ class CorrectedNoise:
 
 
 def _qubit_noise(sigma: float, alpha: float) -> QuadratureNoise:
+    # (1 +/- sin(4 alpha b)) / 2
     branches = tuple(
-        OutcomeBranch(m.outcome_prob, m.mean,
-                      lambda b, s=sign: 0.5 * (1.0 + s * np.sin(4.0 * alpha * b)))
+        OutcomeBranch(m.outcome_prob, m.mean, (0.0, 4.0 * alpha, -4.0 * alpha),
+                      (0.5, -0.25j * sign, 0.25j * sign))
         for sign, m in ((1.0, qubit_filtered_moments(sigma, alpha, "+Y")),
                         (-1.0, qubit_filtered_moments(sigma, alpha, "-Y"))))
     return QuadratureNoise(sigma, branches, _qubit_var_p(sigma, alpha))
@@ -167,11 +166,9 @@ def run_qudit_scheme(sigma: float, alpha: float, d: int) -> CorrectedNoise:
     """d-level ancilla, rotated-Fourier readout; corrects p only."""
     variance = _qudit_var_p(sigma, alpha, d)
     moments = tuple(qudit_filtered_moments(sigma, alpha, d, l) for l in range(d))
-    offset = gaussian.QUDIT_MEASUREMENT_OFFSET
-    branches = tuple(
-        OutcomeBranch(m.outcome_prob, m.mean,
-                      lambda b, l=l: qudit_filter(b, alpha, d, l + offset))
-        for l, m in enumerate(moments))
+    m, table = gaussian._fejer_table(d)
+    branches = tuple(OutcomeBranch(mom.outcome_prob, mom.mean, 2.0 * alpha * m, table[l])
+                     for l, mom in enumerate(moments))
     return CorrectedNoise(_plain(sigma), QuadratureNoise(sigma, branches, variance))
 
 
@@ -248,33 +245,42 @@ def infidelity_from_noise(state_kind: str, noise: CorrectedNoise) -> float:
     return -0.5 * (fq * noise.var_q + fp * noise.var_p)
 
 
-@lru_cache(maxsize=None)
-def _gh_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The order-200 Gauss-Hermite rule of each exact_infidelity quadrature."""
-    return hermgauss(200)
+def _overlap_moments(noise: QuadratureNoise) -> np.ndarray:
+    """``[K_0, K_2, K_4]``, ``K_k`` the sum over branches of
+    ``int G(b, sigma) filter(b) (b - m)^k e^{-(b - m)^2} db``.
 
-
-def _overlap_grid(state_kind: str, bq: np.ndarray, bp: np.ndarray) -> np.ndarray:
-    r2 = bq[:, None] ** 2 + bp[None, :] ** 2
-    if state_kind == "coherent":
-        return np.exp(-r2)
-    if state_kind == "fock1":
-        return np.exp(-r2) * (1.0 - r2) ** 2
-    raise ValueError(f"unknown state kind {state_kind!r}")
+    Per Fourier term e^{itb} the integrand is a Gaussian in x = b - m
+    with precision A = 1 + sigma^-2 and linear coefficient
+    C = it - 2m/sigma^2, so the integral is its weight times the
+    moments 1, mu^2 + v and mu^4 + 6 mu^2 v + 3 v^2 of mean mu = C/2A
+    and variance v = 1/2A."""
+    a = 1.0 + noise.sigma**-2
+    v = 0.5 / a
+    total = np.zeros(3)
+    for br in noise.branches:
+        t, m = np.asarray(br.freqs), br.mean
+        c = 1j * t - 2.0 * m / noise.sigma**2
+        mu2 = (c / (2.0 * a)) ** 2
+        weight = np.exp(c * c / (4.0 * a) + 1j * t * m - (m / noise.sigma) ** 2)
+        moments = np.array((np.ones_like(mu2), mu2 + v, mu2 * mu2 + 6.0 * mu2 * v + 3.0 * v * v))
+        total += (moments * weight @ np.asarray(br.coeffs)).real
+    return total / (noise.sigma * math.sqrt(a))
 
 
 def exact_infidelity(state_kind: str, noise: CorrectedNoise) -> float:
     """Outcome-averaged infidelity 1 - sum_l N_l int P_l,corr f d^2 beta,
-    evaluated by 2-D Gauss-Hermite quadrature without any small-noise
-    assumption."""
-    t, w = _gh_rule()
-    fid = 0.0
-    for bq_branch in noise.q.branches:
-        uq = noise.q.sigma * t
-        filt_q = bq_branch.filter_values(uq) * w / math.sqrt(math.pi)
-        for bp_branch in noise.p.branches:
-            up = noise.p.sigma * t
-            filt_p = bp_branch.filter_values(up) * w / math.sqrt(math.pi)
-            f = _overlap_grid(state_kind, uq - bq_branch.mean, up - bp_branch.mean)
-            fid += filt_q @ f @ filt_p
+    without any small-noise assumption.
+
+    The overlap f is e^{-x^2 - y^2} for a coherent input and
+    e^{-x^2 - y^2} (1 - x^2 - y^2)^2 for fock1, so the sum over pairs of
+    q and p branches is a sum of products of per-quadrature Gaussian
+    integrals (:func:`_overlap_moments`), each in closed form."""
+    q0, q2, q4 = _overlap_moments(noise.q)
+    p0, p2, p4 = _overlap_moments(noise.p)
+    if state_kind == "coherent":
+        fid = q0 * p0
+    elif state_kind == "fock1":
+        fid = q0 * p0 - 2.0 * (q2 * p0 + q0 * p2) + q4 * p0 + q0 * p4 + 2.0 * q2 * p2
+    else:
+        raise ValueError(f"unknown state kind {state_kind!r}")
     return float(1.0 - fid)

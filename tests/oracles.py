@@ -11,6 +11,11 @@ computes another way:
 - confine_single_boson: montecarlo.confinement_kraus summed over a density
   matrix, the Kraus form of the confinement that the nine-qubit carrier
   applies level by level.
+- gauss_hermite_infidelity: protocol.exact_infidelity as an order-200
+  Gauss-Hermite grid over both quadratures for each pair of outcome
+  branches, against the closed-form sum of Gaussian integrals.
+- qudit_filter: the qudit outcome filter as its sin^2 kernel, against
+  the Fourier series an OutcomeBranch carries.
 - fock_outcome_probabilities: the bare-qubit readout probabilities from
   truncated Fock vectors, against the closed-form filter of
   montecarlo.estimate_qubit_var_p.
@@ -25,6 +30,7 @@ computes another way:
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -92,6 +98,66 @@ def confine_single_boson(rho_mode: DensityMatrix) -> DensityMatrix:
     for k in confinement_kraus(rho_mode.dim):
         out += k @ rho_mode.matrix @ k.conj().T
     return DensityMatrix(out)
+
+
+@lru_cache(maxsize=None)
+def _gh_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The order-200 Gauss-Hermite rule of each gauss_hermite_infidelity
+    quadrature."""
+    return hermgauss(200)
+
+
+def _overlap_grid(state_kind: str, bq: np.ndarray, bp: np.ndarray) -> np.ndarray:
+    r2 = bq[:, None] ** 2 + bp[None, :] ** 2
+    if state_kind == "coherent":
+        return np.exp(-r2)
+    if state_kind == "fock1":
+        return np.exp(-r2) * (1.0 - r2) ** 2
+    raise ValueError(f"unknown state kind {state_kind!r}")
+
+
+def gauss_hermite_infidelity(state_kind: str, noise) -> float:
+    """Outcome-averaged infidelity 1 - sum_l N_l int P_l,corr f d^2 beta of a
+    protocol.CorrectedNoise by 2-D Gauss-Hermite quadrature, each branch's
+    filter evaluated on the nodes."""
+    t, w = _gh_rule()
+    fid = 0.0
+    for bq_branch in noise.q.branches:
+        uq = noise.q.sigma * t
+        filt_q = bq_branch.filter_values(uq) * w / math.sqrt(math.pi)
+        for bp_branch in noise.p.branches:
+            up = noise.p.sigma * t
+            filt_p = bp_branch.filter_values(up) * w / math.sqrt(math.pi)
+            f = _overlap_grid(state_kind, uq - bq_branch.mean, up - bp_branch.mean)
+            fid += filt_q @ f @ filt_p
+    return float(1.0 - fid)
+
+
+def qudit_filter(beta, alpha: float, d: int, l) -> np.ndarray | float:
+    """Fourier-outcome filter ``sin^2(d a b + l pi) / (d^2 sin^2(a b + l pi/d))``.
+
+    Removable singularities (every kernel peak) evaluate to their limit 1
+    via a series expansion, never to NaN.  ``l`` may be half-integer,
+    which is how the rotated measurement basis of the package's qudit
+    readout is expressed.
+    """
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    if alpha < 0:
+        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    beta = np.asarray(beta, dtype=float)
+    # The kernel depends on beta only through u = alpha*beta + l*pi/d:
+    # F = (sin(d u) / (d sin u))^2, periodic in u with period pi.
+    u = alpha * beta + l * np.pi / d
+    v = u - np.round(u / np.pi) * np.pi
+    small = np.abs(v) < 1e-6
+    sv = np.where(small, 1.0, np.sin(v))
+    out = np.where(
+        small,
+        1.0 - (d * d - 1) * v * v / 3.0,
+        (np.sin(d * v) / (d * sv)) ** 2,
+    )
+    return out if out.ndim else float(out)
 
 
 def fock_outcome_probabilities(alpha: float, bp: np.ndarray) -> np.ndarray:

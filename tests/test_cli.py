@@ -335,7 +335,8 @@ class TestExitCodes:
 
 
 # Run in a fresh interpreter: imports cvqec.cli, runs each argv (given as
-# JSON on stdin) through main, and prints the loaded scipy modules.
+# JSON on stdin) through main, and prints the loaded scipy and
+# numpy.polynomial modules.
 _IMPORT_PROBE = """
 import json, sys
 from cvqec.cli import main
@@ -344,15 +345,15 @@ for argv in json.load(sys.stdin):
     if rc != 0:
         sys.exit(f"exit code {rc} from {argv}")
 print(json.dumps(sorted(m for m in sys.modules
-                        if m == "scipy" or m.startswith("scipy."))))
+                        if m == "scipy" or m.startswith(("scipy.", "numpy.polynomial")))))
 """
 
 
 def test_no_command_loads_scipy(tmp_path):
-    """scipy serves only the oracles (adaptive quadrature and the
-    Cholesky check in the package, expm in tests/oracles.py), so
-    importing the CLI and running one small command of each kind leaves
-    it unloaded."""
+    """scipy and numpy.polynomial serve only the oracles (adaptive
+    quadrature and the Cholesky check in the package, expm and the
+    Gauss-Hermite rules in tests/oracles.py), so importing the CLI and
+    running one small command of each kind leaves both unloaded."""
     out = ["--out", str(tmp_path)]
     commands = [["fig2", *out], ["fig3", "--dmax", "3", *out]]
     commands += [["optimize", "--scheme", scheme, "--d", "3",

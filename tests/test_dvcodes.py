@@ -214,39 +214,38 @@ class TestShorRecovery:
                 assert not res.unrecoverable
 
     @staticmethod
-    def _dense_recover(code, rho, mode, rng):
-        """recover's syndrome loop with dense pauli_matrix stabilizers and
-        corrections: (recovered matrix, sampled syndrome or None).  A
-        sector's weight tr(P m) = (tr m +- tr(S m)) / 2 is taken before
-        its projection P m P is formed."""
+    def _dense_recover(code, v, mode, rng):
+        """recover's syndrome loop on the pure input v v^dag, with dense
+        pauli_matrix stabilizers and corrections acting on the vector:
+        (recovered matrix, sampled syndrome or None).  A sector's weight
+        |P v|^2 = (|v|^2 +- <v|S|v>) / 2 is taken before its projection
+        P v is formed; the matrix is formed at the end."""
         stabs = stabilizer_matrices(code.name)
-        eye = np.eye(code.dim, dtype=complex)
 
-        def weight(m, s, bit):
-            return 0.5 * (np.trace(m) + (1 - 2 * bit) * np.einsum("ij,ji->", s, m)).real
+        def weight(v, s, bit):
+            return 0.5 * (np.vdot(v, v) + (1 - 2 * bit) * np.vdot(v, s @ v)).real
 
-        def project(m, s, bit):
-            proj = 0.5 * (eye + (1 - 2 * bit) * s)
-            return proj @ m @ proj
+        def project(v, s, bit):
+            return 0.5 * (v + (1 - 2 * bit) * (s @ v))
 
         if mode == "sample":
-            m, syndrome = rho.matrix, []
+            syndrome = []
             for s in stabs:
-                p_plus = weight(m, s, 0) / np.trace(m).real
+                p_plus = weight(v, s, 0) / np.vdot(v, v).real
                 bit = 0 if rng.random() < min(max(p_plus, 0.0), 1.0) else 1
-                m = project(m, s, bit)
-                m /= np.trace(m).real
+                v = project(v, s, bit)
+                v = v / np.linalg.norm(v)
                 syndrome.append(bit)
-            corr = pauli_matrix(correction_matrix(code.name, _pack(syndrome))[1])
-            return corr @ m @ corr.conj().T, _pack(syndrome)
-        sectors = [((), rho.matrix)]
+            w = pauli_matrix(correction_matrix(code.name, _pack(syndrome))[1]) @ v
+            return np.outer(w, w.conj()), _pack(syndrome)
+        sectors = [((), v)]
         for s in stabs:
-            sectors = [(syn + (bit,), project(m, s, bit)) for syn, m in sectors
-                       for bit in (0, 1) if weight(m, s, bit) > 1e-14]
-        out = np.zeros_like(rho.matrix)
-        for syn, m in sectors:
-            corr = pauli_matrix(correction_matrix(code.name, _pack(syn))[1])
-            out += corr @ m @ corr.conj().T
+            sectors = [(syn + (bit,), project(u, s, bit)) for syn, u in sectors
+                       for bit in (0, 1) if weight(u, s, bit) > 1e-14]
+        out = np.zeros((code.dim, code.dim), dtype=complex)
+        for syn, u in sectors:
+            w = pauli_matrix(correction_matrix(code.name, _pack(syn))[1]) @ u
+            out += np.outer(w, w.conj())
         return out, None
 
     @pytest.mark.parametrize("mode", ["average", "sample"])
@@ -260,7 +259,7 @@ class TestShorRecovery:
                 v = pauli_matrix("I" * pos + ch + "I" * (9 - pos - 1)) @ psi.amplitudes
                 rho = DensityMatrix(np.outer(v, v.conj()))
                 out, res = recover(code, rho, mode, rng=np.random.default_rng(pos))
-                ref, syndrome = self._dense_recover(code, rho, mode,
+                ref, syndrome = self._dense_recover(code, v, mode,
                                                     np.random.default_rng(pos))
                 assert np.max(np.abs(out.matrix - ref)) < 1e-12
                 assert res.syndrome == syndrome

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from cvqec import gaussian
 from cvqec.gaussian import (QUDIT_MEASUREMENT_OFFSET, IntegrationError,
                             gaussian_pdf, integrate, qubit_filtered_moments,
-                            qubit_outcome_mean, qudit_filter,
-                            qudit_filtered_moments, qudit_moments)
+                            qubit_outcome_mean, qudit_filtered_moments,
+                            qudit_moments)
+from cvqec.protocol import run_qudit_scheme
+from oracles import qudit_filter
 
 
 def fourier_qudit_moments(sigma, alpha, d):
@@ -211,11 +213,14 @@ def test_adaptive_method_calls_quad_through_sciint(monkeypatch):
 @given(sigma=st.floats(0.02, 0.4), alpha=st.floats(0.1, 20.0),
        d=st.integers(2, 10))
 def test_filter_completeness(sigma, alpha, d):
-    """The d outcome filters sum to one pointwise."""
+    """The d outcome filters sum to one pointwise, as kernels and as the
+    Fourier series the scheme's outcome branches carry."""
     b = np.linspace(-4 * sigma, 4 * sigma, 41)
     total = sum(qudit_filter(b, alpha, d, l + QUDIT_MEASUREMENT_OFFSET)
                 for l in range(d))
     assert np.allclose(total, 1.0, atol=1e-9)
+    series = sum(br.filter_values(b) for br in run_qudit_scheme(sigma, alpha, d).p.branches)
+    assert np.allclose(series, 1.0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

@@ -396,24 +396,31 @@ class TestReproducibility:
         assert serial.infidelity.mean == threaded.infidelity.mean
 
     # Per-trajectory values of a sweep's distinct rows; the CSV's %.9g would
-    # hide a last-bit change.  Budget 1 runs every row as a two-copy chunk.
-    @pytest.mark.parametrize("ancilla", ["bare", "three_qubit_phase"])
-    def test_chunk_budget_does_not_change_rows(self, monkeypatch, ancilla):
-        base = TrajectoryPlan(sigma=0.15, ancilla=ancilla, n_trajectories=300,
+    # hide a last-bit change.  Budget 1 runs every row as a two-copy chunk;
+    # budget 2**17 runs over 9000 rows as one chunk, past the size from
+    # which numpy reuses a temporary operand's buffer for a product.
+    @pytest.mark.parametrize("ancilla, n, points, budgets", [
+        pytest.param(ancilla, 300, (0.0, 0.05, 0.1, 0.2), (1, 14, 2048, 65536), id=ancilla)
+        for ancilla in ("bare", "three_qubit_phase")] + [
+        pytest.param(ancilla, 9000, (0.0, 0.1), (2048, 1 << 17), id=f"{ancilla}-large")
+        for ancilla in ("bare", "three_qubit_phase")])
+    def test_chunk_budget_does_not_change_rows(self, monkeypatch, ancilla, n, points,
+                                               budgets):
+        base = TrajectoryPlan(sigma=0.15, ancilla=ancilla, n_trajectories=n,
                               root_seed=11, zeta=optimal_zeta())
         rows = []
         try:
-            for budget in (1, 14, 2048, 65536):
+            for budget in budgets:
                 monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", budget)
                 montecarlo._carrier.cache_clear()
                 _sweep_rows.cache_clear()
-                parts, _ = _sweep_rows(base, (0.0, 0.05, 0.1, 0.2))
+                parts, _ = _sweep_rows(base, points)
                 rows.append(b"".join(part.tobytes() for part in parts))
         finally:
             monkeypatch.undo()
             montecarlo._carrier.cache_clear()
             _sweep_rows.cache_clear()
-        assert rows == [rows[0]] * 4
+        assert rows == [rows[0]] * len(budgets)
 
     @pytest.mark.parametrize("ancilla", ["bare", "three_qubit_phase"])
     def test_replays_equal_run_rows(self, monkeypatch, ancilla):

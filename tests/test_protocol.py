@@ -1,12 +1,15 @@
 """Correction schemes: closed forms, optima, and infidelity evaluation."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cvqec.gaussian import qubit_filtered_moments, qudit_filtered_moments
+from cvqec.gaussian import (QUDIT_MEASUREMENT_OFFSET, qubit_filtered_moments,
+                            qudit_filtered_moments)
 from cvqec.protocol import (_qubit_var_p, _qudit_var_p, exact_infidelity,
                             infidelity_from_noise, optimal_alpha_qubit,
                             optimal_zeta, optimize_qubit_alpha,
@@ -15,6 +18,7 @@ from cvqec.protocol import (_qubit_var_p, _qudit_var_p, exact_infidelity,
                             run_squeezed_scheme, run_two_qubit_scheme,
                             run_uncorrected, second_derivative_at_origin,
                             squeezing_db)
+from oracles import gauss_hermite_infidelity, qudit_filter
 
 
 class TestQubitScheme:
@@ -102,7 +106,49 @@ class TestQuditScheme:
             1.0, abs=1e-10)
 
 
+def _every_scheme(sigma):
+    """One noise per scheme (qudit d <= 15) at sigma, each also with its p
+    branch means negated, the mixture component of a flipped readout."""
+    alpha = optimal_alpha_qubit(sigma)
+    noises = [run_uncorrected(sigma), run_qubit_p_scheme(sigma, alpha),
+              run_two_qubit_scheme(sigma, alpha, 1.3 * alpha),
+              run_squeezed_scheme(sigma, alpha, optimal_zeta())]
+    noises += [run_qudit_scheme(sigma, 0.65 / sigma, d) for d in (2, 3, 5, 9, 15)]
+    noises += [run_qudit_scheme(sigma, math.pi / (5 * sigma), 15)]
+    return noises + [dataclasses.replace(n, p=dataclasses.replace(
+        n.p, branches=tuple(dataclasses.replace(b, mean=-b.mean) for b in n.p.branches)))
+        for n in noises]
+
+
+def test_filters_are_their_kernels():
+    """Each branch's Fourier series is its outcome filter: one for no
+    readout, (1 +/- sin(4 alpha b)) / 2 for +/-Y, the sin^2 kernel for
+    qudit outcome l, across several kernel peaks."""
+    sigma, alpha = 0.1, 6.0
+    b = np.linspace(-6 * sigma, 6 * sigma, 301)
+    noise = run_qubit_p_scheme(sigma, alpha)
+    assert np.array_equal(noise.q.branches[0].filter_values(b), np.ones_like(b))
+    for branch, sign in zip(noise.p.branches, (1, -1)):
+        want = 0.5 * (1 + sign * np.sin(4 * alpha * b))
+        assert np.max(np.abs(branch.filter_values(b) - want)) < 1e-15
+    for d in (2, 3, 8, 15):
+        for l, branch in enumerate(run_qudit_scheme(sigma, alpha, d).p.branches):
+            want = qudit_filter(b, alpha, d, l + QUDIT_MEASUREMENT_OFFSET)
+            assert np.max(np.abs(branch.filter_values(b) - want)) < 1e-13
+
+
 class TestInfidelity:
+    @pytest.mark.parametrize("state", ["coherent", "fock1"])
+    @pytest.mark.parametrize("sigma", [0.05, 0.1, 0.2])
+    def test_closed_form_matches_quadrature(self, state, sigma):
+        for noise in _every_scheme(sigma):
+            assert exact_infidelity(state, noise) == pytest.approx(
+                gauss_hermite_infidelity(state, noise), abs=1e-12)
+
+    def test_unknown_state_kind(self):
+        with pytest.raises(ValueError):
+            exact_infidelity("cat", run_uncorrected(0.1))
+
     def test_second_derivatives(self):
         assert second_derivative_at_origin("coherent") == pytest.approx(-2.0, abs=1e-5)
         assert second_derivative_at_origin("fock1") == pytest.approx(-6.0, abs=1e-5)
