@@ -20,14 +20,19 @@ is the per-trajectory oracle.
 _BranchState runs a chunk of trajectories at once as arrays: carrier
 terms c of shape (n, T, D), gamma and ph of shape (n, T).  The
 conditional displacement is the only operation that splits terms.  The
-carrier is in the code space at both displacements (the circuit starts in
-|+>_L and every recovery maps back into it; the tests check this on runs
-of every kind), so it splits each term slot into its g and e parts.
-Pruned terms are exact zeros, and a slot that is empty in every row is
-dropped, so T never exceeds four.  Per-row decisions are vectorized
-comparisons, and Kraus operators and Pauli corrections are applied once
-per distinct choice in the chunk; the binomial syndrome probabilities
-come from one projection onto the recovery basis
+first acts on the known |+>_L x psi0, so a chunk starts after it, in
+closed form (_Terms).  At the second the carrier is back in the code
+space (every recovery maps into it; the tests check this on runs of every
+kind), so each term slot splits into a_t times its codeword, and the
+chunk ends on a logical qubit, a_t in the basis (g, e) (_Terms.logical):
+one +/-Y readout and one fidelity serve every ancilla kind.  The readout
+keeps its outcome outside the code space (RunResult.complement_count, the
+fig4 CSV's complement column), which a logical qubit holds only as
+rounding.  Pruned terms are exact zeros, and a slot that is empty in
+every row is dropped, so T never exceeds four.  Per-row decisions are
+vectorized comparisons, and Kraus operators and Pauli corrections are
+applied once per distinct choice in the chunk; the binomial syndrome
+probabilities come from one projection onto the recovery basis
 (dvcodes.binomial_recovery_basis).
 Both engines displace carriers and the dense data mode with
 DisplacementEngine.apply (the branch engine with one beta per row) and
@@ -44,10 +49,8 @@ stabilizers act on one block, an X-type stabilizer projection doubles P
 products are products of block overlaps weighted by the data Gram
 matrix; the confinement of a mode needs only its 2x2 moment matrix for
 the outcome weights and the two kept rows of its displacement for the
-Kraus step.  The conditional displacement leaves one product per slot,
-its codeword, and the Y readout at most P + 2.  The readout keeps its
-outcome outside the code space (RunResult.complement_count, the fig4
-CSV's complement column), which stays 0 up to rounding.
+Kraus step.  The codeword overlaps of the handover are products of block
+overlaps too, so no 512-dim vector is formed.
 
 A chunk holds max(1, _CHUNK_BUDGET // slot) trajectories, slot the
 carrier amplitudes of one term slot: carrier_dim, or 4 * 3 * 8 = 96 for
@@ -94,6 +97,7 @@ row of its chunk, so a replay can differ from its row in the last bit.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -129,6 +133,9 @@ _CHUNK_BUDGET = 2048  # carrier amplitudes per term slot in one chunk
 # a shor9 term slot: at most four products (two X-type stabilizer
 # projections each double them) of three 8-dim block vectors
 _SHOR_SLOT = 4 * 3 * 8
+# the logical +-Y states in the basis (g, e) of _Terms.logical
+_YPLUS = np.array([1.0, 1.0j]) / math.sqrt(2.0)
+_YMINUS = _YPLUS.conj()
 
 
 @dataclass(frozen=True)
@@ -151,6 +158,9 @@ class TrajectoryPlan:
     coherent_amplitude: complex = 0.0
 
     def __post_init__(self):
+        for name in ("sigma", "zeta", "coherent_amplitude"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
         if self.ancilla not in ANCILLA_KINDS:
@@ -353,12 +363,16 @@ def _confine_levels(t: np.ndarray, outcome: int) -> np.ndarray:
 class _Terms:
     """The data-mode factors of a chunk of n trajectories, each a sum of T
     terms: term k of row r carries ph[r, k] D(gamma[r, k]) |psi0>, with
-    gamma and ph of shape (n, T).  Pruned terms have ph = 0."""
+    gamma and ph of shape (n, T).  Pruned terms have ph = 0.  A chunk
+    starts after the first conditional displacement of |+>_L x psi0: slot
+    0 carries g / sqrt(2) and gamma = -alpha, slot 1 e / sqrt(2) and +alpha.
+    logical() ends it as plain _Terms with a logical-qubit carrier c of
+    shape (n, T, 2), which norm, measure_y and fidelity read."""
 
     def __init__(self, ctx: _Context, n: int):
         self.ctx = ctx
-        self.gamma = np.zeros((n, 1), dtype=complex)
-        self.ph = np.ones((n, 1), dtype=complex)
+        self.gamma = np.tile(np.array([-ctx.alpha, ctx.alpha], dtype=complex), (n, 1))
+        self.ph = np.ones((n, 2), dtype=complex)
         self._gd = None
 
     def data_gram(self) -> np.ndarray:
@@ -397,13 +411,40 @@ class _Terms:
         self._gd = None
         return np.where(keep, a[:, alive], 0.0), np.repeat([0, 1], t)[alive]
 
-    def _y_outcome(self, a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """The Y readout's outcome per row (1 for +Y, -1 for -Y, 0 outside the
-        code space) from the slot overlaps a = <y+|c_t>, b = <y-|c_t> and u."""
+    def logical(self, alpha_g: float, alpha_e: float) -> _Terms:
+        """The second conditional displacement, on a code-space carrier:
+        _split on the engine's _codeword_overlaps.  Each new slot is a_t
+        times its codeword, returned as the logical carrier a_t (1, 0) or
+        a_t (0, 1)."""
+        a, codeword = self._split(np.concatenate(self._codeword_overlaps(), axis=1),
+                                  alpha_g, alpha_e)
+        qubit = _Terms(self.ctx, 0)
+        qubit.gamma, qubit.ph = self.gamma, self.ph
+        qubit.c = a[..., None] * np.eye(2, dtype=complex)[codeword]
+        return qubit
+
+    def norm(self) -> np.ndarray:
+        return np.sum(self.c.conj() * (self.data_gram() @ self.c), axis=(1, 2)).real
+
+    def measure_y(self, u: np.ndarray) -> np.ndarray:
+        """The logical +/-Y readout with uniforms u: per row 1 for +Y, -1 for
+        -Y, or 0 for the complement of the two, which keeps c - the
+        projections."""
+        a, b = self.c @ _YPLUS.conj(), self.c @ _YMINUS.conj()  # <y+|c_t>, <y-|c_t>
         gd, nrm = self.data_gram(), self.norm()
         p_plus = np.einsum("ni,nij,nj->n", a.conj(), gd, a).real / nrm
         p_minus = np.einsum("ni,nij,nj->n", b.conj(), gd, b).real / nrm
-        return np.where(u < p_plus, 1, np.where(u < p_plus + p_minus, -1, 0))
+        outcome = np.where(u < p_plus, 1, np.where(u < p_plus + p_minus, -1, 0))
+        on_plus, on_minus = a[..., None] * _YPLUS, b[..., None] * _YMINUS
+        self.c = np.where((outcome == 1)[:, None, None], on_plus,
+                          np.where((outcome == -1)[:, None, None], on_minus,
+                                   self.c - on_plus - on_minus))
+        return outcome
+
+    def fidelity(self) -> np.ndarray:
+        o = self.ph * self.ctx.overlap(self.gamma)
+        gc = self.c.conj() @ np.swapaxes(self.c, 1, 2)  # [r, i, j] = <c_i|c_j>
+        return np.einsum("ni,nij,nj->n", o.conj(), gc, o).real / self.norm()
 
 
 class _BranchState(_Terms):
@@ -415,28 +456,16 @@ class _BranchState(_Terms):
 
     def __init__(self, ctx: _Context, n: int):
         super().__init__(ctx, n)
-        plus = (ctx.g + ctx.e) / math.sqrt(2.0)
-        self.c = np.tile(plus, (n, 1, 1))
+        self.c = np.tile(np.stack((ctx.g, ctx.e)) / math.sqrt(2.0), (n, 1, 1))
 
-    def _weighted(self) -> np.ndarray:
-        """[r, i] = sum_j <d_i|d_j> c[r, j], so that <c_i| op |weighted_i>
-        summed over i is the expectation of a carrier operator op."""
-        return self.data_gram() @ self.c
-
-    def norm(self) -> np.ndarray:
-        return np.sum(self.c.conj() * self._weighted(), axis=(1, 2)).real
-
-    def conditional_displace(self, alpha_g: float, alpha_e: float):
-        g, e = self.ctx.g, self.ctx.e
-        a, codeword = self._split(np.concatenate((self.c @ g.conj(), self.c @ e.conj()), axis=1),
-                                  alpha_g, alpha_e)
-        self.c = a[..., None] * np.stack((g, e))[codeword]
+    def _codeword_overlaps(self):
+        return self.c @ self.ctx.g.conj(), self.c @ self.ctx.e.conj()
 
     def apply_pauli(self, op: dvcodes.PauliOp, rows):
         self.c[rows] = _pauli(op, self.c[rows])
 
     def stabilizer_plus_probability(self, stab: dvcodes.PauliOp) -> np.ndarray:
-        w = self._weighted()
+        w = self.data_gram() @ self.c
         nrm = np.sum(self.c.conj() * w, axis=(1, 2)).real
         expect = np.sum(self.c.conj() * _pauli(stab, w), axis=(1, 2)).real
         return 0.5 * (nrm + expect) / nrm
@@ -451,22 +480,6 @@ class _BranchState(_Terms):
         w = np.sum(x.conj() * (self.data_gram() @ x), axis=1).real
         return np.add.reduceat(w, self.ctx.binom_starts, axis=1)
 
-    def measure_y(self, u: np.ndarray) -> np.ndarray:
-        yp, ym = self.ctx.yplus, self.ctx.yminus
-        a = self.c @ yp.conj()
-        b = self.c @ ym.conj()
-        outcome = self._y_outcome(a, b, u)
-        on_plus, on_minus = a[..., None] * yp, b[..., None] * ym
-        self.c = np.where((outcome == 1)[:, None, None], on_plus,
-                          np.where((outcome == -1)[:, None, None], on_minus,
-                                   self.c - on_plus - on_minus))
-        return outcome
-
-    def fidelity(self) -> np.ndarray:
-        o = self.ph * self.ctx.overlap(self.gamma)
-        gc = self.c.conj() @ np.swapaxes(self.c, 1, 2)  # [r, i, j] = <c_i|c_j>
-        return np.einsum("ni,nij,nj->n", o.conj(), gc, o).real / self.norm()
-
 
 class _ShorState(_Terms):
     """A chunk of shor9 trajectories whose carriers factor over the code's
@@ -477,30 +490,27 @@ class _ShorState(_Terms):
     (n, T, P, 3, 8).  Block b holds qubits 3b..3b+2, the first the most
     significant bit, so the Kronecker product of the blocks is the 512-dim
     carrier vector.  The codewords are products, g = scale b0 x b0 x b0
-    and e = scale b1 x b1 x b1.  The conditional displacement splits a
-    code-space slot into one product per codeword.  Mode displacement,
-    confinement and Z-type stabilizers act on one block; an X-type
-    stabilizer projection (c + sign S c) / 2 doubles P, so P stays at most
-    four.  Inner products are sums over pairs of products of three block
-    overlaps.
+    and e = scale b1 x b1 x b1, so a chunk starts with one product per
+    slot, its codeword.  Mode displacement, confinement and Z-type
+    stabilizers act on one block; an X-type stabilizer projection (c + sign
+    S c) / 2 doubles P, so P stays at most four.  Inner products are sums
+    over pairs of products of three block overlaps.
     """
 
     def __init__(self, ctx: _Context, n: int):
         super().__init__(ctx, n)
-        self.coef = np.full((n, 1, 2), ctx.block_scale / math.sqrt(2.0), dtype=complex)
-        self.v = np.empty((n, 1, 2, 3, 8), dtype=complex)
-        self.v[:, :, 0] = ctx.blocks[0]
-        self.v[:, :, 1] = ctx.blocks[1]
+        self.coef = np.full((n, 2, 1), ctx.block_scale / math.sqrt(2.0), dtype=complex)
+        self.v = np.empty((n, 2, 1, 3, 8), dtype=complex)
+        self.v[:, 0], self.v[:, 1] = ctx.blocks[0], ctx.blocks[1]
         self._env_block = None
 
     # --- inner products
 
-    def _pair_weights(self, d: np.ndarray | None = None) -> np.ndarray:
-        """[r, K, L] = conj(coef_K) coef_L d[r, t(K), t(L)] over the flattened
-        (slot, product) index K; d is the data Gram matrix unless given."""
+    def _pair_weights(self) -> np.ndarray:
+        """[r, K, L] = conj(coef_K) coef_L <d_t(K)|d_t(L)> over the flattened
+        (slot, product) index K."""
         n, t, p = self.coef.shape
-        d = self.data_gram() if d is None else d
-        coef = self.coef.reshape(n, t * p)
+        coef, d = self.coef.reshape(n, t * p), self.data_gram()
         return coef.conj()[:, :, None] * d.repeat(p, axis=1).repeat(p, axis=2) * coef[:, None, :]
 
     def _block_grams(self, ops=()) -> np.ndarray:
@@ -550,53 +560,12 @@ class _ShorState(_Terms):
         super().displace_data(beta)
         self._changed()
 
-    # --- conditional displacement and Y readout
-
     def _codeword_overlaps(self):
         """<g|c_t> and <e|c_t>, each [r, t], from block overlaps."""
         n, t, p = self.coef.shape
         over = (self.v.reshape(-1, 8) @ self.ctx.blocks.T).reshape(n, t, p, 3, 2).prod(axis=3)
         a = (self.coef[..., None] * over).sum(axis=2) * self.ctx.block_scale
         return a[..., 0], a[..., 1]
-
-    def conditional_displace(self, alpha_g: float, alpha_e: float):
-        a, codeword = self._split(np.concatenate(self._codeword_overlaps(), axis=1),
-                                  alpha_g, alpha_e)
-        # each new slot is one product, its codeword
-        self.coef = self.ctx.block_scale * a[..., None]
-        self.v = np.broadcast_to(self.ctx.blocks[codeword, None, None],
-                                 (*self.coef.shape, 3, 8)).astype(complex)
-        self._changed()
-
-    def measure_y(self, u: np.ndarray) -> np.ndarray:
-        ag, ae = self._codeword_overlaps()
-        a = (ag - 1j * ae) / math.sqrt(2.0)  # <y+|c>, y+ = (g + i e) / sqrt(2)
-        b = (ag + 1j * ae) / math.sqrt(2.0)  # <y-|c>
-        outcome = self._y_outcome(a, b, u)
-        # products [g, e, old...]: a y+, b y-, or the complement c - ag g - ae e
-        n, t, p = self.coef.shape
-        scale, blocks = self.ctx.block_scale, self.ctx.blocks
-        plus, minus, rest = outcome == 1, outcome == -1, outcome == 0
-        width = p + 2 if rest.any() else 2
-        coef = np.zeros((n, t, width), dtype=complex)
-        h = scale / math.sqrt(2.0)
-        coef[plus, :, 0], coef[plus, :, 1] = h * a[plus], 1j * h * a[plus]
-        coef[minus, :, 0], coef[minus, :, 1] = h * b[minus], -1j * h * b[minus]
-        v = np.empty((n, t, width, 3, 8), dtype=complex)
-        v[:, :, 0], v[:, :, 1] = blocks[0], blocks[1]
-        if width > 2:
-            coef[rest, :, 0], coef[rest, :, 1] = -scale * ag[rest], -scale * ae[rest]
-            coef[rest, :, 2:] = self.coef[rest]
-            v[:, :, 2:] = self.v
-        self.coef, self.v = coef, v
-        self._changed()
-        return outcome
-
-    def fidelity(self) -> np.ndarray:
-        o = self.ph * self.ctx.overlap(self.gamma)
-        grams = self._block_grams()
-        overlap = self._pair_sum(self._pair_weights(o.conj()[:, :, None] * o[:, None, :]), grams)
-        return overlap / self._pair_sum(self._pair_weights(), grams)
 
     # --- ancilla errors and recovery
 
@@ -1002,17 +971,17 @@ def _run_chunk(ctx: _Context, data, anc, uni, p_phi=None):
     if n == 1:
         data, anc, uni, p_phi = (np.repeat(a, 2, axis=0) for a in (data, anc, uni, p_phi))
     uniforms = iter(uni.T)
+    # the state after the first conditional displacement (_Terms)
     state = (_ShorState if ctx.kind == "shor9" else _BranchState)(ctx, len(data))
     # squeezing frame: see _one_trajectory
     beta = data[:, 0] * math.exp(2.0 * ctx.zeta) + 1j * (data[:, 1] * math.exp(-2.0 * ctx.zeta))
-    state.conditional_displace(-ctx.alpha, +ctx.alpha)
     state.displace_data(beta)
     _batch_ancilla_errors(ctx, state, anc, uniforms, p_phi)
     unrecoverable = _batch_recovery(ctx, state, uniforms)
-    state.conditional_displace(+ctx.alpha, -ctx.alpha)
-    outcome = state.measure_y(next(uniforms))
-    state.displace_data(-1j * outcome * ctx.outcome_mean)
-    return 1.0 - state.fidelity()[:n], unrecoverable[:n], outcome[:n] == 0
+    qubit = state.logical(+ctx.alpha, -ctx.alpha)
+    outcome = qubit.measure_y(next(uniforms))
+    qubit.displace_data(-1j * outcome * ctx.outcome_mean)
+    return 1.0 - qubit.fidelity()[:n], unrecoverable[:n], outcome[:n] == 0
 
 
 @lru_cache(maxsize=1)

@@ -329,6 +329,15 @@ class TestExitCodes:
     def test_numerical_failure(self, tmp_path):
         assert main(["fig4", "--sigma", "-0.2", "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["--sigma", "inf", "--points", "0.1"],
+        ["--amplitude", "nan"],
+        ["--amplitude", "inf"],
+        ["--sweep", "sigma", "--code", "binomial", "--points", "inf"]])
+    def test_non_finite_input_writes_nothing(self, tmp_path, argv):
+        assert main(["fig4", "--trajectories", "4", *argv, "--out", str(tmp_path)]) == 3
+        assert list(tmp_path.iterdir()) == []
+
     def test_io_failure(self, tmp_path):
         missing = tmp_path / "does" / "not" / "exist"
         assert main(["fig2", "--out", str(missing)]) == 4

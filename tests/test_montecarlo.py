@@ -15,7 +15,7 @@ from cvqec.montecarlo import (_SHOR_MODE_DIM, ANCILLA_KINDS,
                               EstimateWithError, TrajectoryPlan, _BranchState,
                               _Context, _DenseState, _int128,
                               _pcg64_states, _run_draws, _ShorState,
-                              _standard_draws, _sweep_rows,
+                              _standard_draws, _sweep_rows, _Terms,
                               branch_decomposition_run, confinement_kraus,
                               estimate_qubit_var_p, run_concatenated,
                               trajectory_fidelity)
@@ -41,6 +41,12 @@ class TestPlanValidation:
     def test_rejects_dephasing_on_bosonic_ancilla(self):
         with pytest.raises(ValueError):
             TrajectoryPlan(sigma=0.1, ancilla="binomial_n3", p_phi=0.05)
+
+    @pytest.mark.parametrize("field, value", [
+        ("sigma", math.inf), ("zeta", math.nan), ("coherent_amplitude", complex(0.0, math.inf))])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TrajectoryPlan(**{"sigma": 0.1, field: value})
 
     def test_rejects_unknown_state(self):
         with pytest.raises(ValueError):
@@ -297,65 +303,94 @@ class TestShorProductState:
         branch.apply_pauli(op, rows)
         self._assert_same(shor, branch)
 
-    @pytest.mark.parametrize("signs", [(-1, 1), (1, -1)])
-    def test_conditional_displacement(self, signs):
-        ctx, shor, branch = self._pair(30)
-        # the circuit displaces only code-space states (see
-        # test_code_space_invariant): random logical amplitudes on the
-        # codeword products
-        amp = np.random.default_rng(31).normal(size=(*shor.coef.shape, 2)) @ [1, 1j]
+    @staticmethod
+    def _code_space_pair(seed: int, n: int = 6):
+        """_pair with random logical amplitudes on the codeword products, the
+        only carriers the circuit hands over (see test_code_space_invariant)."""
+        ctx, shor, branch = TestShorProductState._pair(seed, n)
+        amp = np.random.default_rng(seed + 1).normal(size=(*shor.coef.shape, 2)) @ [1, 1j]
         shor.coef = ctx.block_scale * amp / np.linalg.norm(amp, axis=(1, 2))[:, None, None]
         shor.v[:, :, 0], shor.v[:, :, 1] = ctx.blocks[0], ctx.blocks[1]
         branch.c = _expand(shor)
+        return ctx, shor, branch
+
+    @pytest.mark.parametrize("signs", [(-1, 1), (1, -1)])
+    def test_conditional_displacement(self, signs):
+        """Both engines' handoff to the logical qubit on the same states."""
+        ctx, shor, branch = self._code_space_pair(30)
+        nrm = shor.norm()
         alpha_g, alpha_e = signs[0] * 0.7, signs[1] * 0.7
-        shor.conditional_displace(alpha_g, alpha_e)
-        branch.conditional_displace(alpha_g, alpha_e)
-        assert shor.coef.shape == (6, 4, 1) and branch.c.shape[1] == 4
-        self._assert_same(shor, branch)
-        assert np.allclose(shor.norm(), branch.norm(), rtol=0, atol=1e-13)
+        got, want = shor.logical(alpha_g, alpha_e), branch.logical(alpha_g, alpha_e)
+        assert got.c.shape == want.c.shape == (6, 4, 2)
+        for name in ("c", "gamma", "ph"):
+            assert np.allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-13)
+        assert np.allclose(got.norm(), nrm, rtol=0, atol=1e-13)
 
     def test_y_readout_and_fidelity(self):
-        ctx, shor, branch = self._pair(40, n=3)
+        """The shared logical readout and fidelity against the same steps on
+        the 512-dim carriers a_t codeword_t, with ctx.yplus and ctx.yminus."""
+        ctx, shor, _ = self._code_space_pair(40, n=3)
+        qubit = shor.logical(0.7, -0.7)
+        c = qubit.c @ np.stack((ctx.g, ctx.e))
         yp, ym = ctx.yplus, ctx.yminus
-        nrm = branch.norm()
-        gd = branch.data_gram()
-        a, b = branch.c @ yp.conj(), branch.c @ ym.conj()
+        gd = qubit.data_gram()
+        nrm = np.sum(c.conj() * (gd @ c), axis=(1, 2)).real
+        a, b = c @ yp.conj(), c @ ym.conj()
         p_plus = np.einsum("ni,nij,nj->n", a.conj(), gd, a).real / nrm
         p_minus = np.einsum("ni,nij,nj->n", b.conj(), gd, b).real / nrm
-        # one row per outcome: +1, -1 and the codespace complement
+        # one row per outcome: +1, -1 and the codespace complement, which a
+        # code-space carrier reaches only with u at or past p_plus + p_minus
         u = np.array([0.5 * p_plus[0], p_plus[1] + 0.5 * p_minus[1],
-                      0.5 * (1.0 + p_plus[2] + p_minus[2])])
-        outcome = shor.measure_y(u)
-        assert outcome.tolist() == [1, -1, 0]
-        assert branch.measure_y(u).tolist() == [1, -1, 0]
-        self._assert_same(shor, branch)
+                      p_plus[2] + p_minus[2] + 1e-9])
+        assert qubit.measure_y(u).tolist() == [1, -1, 0]
+        c = np.stack((a[0, :, None] * yp, b[1, :, None] * ym,
+                      c[2] - a[2, :, None] * yp - b[2, :, None] * ym))
         beta = np.array([0.3j, -0.2, 0.1 + 0.1j])
-        shor.displace_data(beta)
-        branch.displace_data(beta)
-        assert np.allclose(shor.fidelity(), branch.fidelity(), rtol=0, atol=1e-13)
+        qubit.displace_data(beta)
+        gd = qubit.data_gram()
+        nrm = np.sum(c.conj() * (gd @ c), axis=(1, 2)).real
+        o = qubit.ph * ctx.overlap(qubit.gamma)
+        fid = np.einsum("ni,nij,nj->n", o.conj(), c.conj() @ c.swapaxes(1, 2), o).real / nrm
+        assert np.allclose(qubit.fidelity()[:2], fid[:2], rtol=0, atol=1e-13)
+        # the complement of a code-space carrier is empty up to rounding
+        assert max(qubit.norm()[2], nrm[2]) < 1e-26
+
+
+@pytest.mark.parametrize("ancilla", ANCILLA_KINDS)
+def test_closed_form_start(ancilla):
+    """A chunk's first state, expanded to carrier x Fock, against the dense
+    oracle's |+>_L x psi0 after its first conditional displacement."""
+    ctx = _Context(TrajectoryPlan(sigma=0.15, ancilla=ancilla, zeta=optimal_zeta(),
+                                  coherent_amplitude=0.5 - 0.3j))
+    state = (_ShorState if ancilla == "shor9" else _BranchState)(ctx, 2)
+    c = _expand(state) if ancilla == "shor9" else state.c
+    dense = _DenseState(ctx)
+    dense.conditional_displace(-ctx.alpha, +ctx.alpha)
+    for r in range(2):
+        psi = sum(np.outer(cv, ph * ctx.data_engine.apply(g, ctx.psi0))
+                  for cv, g, ph in zip(c[r], state.gamma[r], state.ph[r]))
+        assert np.allclose(psi, dense.psi, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("ancilla", ANCILLA_KINDS)
 def test_code_space_invariant(monkeypatch, ancilla):
-    """Both batched engines split each slot into its g and e parts only, so
-    every conditional displacement of a run must see carriers in the code
-    space: per row and slot, |c - <g|c> g - <e|c> e| |ph| is at most
-    _BRANCH_TOL, the pruning cut, before each call."""
+    """Both batched engines hand a chunk over to the logical qubit by
+    splitting each slot into its g and e parts only, so the second
+    conditional displacement of a run must see carriers in the code space:
+    per row and slot, |c - <g|c> g - <e|c> e| |ph| is at most _BRANCH_TOL,
+    the pruning cut, before each call.  Each of a kind's nine or more runs
+    hands over once per chunk."""
     weights = []
+    logical = _Terms.logical
 
-    def checked(cls):
-        displace = cls.conditional_displace
+    def checked(state, alpha_g, alpha_e):
+        c = _expand(state) if isinstance(state, _ShorState) else state.c
+        g, e = state.ctx.g, state.ctx.e
+        rest = c - (c @ g.conj())[..., None] * g - (c @ e.conj())[..., None] * e
+        weights.append(np.max(np.linalg.norm(rest, axis=-1) * np.abs(state.ph)))
+        return logical(state, alpha_g, alpha_e)
 
-        def wrapper(state, alpha_g, alpha_e):
-            c = _expand(state) if isinstance(state, _ShorState) else state.c
-            g, e = state.ctx.g, state.ctx.e
-            rest = c - (c @ g.conj())[..., None] * g - (c @ e.conj())[..., None] * e
-            weights.append(np.max(np.linalg.norm(rest, axis=-1) * np.abs(state.ph)))
-            displace(state, alpha_g, alpha_e)
-        monkeypatch.setattr(cls, "conditional_displace", wrapper)
-
-    checked(_BranchState)
-    checked(_ShorState)
+    monkeypatch.setattr(_Terms, "logical", checked)
     rates = (0.05, 0.2, 0.5) if ancilla in ("bare", "three_qubit_phase") else (0.0,)
     states = (("coherent", 0.0), ("coherent", 1.0), ("fock1", 0.0))
     _sweep_rows.cache_clear()
@@ -368,7 +403,7 @@ def test_code_space_invariant(monkeypatch, ancilla):
                 coherent_amplitude=amplitude))
     finally:
         _sweep_rows.cache_clear()
-    assert len(weights) >= 18 and max(weights) <= montecarlo._BRANCH_TOL
+    assert len(weights) >= 9 and max(weights) <= montecarlo._BRANCH_TOL
 
 
 class TestReproducibility:
