@@ -30,10 +30,14 @@ in the flags where the infidelity barely moves.  The values are the ones the chu
 a branch_decomposition_run return (montecarlo._run_chunk is wrapped while
 the run executes), not one-row replays of single trajectories.
 
-With --header it first prints the numpy version and the BLAS name and
-version as ``#`` lines.  tests/data/output_digest.txt and
-tests/data/trajectories.txt are the two outputs with --header, and
-tests/test_output_digest.py compares them with this checkout's output:
+With --header it first prints the numpy version, the BLAS name and
+version and numpy's SIMD dispatch class as ``#`` lines.  The class is
+``X86_V3+`` wherever numpy dispatches float64 or complex128 loops at
+X86_V3 (AVX2 with FMA) or X86_V4 (AVX-512), whose outputs agree, and
+otherwise the targets it runs, such as ``baseline(X86_V2)``.
+tests/data/output_digest.txt and tests/data/trajectories.txt are the two
+outputs with --header, and tests/test_output_digest.py compares them with
+this checkout's output:
 
     scripts/output_digest.py --header > tests/data/output_digest.txt
     scripts/output_digest.py --header --trajectories > tests/data/trajectories.txt
@@ -129,8 +133,21 @@ def file_digest_lines() -> list[str]:
     return lines
 
 
+def dispatch_class() -> str:
+    """The SIMD targets numpy runs its float64 and complex128 loops at, with
+    X86_V3 and X86_V4 as one class."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return "unknown"
+    current = {sig["current"] for func in opt_func_info(signature="float64|complex128").values()
+               for sig in func.values()}
+    return "X86_V3+" if current & {"X86_V3", "X86_V4"} else " ".join(sorted(current))
+
+
 def header_lines() -> list[str]:
-    """The numpy and BLAS build that the digests depend on, as comments."""
+    """The numpy build, BLAS and dispatch class that the digests depend
+    on, as comments."""
     import numpy
 
     try:
@@ -138,7 +155,8 @@ def header_lines() -> list[str]:
     except (KeyError, TypeError, ValueError):
         blas = {}
     return [f"# numpy {numpy.__version__}",
-            f"# blas {blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"]
+            f"# blas {blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
+            f"# dispatch {dispatch_class()}"]
 
 
 def main() -> int:
@@ -146,7 +164,8 @@ def main() -> int:
     parser.add_argument("--trajectories", action="store_true",
                         help="print per-trajectory infidelities and flags instead of file digests")
     parser.add_argument("--header", action="store_true",
-                        help="first print the numpy and BLAS build as '#' lines")
+                        help="first print the numpy and BLAS build and the dispatch class "
+                             "as '#' lines")
     args = parser.parse_args()
     lines = trajectory_lines() if args.trajectories else file_digest_lines()
     print("\n".join((header_lines() if args.header else []) + lines))

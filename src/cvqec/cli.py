@@ -159,6 +159,8 @@ def cmd_optimize(args) -> None:
         payload = {"scheme": "two_qubit", "sigma": sigma, "alpha_opt": alpha,
                    "var_q": var, "var_p": var}
     else:
+        if not 2 <= args.d <= 32:
+            raise ValueError("d must lie in [2, 32]")
         alpha, var = protocol.optimize_qudit_alpha(sigma, args.d)
         payload = {"scheme": "qudit", "sigma": sigma, "d": args.d,
                    "alpha_opt": alpha, "var_p": var}

@@ -85,10 +85,10 @@ def _check_moments(probs, variances) -> None:
 
 
 def _check_drive(sigma: float, alpha: float) -> None:
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    if not 0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
 
 
 def _moments(prob: float, mean: float, second_moment: float) -> FilteredMoments:

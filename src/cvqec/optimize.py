@@ -1,8 +1,9 @@
 """One-dimensional minimization: coarse grid scan plus golden-section refinement.
 
-The variance curves being minimized are cheap, smooth and unimodal except
-for oscillatory shoulders at large ancilla dimension, which the grid scan
-guards against.
+It serves the one optimum without a closed form, the qudit scheme's drive
+strength (``protocol.optimize_qudit_alpha``).  That variance curve is
+cheap, smooth and unimodal except for oscillatory shoulders at large
+ancilla dimension, which the grid scan guards against.
 """
 
 from __future__ import annotations

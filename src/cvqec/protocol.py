@@ -6,9 +6,11 @@ and, per measurement outcome, the filter reweighting the original
 Gaussian, a finite Fourier series, and the counter-displacement that was
 applied.  Infidelity can then be evaluated either through the small-noise
 variance expansion or exactly: the outcome-averaged overlap is a sum of
-Gaussian integrals in closed form.  The optimizers minimize
-the closed-form p variances that the runners report, :func:`_qubit_var_p`
-and :func:`_qudit_var_p`.
+Gaussian integrals in closed form.  The qubit, two-qubit and squeezed
+optima are closed forms too (:func:`optimal_alpha_qubit`,
+:func:`optimal_zeta`); only the qudit optimum has none, so
+:func:`optimize_qudit_alpha` minimizes the closed-form variance
+:func:`_qudit_var_p` numerically.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gaussian
-from .fock import overlap_f
 from .gaussian import qubit_filtered_moments, qudit_filtered_moments
 from .optimize import minimize_scalar
 
@@ -44,9 +45,6 @@ __all__ = [
     "squeezing_db",
     "second_derivative_at_origin",
 ]
-
-# Finite-difference step of second_derivative_at_origin.
-_FD_STEP = 1e-4
 
 
 @dataclass(frozen=True, eq=False)  # array fields: compared and hashed by identity
@@ -118,7 +116,7 @@ def _qubit_var_p(sigma: float, alpha: float) -> float:
     var = 0.5 * sigma**2 - gaussian.qubit_outcome_mean(sigma, alpha) ** 2
     if var < -1e-12:  # FilteredMoments' check; the probability is exactly 1/2
         raise ValueError(f"negative variance {var}")
-    return 0.5 * var + 0.5 * var  # the per-outcome sum, term by term
+    return var
 
 
 def _qudit_var_p(sigma: float, alpha: float, d: int) -> float:
@@ -175,8 +173,8 @@ def run_qudit_scheme(sigma: float, alpha: float, d: int) -> CorrectedNoise:
 def qudit_bound(sigma: float, s: float, d: int) -> float:
     """Upper bound sigma^2 s^2 / (4 d) on the corrected p variance when
     the kernel peak separation is s*sigma (i.e. alpha = pi / (s sigma))."""
-    if s < 4:
-        raise ValueError("bound assumes peak separation s >= 4")
+    if not 4 <= s < math.inf:
+        raise ValueError(f"bound assumes a finite peak separation s >= 4, got {s}")
     return sigma**2 * s**2 / (4.0 * d)
 
 
@@ -195,10 +193,11 @@ def squeezing_db(zeta: float) -> float:
     return 40.0 * abs(zeta) * math.log10(math.e)
 
 
-def optimize_qubit_alpha(sigma: float, tol: float = 1e-6):
-    """Numerically minimize the qubit scheme's corrected p variance."""
-    return minimize_scalar(lambda a: _qubit_var_p(sigma, a),
-                           0.2 / sigma, 8.0 / sigma, tol=tol)
+def optimize_qubit_alpha(sigma: float):
+    """The qubit scheme's optimum :func:`optimal_alpha_qubit` and its
+    corrected p variance ``(1 - 1/e) sigma^2 / 2``."""
+    alpha = optimal_alpha_qubit(sigma)
+    return alpha, _qubit_var_p(sigma, alpha)
 
 
 def optimize_qudit_alpha(sigma: float, d: int, tol: float = 1e-6):
@@ -212,37 +211,34 @@ def optimize_qudit_alpha(sigma: float, d: int, tol: float = 1e-6):
                            0.2 / sigma, 1.5 / sigma, tol=tol)
 
 
-def optimize_zeta(sigma: float, tol: float = 1e-6):
-    """Minimize total variance over zeta, re-optimizing alpha inside."""
-    def total(zeta):
-        sigma_p = sigma * math.exp(-2.0 * zeta)
-        _, var_p = optimize_qubit_alpha_for(sigma_p)
-        return 0.5 * (sigma * math.exp(2.0 * zeta))**2 + var_p
-    return minimize_scalar(total, -0.25, 0.05, tol=tol)
+def optimize_zeta(sigma: float):
+    """The squeezed scheme's optimum :func:`optimal_zeta` and its total
+    variance, with alpha at the qubit optimum for the squeezed p noise."""
+    zeta = optimal_zeta()
+    _, var_p = optimize_qubit_alpha_for(sigma * math.exp(-2.0 * zeta))
+    return zeta, 0.5 * (sigma * math.exp(2.0 * zeta))**2 + var_p
 
 
 def optimize_qubit_alpha_for(sigma_p: float):
-    """Inner loop of the nested zeta optimization: the qubit optimum at the
-    squeezed noise sigma_p, to a tighter tolerance."""
-    return optimize_qubit_alpha(sigma_p, tol=1e-8)
+    """The qubit optimum at the squeezed p noise sigma_p."""
+    return optimize_qubit_alpha(sigma_p)
 
 
-def second_derivative_at_origin(state_kind: str, quadrature: str = "q") -> float:
-    """Central finite-difference d^2 f / d beta_x^2 at beta = 0 of the
-    displacement overlap; -2 for coherent states, -6 for the single boson."""
-    step = _FD_STEP if quadrature == "q" else 1j * _FD_STEP
-    return (overlap_f(state_kind, step) - 2.0 * overlap_f(state_kind, 0.0)
-            + overlap_f(state_kind, -step)) / _FD_STEP**2
+def second_derivative_at_origin(state_kind: str) -> float:
+    """d^2 f / d beta_x^2 at beta = 0 of the displacement overlap f, the same
+    in both quadratures: -2 for a coherent state (f = e^{-|beta|^2}), -6
+    for the single boson (f = e^{-|beta|^2} (1 - |beta|^2)^2)."""
+    if state_kind not in ("coherent", "fock1"):
+        raise ValueError(f"unknown state kind {state_kind!r}")
+    return -2.0 if state_kind == "coherent" else -6.0
 
 
 def infidelity_from_noise(state_kind: str, noise: CorrectedNoise) -> float:
-    """Small-noise expansion 1 - F = -(f''_q var_q + f''_p var_p) / 2."""
+    """Small-noise expansion 1 - F = -f'' (var_q + var_p) / 2."""
     if max(noise.var_q, noise.var_p) > 0.05:
         warnings.warn("variance exceeds the small-noise validity gate of the "
                       "second-order expansion", stacklevel=2)
-    fq = second_derivative_at_origin(state_kind, "q")
-    fp = second_derivative_at_origin(state_kind, "p")
-    return -0.5 * (fq * noise.var_q + fp * noise.var_p)
+    return -0.5 * second_derivative_at_origin(state_kind) * noise.total_variance
 
 
 def _overlap_moments(noise: QuadratureNoise) -> np.ndarray:

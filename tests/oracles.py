@@ -14,6 +14,12 @@ computes another way:
 - gauss_hermite_infidelity: protocol.exact_infidelity as an order-200
   Gauss-Hermite grid over both quadratures for each pair of outcome
   branches, against the closed-form sum of Gaussian integrals.
+- numeric_qubit_alpha, numeric_zeta: the qubit and squeezed optima found
+  by grid scan plus golden section (nested for zeta) on the closed-form
+  variances, against protocol's closed-form optima.
+- finite_difference_curvature: the central second difference of
+  fock.overlap_f at the origin, against
+  protocol.second_derivative_at_origin.
 - qudit_filter: the qudit outcome filter as its sin^2 kernel, against
   the Fourier series an OutcomeBranch carries.
 - fock_outcome_probabilities: the bare-qubit readout probabilities from
@@ -36,13 +42,16 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from cvqec.fock import (DensityMatrix, DisplacementEngine, TruncationError,
-                        annihilation)
+                        annihilation, overlap_f)
 from cvqec.montecarlo import _carrier, confinement_kraus
+from cvqec.optimize import minimize_scalar
+from cvqec.protocol import _qubit_var_p
 
 # Order of the Gauss-Hermite rule in each quadrature.
 _N_NODES = 64
 _FOCK_CHUNK = 8192  # trajectories per batch of fock_outcome_probabilities
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+_FD_STEP = 1e-4  # step of finite_difference_curvature
 
 
 def displacement_operator(beta: complex, n_trunc: int) -> np.ndarray:
@@ -131,6 +140,29 @@ def gauss_hermite_infidelity(state_kind: str, noise) -> float:
             f = _overlap_grid(state_kind, uq - bq_branch.mean, up - bp_branch.mean)
             fid += filt_q @ f @ filt_p
     return float(1.0 - fid)
+
+
+def numeric_qubit_alpha(sigma: float, tol: float = 1e-6):
+    """``(argmin, min)`` of the qubit scheme's corrected p variance over
+    alpha in [0.2/sigma, 8/sigma]."""
+    return minimize_scalar(lambda a: _qubit_var_p(sigma, a), 0.2 / sigma, 8.0 / sigma, tol=tol)
+
+
+def numeric_zeta(sigma: float):
+    """``(argmin, min)`` of the squeezed scheme's total variance over zeta in
+    [-0.25, 0.05], alpha minimized numerically (to 1e-8) inside."""
+    def total(zeta):
+        _, var_p = numeric_qubit_alpha(sigma * math.exp(-2.0 * zeta), tol=1e-8)
+        return 0.5 * (sigma * math.exp(2.0 * zeta))**2 + var_p
+    return minimize_scalar(total, -0.25, 0.05)
+
+
+def finite_difference_curvature(state_kind: str, quadrature: str = "q") -> float:
+    """Central second difference of the displacement overlap at beta = 0
+    along the real (q) or imaginary (p) axis."""
+    step = _FD_STEP if quadrature == "q" else 1j * _FD_STEP
+    return (overlap_f(state_kind, step) - 2.0 * overlap_f(state_kind, 0.0)
+            + overlap_f(state_kind, -step)) / _FD_STEP**2
 
 
 def qudit_filter(beta, alpha: float, d: int, l) -> np.ndarray | float:

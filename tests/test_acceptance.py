@@ -26,6 +26,7 @@ from cvqec.protocol import (exact_infidelity, infidelity_from_noise,
                             run_qudit_scheme, run_squeezed_scheme,
                             run_two_qubit_scheme, second_derivative_at_origin,
                             squeezing_db)
+from oracles import finite_difference_curvature, numeric_qubit_alpha, numeric_zeta
 
 
 def _report(n, text):
@@ -36,7 +37,9 @@ def test_acceptance_1_qubit_scheme_optimum():
     t0 = time.monotonic()
     for sigma in (0.05, 0.1, 0.3):
         alpha, var = optimize_qubit_alpha(sigma)
-        assert alpha == pytest.approx(1 / (2 * math.sqrt(2) * sigma), rel=1e-4)
+        numeric_alpha, numeric_var = numeric_qubit_alpha(sigma)
+        assert alpha == pytest.approx(numeric_alpha, rel=1e-4)
+        assert var == pytest.approx(numeric_var, abs=1e-8)
         assert var == pytest.approx((1 - math.exp(-1)) * sigma**2 / 2, abs=1e-8)
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
@@ -48,7 +51,9 @@ def test_acceptance_2_squeezed_scheme_optimum():
     t0 = time.monotonic()
     sigma = 0.1
     zeta, total = optimize_zeta(sigma)
-    assert zeta == pytest.approx(optimal_zeta(), abs=1e-4)
+    numeric_zeta_opt, numeric_total = numeric_zeta(sigma)
+    assert zeta == pytest.approx(numeric_zeta_opt, abs=1e-4)
+    assert total == pytest.approx(numeric_total, abs=1e-6)
     assert total == pytest.approx(sigma**2 * math.sqrt(1 - math.exp(-1)), abs=1e-6)
     noise = run_squeezed_scheme(sigma, optimal_alpha_qubit(
         sigma * math.exp(-2 * optimal_zeta())), optimal_zeta())
@@ -107,8 +112,9 @@ def test_acceptance_5_monte_carlo_variance():
 
 
 def test_acceptance_6_infidelity_expansion():
-    assert second_derivative_at_origin("coherent") == pytest.approx(-2.0, abs=1e-5)
-    assert second_derivative_at_origin("fock1") == pytest.approx(-6.0, abs=1e-5)
+    for state, curvature in (("coherent", -2.0), ("fock1", -6.0)):
+        assert second_derivative_at_origin(state) == curvature
+        assert curvature == pytest.approx(finite_difference_curvature(state), abs=1e-5)
     for sigma, state in itertools.product((0.05, 0.1), ("coherent", "fock1")):
         alpha = optimal_alpha_qubit(sigma)
         noise = run_two_qubit_scheme(sigma, alpha, alpha)

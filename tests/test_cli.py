@@ -258,31 +258,31 @@ class TestOptimize:
         assert payload["d"] == 3
         assert payload["var_p"] < (1 - math.exp(-1)) * 0.005
 
-    # JSON written when each optimizer evaluation built the per-outcome
-    # noise description; the closed-form objectives must reproduce it.
+    # JSON of the closed-form qubit and squeezed optima and of the qudit
+    # search on the closed-form variance.
     @pytest.mark.parametrize("argv, text", [
         (["--scheme", "qubit_p", "--sigma", "0.1"],
          '{\n'
-         '  "alpha_opt": 3.535533826701224,\n'
+         '  "alpha_opt": 3.535533905932737,\n'
          '  "scheme": "qubit_p",\n'
          '  "sigma": 0.1,\n'
-         '  "var_p": 0.0031606027941427912\n'
+         '  "var_p": 0.003160602794142789\n'
          '}\n'),
         (["--scheme", "two_qubit", "--sigma", "0.1"],
          '{\n'
-         '  "alpha_opt": 3.535533826701224,\n'
+         '  "alpha_opt": 3.535533905932737,\n'
          '  "scheme": "two_qubit",\n'
          '  "sigma": 0.1,\n'
-         '  "var_p": 0.0031606027941427912,\n'
-         '  "var_q": 0.0031606027941427912\n'
+         '  "var_p": 0.003160602794142789,\n'
+         '  "var_q": 0.003160602794142789\n'
          '}\n'),
         (["--scheme", "squeezed", "--sigma", "0.1"],
          '{\n'
          '  "scheme": "squeezed",\n'
          '  "sigma": 0.1,\n'
-         '  "squeezing_db": 0.996000985177598,\n'
-         '  "total_variance": 0.007950600976206569,\n'
-         '  "zeta_opt": -0.05733442552693302\n'
+         '  "squeezing_db": 0.9960004231389074,\n'
+         '  "total_variance": 0.007950600976206503,\n'
+         '  "zeta_opt": -0.05733439317338524\n'
          '}\n'),
         (["--scheme", "qudit", "--sigma", "0.1"],
          '{\n'
@@ -296,9 +296,9 @@ class TestOptimize:
          '{\n'
          '  "scheme": "squeezed",\n'
          '  "sigma": 0.2,\n'
-         '  "squeezing_db": 0.996000985177598,\n'
-         '  "total_variance": 0.031802403904826276,\n'
-         '  "zeta_opt": -0.05733442552693302\n'
+         '  "squeezing_db": 0.9960004231389074,\n'
+         '  "total_variance": 0.03180240390482601,\n'
+         '  "zeta_opt": -0.05733439317338524\n'
          '}\n'),
         (["--scheme", "qudit", "--sigma", "0.1", "--d", "15"],
          '{\n'
@@ -336,6 +336,28 @@ class TestExitCodes:
         ["--sweep", "sigma", "--code", "binomial", "--points", "inf"]])
     def test_non_finite_input_writes_nothing(self, tmp_path, argv):
         assert main(["fig4", "--trajectories", "4", *argv, "--out", str(tmp_path)]) == 3
+        assert list(tmp_path.iterdir()) == []
+
+    # 1e-310 is subnormal: its closed-form optimum alpha overflows to inf
+    @pytest.mark.parametrize("sigma", ["inf", "nan", "0", "-0.1", "1e-310"])
+    @pytest.mark.parametrize("command", [
+        ["fig2"], *(["optimize", "--scheme", scheme]
+                    for scheme in ("qubit_p", "two_qubit", "squeezed", "qudit"))])
+    def test_bad_sigma_writes_nothing(self, tmp_path, command, sigma):
+        self._exits_3_writing_nothing(tmp_path, [*command, "--sigma", sigma])
+
+    @pytest.mark.parametrize("argv", [
+        ["fig3", "--dmax", "3", "--s", "inf"], ["fig3", "--dmax", "3", "--s", "nan"],
+        ["optimize", "--scheme", "qudit", "--d", "33"],
+        ["optimize", "--scheme", "qudit", "--d", "1"]])
+    def test_unbounded_qudit_input_writes_nothing(self, tmp_path, argv):
+        self._exits_3_writing_nothing(tmp_path, argv)
+
+    @staticmethod
+    def _exits_3_writing_nothing(tmp_path, argv):
+        target = (["--out-file", str(tmp_path / "opt.json")] if argv[0] == "optimize"
+                  else ["--out", str(tmp_path)])
+        assert main([*argv, *target]) == 3
         assert list(tmp_path.iterdir()) == []
 
     def test_io_failure(self, tmp_path):

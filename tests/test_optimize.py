@@ -1,4 +1,5 @@
-"""Scalar minimizer behavior, including its use on the variance curves."""
+"""Scalar minimizer behavior, and the closed-form qubit and squeezed optima
+against the minimizer run on their variance curves."""
 
 import math
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from cvqec.optimize import minimize_scalar
 from cvqec.protocol import optimize_qubit_alpha, optimize_zeta, run_qubit_p_scheme
+from oracles import numeric_qubit_alpha, numeric_zeta
 
 
 def test_quadratic():
@@ -20,13 +22,17 @@ def test_quadratic():
 def test_qubit_alpha_optimum():
     sigma = 0.1
     alpha, var = optimize_qubit_alpha(sigma)
-    assert alpha == pytest.approx(1 / (2 * math.sqrt(2) * sigma), rel=1e-4)
+    numeric_alpha, numeric_var = numeric_qubit_alpha(sigma)
+    assert alpha == pytest.approx(numeric_alpha, rel=1e-4)
+    assert var == pytest.approx(numeric_var, abs=1e-10)
     assert var == pytest.approx((1 - math.exp(-1)) * sigma**2 / 2, abs=1e-10)
 
 
 def test_zeta_optimum():
     zeta, total = optimize_zeta(0.1)
-    assert zeta == pytest.approx(math.log(1 - math.exp(-1)) / 8, abs=1e-4)
+    numeric_zeta_opt, numeric_total = numeric_zeta(0.1)
+    assert zeta == pytest.approx(numeric_zeta_opt, abs=1e-4)
+    assert total == pytest.approx(numeric_total, abs=1e-7)
     assert total == pytest.approx(0.01 * math.sqrt(1 - math.exp(-1)), abs=1e-7)
 
 
@@ -68,3 +74,4 @@ def test_variance_minimum_interior(sigma):
     alpha, var = optimize_qubit_alpha(sigma)
     assert 0.2 / sigma < alpha < 8.0 / sigma
     assert var < run_qubit_p_scheme(sigma, 0.2 / sigma).var_p
+    assert alpha == pytest.approx(numeric_qubit_alpha(sigma)[0], rel=1e-4)

@@ -18,7 +18,8 @@ from cvqec.protocol import (_qubit_var_p, _qudit_var_p, exact_infidelity,
                             run_squeezed_scheme, run_two_qubit_scheme,
                             run_uncorrected, second_derivative_at_origin,
                             squeezing_db)
-from oracles import gauss_hermite_infidelity, qudit_filter
+from oracles import (finite_difference_curvature, gauss_hermite_infidelity,
+                     numeric_zeta, qudit_filter)
 
 
 class TestQubitScheme:
@@ -68,7 +69,8 @@ class TestSqueezedScheme:
 
     def test_numeric_zeta_matches_closed_form(self):
         zeta, _ = optimize_zeta(0.1)
-        assert zeta == pytest.approx(optimal_zeta(), abs=1e-4)
+        assert zeta == optimal_zeta()
+        assert zeta == pytest.approx(numeric_zeta(0.1)[0], abs=1e-4)
 
 
 class TestQuditScheme:
@@ -150,9 +152,13 @@ class TestInfidelity:
             exact_infidelity("cat", run_uncorrected(0.1))
 
     def test_second_derivatives(self):
-        assert second_derivative_at_origin("coherent") == pytest.approx(-2.0, abs=1e-5)
-        assert second_derivative_at_origin("fock1") == pytest.approx(-6.0, abs=1e-5)
-        assert second_derivative_at_origin("coherent", "p") == pytest.approx(-2.0, abs=1e-5)
+        for state, curvature in (("coherent", -2.0), ("fock1", -6.0)):
+            assert second_derivative_at_origin(state) == curvature
+            for quadrature in ("q", "p"):
+                assert curvature == pytest.approx(
+                    finite_difference_curvature(state, quadrature), abs=1e-5)
+        with pytest.raises(ValueError):
+            second_derivative_at_origin("cat")
 
     def test_uncorrected_coherent_exact(self):
         # 1 - F = 1 - 1/(1 + sigma^2) for a coherent state under the raw channel
