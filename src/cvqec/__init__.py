@@ -8,7 +8,7 @@ from .dvcodes import (CodeSpec, SyndromeResult, binomial_code, encode,
                       shor9_code, three_qubit_phase_code)
 from .fock import (DensityMatrix, DisplacementEngine, PureState,
                    TruncationError, TruncationWarning, coherent_state,
-                   fidelity, fock_state, overlap_f)
+                   fidelity, fock_state)
 from .gaussian import (FilteredMoments, IntegrationError, gaussian_pdf,
                        integrate, qubit_filtered_moments, qubit_outcome_mean,
                        qudit_filtered_moments)

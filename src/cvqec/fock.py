@@ -1,4 +1,4 @@
-"""Truncated Fock-space states, operators and analytic overlaps.
+"""Truncated Fock-space states and operators.
 
 All operators act on the number basis 0..n_trunc (dimension n_trunc + 1).
 DisplacementEngine, the displacement every engine uses, builds D(beta)
@@ -11,7 +11,6 @@ push population into the top of the basis.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -26,7 +25,6 @@ __all__ = [
     "fock_state",
     "coherent_state",
     "fidelity",
-    "overlap_f",
     "DisplacementEngine",
 ]
 
@@ -131,20 +129,6 @@ def fidelity(a: PureState, b: DensityMatrix) -> float:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     val = np.real(a.amplitudes.conj() @ b.matrix @ a.amplitudes)
     return float(min(max(val, 0.0), 1.0 + 1e-9))
-
-
-def overlap_f(kind: str, beta: complex) -> float:
-    """|<psi| D(beta) |psi>|^2 for the supported reference states.
-
-    Coherent states give exp(-|beta|^2) independent of amplitude; the
-    single-boson state gives exp(-|beta|^2) (1 - |beta|^2)^2.
-    """
-    b2 = abs(beta) ** 2
-    if kind == "coherent":
-        return math.exp(-b2)
-    if kind == "fock1":
-        return math.exp(-b2) * (1.0 - b2) ** 2
-    raise ValueError(f"unknown state kind {kind!r}")
 
 
 class DisplacementEngine:

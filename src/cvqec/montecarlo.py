@@ -17,44 +17,37 @@ gamma*)), and overlaps come from the closed form of <psi0|D(delta)|psi0>
 _DenseState, holds one trajectory as a truncated carrier x Fock tensor and
 is the per-trajectory oracle.
 
-_BranchState runs a chunk of trajectories at once as arrays: carrier
-terms c of shape (n, T, D), gamma and ph of shape (n, T).  The
-conditional displacement is the only operation that splits terms.  The
-first acts on the known |+>_L x psi0, so a chunk starts after it, in
-closed form (_Terms).  At the second the carrier is back in the code
-space (every recovery maps into it; the tests check this on runs of every
-kind), so each term slot splits into a_t times its codeword, and the
-chunk ends on a logical qubit, a_t in the basis (g, e) (_Terms.logical):
-one +/-Y readout and one fidelity serve every ancilla kind.  The readout
-keeps its outcome outside the code space (RunResult.complement_count, the
-fig4 CSV's complement column), which a logical qubit holds only as
-rounding.  Pruned terms are exact zeros, and a slot that is empty in
-every row is dropped, so T never exceeds four.  Per-row decisions are
-vectorized comparisons, and Kraus operators and Pauli corrections are
-applied once per distinct choice in the chunk; the binomial syndrome
-probabilities come from one projection onto the recovery basis
-(dvcodes.binomial_recovery_basis).
-Both engines displace carriers and the dense data mode with
-DisplacementEngine.apply (the branch engine with one beta per row) and
-pick the binomial Kraus operator with dvcodes.kraus_choice.
-
-The nine-qubit carrier runs on _ShorState, the same terms with each
-512-dim carrier vector held as a sum of at most four products of three
-8-dim block vectors, one per 3-qubit block of the Shor code: coef of
-shape (n, T, P), v of shape (n, T, P, 3, 8).  The codewords are products
-of |000> +- |111> blocks, and every carrier operation of the circuit
-keeps a few products: mode displacement, confinement and Z-type
-stabilizers act on one block, an X-type stabilizer projection doubles P
-(twice, so P <= 4), and a Pauli correction acts block by block.  Inner
-products are products of block overlaps weighted by the data Gram
-matrix; the confinement of a mode needs only its 2x2 moment matrix for
-the outcome weights and the two kept rows of its displacement for the
-Kraus step.  The codeword overlaps of the handover are products of block
-overlaps too, so no 512-dim vector is formed.
-
-A chunk holds max(1, _CHUNK_BUDGET // slot) trajectories, slot the
-carrier amplitudes of one term slot: carrier_dim, or 4 * 3 * 8 = 96 for
-shor9 (chunks of 21).
+_BranchState runs a chunk of trajectories at once as arrays: gamma and ph
+of shape (n, T), and each term's carrier as a sum of P products of
+n_blocks block vectors, coef of shape (n, T, P) and v of shape (n, T, P,
+n_blocks, block_dim).  The nine-qubit carrier has three 8-dim blocks, one
+per 3-qubit block of the Shor code, whose codewords are products of
+|000> +- |111>; every other carrier is one block, the carrier vector.
+Mode displacement, confinement, the binomial displacement and Kraus step,
+and Paulis and stabilizers on one block act block by block; a projection
+onto a stabilizer that spans blocks doubles P (the two X-type ones of
+shor9, so P <= 4).  Inner products are products of block overlaps
+weighted by the data Gram matrix, so no 512-dim vector is formed; the
+confinement of a mode needs only its 2x2 moment matrix for the outcome
+weights and the two kept rows of its displacement for the Kraus step.
+The conditional displacement is the only operation that splits terms.
+The first acts on the known |+>_L x psi0, so a chunk starts after it, in
+closed form (_Terms).  At the second the carrier is back in the code space
+(every recovery maps into it; the tests check this on runs of every
+kind), so each term slot splits into a_t times its codeword, and the chunk
+ends on a logical qubit, a_t in the basis (g, e) (_Terms.logical): one
++/-Y readout and one fidelity serve every ancilla kind.  The readout keeps
+its outcome outside the code space (RunResult.complement_count, the fig4
+CSV's complement column), which a logical qubit holds only as rounding.
+Pruned terms are exact zeros, and a slot that is empty in every row is
+dropped, so T never exceeds four.  Per-row decisions are vectorized
+comparisons, and Kraus operators and Pauli corrections are applied once
+per distinct choice in the chunk; the binomial syndrome probabilities come
+from one projection onto the recovery basis
+(dvcodes.binomial_recovery_basis).  A chunk holds max(1, _CHUNK_BUDGET //
+(P_max n_blocks block_dim)) trajectories, P_max = 2**k for k stabilizers
+that span blocks: 1024 for the two-dim carriers, 256 for the phase code,
+85 for binomial_n3 and 21 for shor9.
 
 Qubit-carrier Paulis (stabilizers, corrections, dephasing flips) are
 applied as bit masks, a basis permutation idx -> idx ^ x times a phase,
@@ -130,9 +123,6 @@ _SHOR_MODE_DIM = 14  # per-mode Fock levels while a single-boson qubit is displa
 _BINOMIAL_N_TRUNC = 23
 _BRANCH_TOL = 1e-14
 _CHUNK_BUDGET = 2048  # carrier amplitudes per term slot in one chunk
-# a shor9 term slot: at most four products (two X-type stabilizer
-# projections each double them) of three 8-dim block vectors
-_SHOR_SLOT = 4 * 3 * 8
 # the logical +-Y states in the basis (g, e) of _Terms.logical
 _YPLUS = np.array([1.0, 1.0j]) / math.sqrt(2.0)
 _YMINUS = _YPLUS.conj()
@@ -207,31 +197,24 @@ class _Carrier:
 
     def __init__(self, kind: str):
         self.kind = kind
-        self.dephasing_ops: tuple = ()
-        self.stabilizers: tuple = ()
         self.code_name = None
         self.binom_kraus = None
         self.n_modes = 0
+        dephasing = ()
         if kind in ("perfect", "bare"):
             g = np.array([1.0, 0.0], dtype=complex)
             e = np.array([0.0, 1.0], dtype=complex)
             if kind == "bare":
-                self.dephasing_ops = (dvcodes.PauliOp("Z"),)
+                dephasing = ("Z",)
         elif kind == "three_qubit_phase":
             code = dvcodes.three_qubit_phase_code()
             g, e = code.logical_g, code.logical_e
             self.code_name = code.name
-            self.dephasing_ops = tuple(map(dvcodes.PauliOp, ("ZII", "IZI", "IIZ")))
-            self.stabilizers = dvcodes.stabilizer_ops(code.name)
+            dephasing = ("ZII", "IZI", "IIZ")
         elif kind == "shor9":
             code = dvcodes.shor9_code()
             g, e = code.logical_g, code.logical_e
             self.code_name = code.name
-            self.stabilizers = dvcodes.stabilizer_ops(code.name)
-            self.block_stabilizers = tuple(_block_paulis(label)
-                                           for label in dvcodes._STABILIZERS[code.name])
-            self.blocks = dvcodes._shor9_blocks()
-            self.block_scale = 1.0 / (2.0 * math.sqrt(2.0))  # g = scale b0 x b0 x b0
             self.n_modes = 9
             self.mode_engine = DisplacementEngine(_SHOR_MODE_DIM)
             self.confine = confinement_kraus(_SHOR_MODE_DIM)
@@ -249,12 +232,27 @@ class _Carrier:
         self.yminus = (g - 1j * e) / math.sqrt(2.0)
         for vec in (self.g, self.e, self.yplus, self.yminus):
             vec.flags.writeable = False
-        slot = _SHOR_SLOT if kind == "shor9" else self.carrier_dim
-        self.chunk_size = max(1, _CHUNK_BUDGET // slot)
+        # the blocks of the batched engine (_BranchState): the shor9
+        # codewords are g = scale b0 x b0 x b0 and e = scale b1 x b1 x b1;
+        # every other carrier is one block, (g, e) at scale 1
+        if kind == "shor9":
+            self.blocks, self.n_blocks = dvcodes._shor9_blocks(), 3
+            self.block_scale = 1.0 / (2.0 * math.sqrt(2.0))
+        else:
+            self.blocks, self.n_blocks, self.block_scale = np.stack((g, e)), 1, 1.0
+        labels = dvcodes._STABILIZERS.get(self.code_name, ())
+        self.stabilizers = tuple(map(dvcodes.PauliOp, labels))
+        self.dephasing_ops = tuple(map(dvcodes.PauliOp, dephasing))
+        self.block_stabilizers = tuple(_block_paulis(s, self.n_blocks) for s in labels)
+        self.block_dephasing = tuple(_block_paulis(z, self.n_blocks) for z in dephasing)
+        # a term slot holds 2**k products of the blocks, k the stabilizers
+        # that span more than one block: each projection onto one doubles them
+        k = sum(len(ops) > 1 for ops in self.block_stabilizers)
+        self.chunk_size = max(1, _CHUNK_BUDGET // (2 ** k * self.n_blocks * self.blocks.shape[1]))
         # uniforms per trajectory: dephasing flips, confinement outcomes,
         # syndrome (stabilizer bits or the binomial Kraus choice), Y readout
-        self.n_uniform = (len(self.dephasing_ops) + self.n_modes
-                          + (len(self.stabilizers) or int(kind == "binomial_n3")) + 1)
+        self.n_uniform = (len(dephasing) + self.n_modes
+                          + (len(labels) or int(kind == "binomial_n3")) + 1)
         self.n_anc_normals = self.n_modes or int(kind == "binomial_n3")
         # a trajectory's numbers in draw order: True for a standard normal,
         # False for a uniform; runs of each, as (normal, count)
@@ -321,11 +319,13 @@ def _pauli(op: dvcodes.PauliOp, a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _block_paulis(label: str) -> tuple:
-    """A nine-qubit Pauli string as (block, PauliOp) pairs over its
-    non-identity 3-qubit blocks; block b holds qubits 3b, 3b+1, 3b+2."""
-    return tuple((b, dvcodes.PauliOp(label[3 * b:3 * b + 3])) for b in range(3)
-                 if label[3 * b:3 * b + 3] != "III")
+def _block_paulis(label: str, n_blocks: int) -> tuple:
+    """A Pauli string as (block, PauliOp) pairs over its non-identity
+    blocks, n_blocks equal runs of its qubits: block b of a nine-qubit
+    string in three blocks holds qubits 3b, 3b+1, 3b+2."""
+    w = len(label) // n_blocks
+    return tuple((b, dvcodes.PauliOp(label[w * b:w * b + w])) for b in range(n_blocks)
+                 if label[w * b:w * b + w] != "I" * w)
 
 
 def confinement_kraus(dim: int) -> list[np.ndarray]:
@@ -448,59 +448,27 @@ class _Terms:
 
 
 class _BranchState(_Terms):
-    """A chunk of n trajectories, each a sum of T product terms.
-
-    Term k of row r stands for c[r, k] x ph[r, k] D(gamma[r, k]) |psi0>;
-    c has shape (n, T, carrier_dim).  Pruned terms have c = 0 and ph = 0.
-    """
-
-    def __init__(self, ctx: _Context, n: int):
-        super().__init__(ctx, n)
-        self.c = np.tile(np.stack((ctx.g, ctx.e)) / math.sqrt(2.0), (n, 1, 1))
-
-    def _codeword_overlaps(self):
-        return self.c @ self.ctx.g.conj(), self.c @ self.ctx.e.conj()
-
-    def apply_pauli(self, op: dvcodes.PauliOp, rows):
-        self.c[rows] = _pauli(op, self.c[rows])
-
-    def stabilizer_plus_probability(self, stab: dvcodes.PauliOp) -> np.ndarray:
-        w = self.data_gram() @ self.c
-        nrm = np.sum(self.c.conj() * w, axis=(1, 2)).real
-        expect = np.sum(self.c.conj() * _pauli(stab, w), axis=(1, 2)).real
-        return 0.5 * (nrm + expect) / nrm
-
-    def project_stabilizer(self, stab: dvcodes.PauliOp, sign: np.ndarray):
-        self.c = 0.5 * (self.c + sign[:, None, None] * _pauli(stab, self.c))
-
-    def kraus_expects(self) -> np.ndarray:
-        """[r, k] = <K_k^dag K_k> for each binomial recovery Kraus: weighted
-        squared overlaps with the recovery basis, summed over K_k's bras."""
-        x = self.c @ self.ctx.binom_bras.T
-        w = np.sum(x.conj() * (self.data_gram() @ x), axis=1).real
-        return np.add.reduceat(w, self.ctx.binom_starts, axis=1)
-
-
-class _ShorState(_Terms):
-    """A chunk of shor9 trajectories whose carriers factor over the code's
-    three 3-qubit blocks.
+    """A chunk of n trajectories, each a sum of T product terms, whose
+    carriers factor over the kind's blocks (_Carrier.blocks).
 
     The carrier of slot t of row r is sum_p coef[r, t, p] v[r, t, p, 0] x
-    v[r, t, p, 1] x v[r, t, p, 2]; coef has shape (n, T, P) and v shape
-    (n, T, P, 3, 8).  Block b holds qubits 3b..3b+2, the first the most
-    significant bit, so the Kronecker product of the blocks is the 512-dim
-    carrier vector.  The codewords are products, g = scale b0 x b0 x b0
-    and e = scale b1 x b1 x b1, so a chunk starts with one product per
-    slot, its codeword.  Mode displacement, confinement and Z-type
-    stabilizers act on one block; an X-type stabilizer projection (c + sign
-    S c) / 2 doubles P, so P stays at most four.  Inner products are sums
-    over pairs of products of three block overlaps.
+    ... x v[r, t, p, B - 1]; coef has shape (n, T, P) and v shape (n, T, P,
+    B, block_dim).  shor9 has B = 3 blocks of 8 dims, block b holding
+    qubits 3b..3b+2, the first the most significant bit; every other kind
+    has one block, the carrier vector.  The Kronecker product of the blocks
+    is the carrier vector.  The codewords are products, g = scale b0 x ...
+    x b0 and e = scale b1 x ... x b1, so a chunk starts with one product
+    per slot, its codeword.  Mode displacement, confinement, the binomial
+    displacement and Kraus step, and Paulis and stabilizers on one block
+    act block by block; a projection (c + sign S c) / 2 onto a stabilizer
+    that spans blocks doubles P, so P stays at most four.  Inner products
+    are sums over pairs of products of block overlaps.
     """
 
     def __init__(self, ctx: _Context, n: int):
         super().__init__(ctx, n)
         self.coef = np.full((n, 2, 1), ctx.block_scale / math.sqrt(2.0), dtype=complex)
-        self.v = np.empty((n, 2, 1, 3, 8), dtype=complex)
+        self.v = np.empty((n, 2, 1, ctx.n_blocks, ctx.blocks.shape[1]), dtype=complex)
         self.v[:, 0], self.v[:, 1] = ctx.blocks[0], ctx.blocks[1]
         self._env_block = None
 
@@ -513,11 +481,15 @@ class _ShorState(_Terms):
         coef, d = self.coef.reshape(n, t * p), self.data_gram()
         return coef.conj()[:, :, None] * d.repeat(p, axis=1).repeat(p, axis=2) * coef[:, None, :]
 
+    def _product_blocks(self) -> np.ndarray:
+        """v as [r, K, b, i] over the flattened (slot, product) index K."""
+        n, t, p, n_blocks, dim = self.v.shape
+        return self.v.reshape(n, t * p, n_blocks, dim)
+
     def _block_grams(self, ops=()) -> np.ndarray:
         """[r, b, K, L] = <v_bK| S_b |v_bL>, S_b the PauliOp paired with
         block b in ops, or the identity."""
-        n, t, p = self.coef.shape
-        v = self.v.reshape(n, t * p, 3, 8).transpose(0, 2, 1, 3)
+        v = self._product_blocks().transpose(0, 2, 1, 3)
         right = v
         if ops:
             right = v.copy()
@@ -527,18 +499,21 @@ class _ShorState(_Terms):
 
     @staticmethod
     def _pair_sum(weights: np.ndarray, grams: np.ndarray) -> np.ndarray:
-        return (weights * grams[:, 0] * grams[:, 1] * grams[:, 2]).sum(axis=(1, 2)).real
+        for b in range(grams.shape[1]):
+            weights = weights * grams[:, b]
+        return weights.sum(axis=(1, 2)).real
 
     def _environment(self, b: int) -> np.ndarray:
-        """[r, K, L]: the pair weights times the overlaps of the two blocks
-        other than b, so that <c| A |c> = sum_KL env_KL <v_bK| A |v_bL> for
-        an operator A on block b.  Kept while only block b changes."""
+        """[r, K, L]: the pair weights times the overlaps of the blocks other
+        than b, so that <c| A |c> = sum_KL env_KL <v_bK| A |v_bL> for an
+        operator A on block b.  Kept while only block b changes."""
         if self._env_block != b:
-            n, t, p = self.coef.shape
-            v = self.v.reshape(n, t * p, 3, 8)[:, :, [(b + 1) % 3, (b + 2) % 3]]
-            g = np.einsum("nkbi,nlbi->bnkl", v.conj(), v)
-            self._env = self._pair_weights() * g[0] * g[1]
-            self._env_block = b
+            n_blocks = self.v.shape[3]
+            v = self._product_blocks()[:, :, [(b + j) % n_blocks for j in range(1, n_blocks)]]
+            env = self._pair_weights()
+            for gram in np.einsum("nkbi,nlbi->bnkl", v.conj(), v):
+                env = env * gram
+            self._env, self._env_block = env, b
         return self._env
 
     def _changed(self, block: int | None = None):
@@ -548,7 +523,7 @@ class _ShorState(_Terms):
 
     def _block_expect(self, b: int, op: dvcodes.PauliOp | None = None) -> np.ndarray:
         """<c|c>, and with op also <c| op |c> for a PauliOp on block b."""
-        v = self.v[:, :, :, b].reshape(len(self.v), -1, 8)
+        v = self._product_blocks()[:, :, b]
         right = v if op is None else np.stack((v, _pauli(op, v)))
         gram = v.conj() @ right.swapaxes(-1, -2)
         return (self._environment(b) * gram).sum(axis=(-1, -2)).real
@@ -562,21 +537,22 @@ class _ShorState(_Terms):
 
     def _codeword_overlaps(self):
         """<g|c_t> and <e|c_t>, each [r, t], from block overlaps."""
-        n, t, p = self.coef.shape
-        over = (self.v.reshape(-1, 8) @ self.ctx.blocks.T).reshape(n, t, p, 3, 2).prod(axis=3)
+        n, t, p, n_blocks, dim = self.v.shape
+        over = (self.v.reshape(-1, dim) @ self.ctx.blocks.conj().T).reshape(
+            n, t, p, n_blocks, 2).prod(axis=3)
         a = (self.coef[..., None] * over).sum(axis=2) * self.ctx.block_scale
         return a[..., 0], a[..., 1]
 
     # --- ancilla errors and recovery
 
     def mode_weights(self, m: int, disp: np.ndarray) -> np.ndarray:
-        """[r, y]: weight of level y of mode m after that mode's two levels x
-        are displaced into disp[r, x, y] = <y|D|x>.  Only the 2x2 moment
-        matrix M_xx' of the mode is formed, from its block and the block's
-        environment; w_y = sum conj(D_yx) D_yx' M_xx'."""
+        """[r, y]: weight of level y of shor9 mode m after that mode's two
+        levels x are displaced into disp[r, x, y] = <y|D|x>.  Only the 2x2
+        moment matrix M_xx' of the mode is formed, from its block and the
+        block's environment; w_y = sum conj(D_yx) D_yx' M_xx'."""
         b, q = divmod(m, 3)
         n = len(self.v)
-        v = self.v[:, :, :, b].reshape(n, -1, 8)
+        v = self._product_blocks()[:, :, b]
         # [r, x, (product, qubits of the block before m, qubits after m)]
         split = (n, -1, 2 ** q, 2, 2 ** (2 - q))
         left = v.reshape(split).transpose(0, 3, 1, 2, 4).reshape(n, 2, -1)
@@ -596,6 +572,23 @@ class _ShorState(_Terms):
         v6 = self.v[:, :, :, b].reshape(n, t, p, 2 ** q, 2, 2 ** (2 - q))
         self.v[:, :, :, b] = np.einsum("nyx,ntpaxc->ntpayc", kraus, v6).reshape(n, t, p, 8)
         self._changed(b)
+
+    def displace_mode(self, engine: DisplacementEngine, beta: np.ndarray):
+        """D(beta[r]) on block 0 of row r: the binomial carrier's mode."""
+        self.v[:, :, :, 0] = engine.apply(beta[:, None, None], self.v[:, :, :, 0])
+        self._changed(0)
+
+    def kraus_expects(self) -> np.ndarray:
+        """[r, k] = <K_k^dag K_k> for each binomial recovery Kraus on block
+        0: weighted squared overlaps with the recovery basis, summed over
+        K_k's bras."""
+        x = self._product_blocks()[:, :, 0] @ self.ctx.binom_bras.T
+        w = np.sum(x.conj() * (self._environment(0) @ x), axis=1).real
+        return np.add.reduceat(w, self.ctx.binom_starts, axis=1)
+
+    def apply_kraus(self, kraus: np.ndarray, rows):
+        self.v[rows, :, :, 0] = self.v[rows, :, :, 0] @ kraus.T
+        self._changed(0)
 
     def stabilizer_plus_probability(self, ops) -> np.ndarray:
         if len(ops) == 1:
@@ -912,14 +905,11 @@ def _groups(keys: np.ndarray):
 
 def _batch_ancilla_errors(ctx, state, anc, uniforms, p_phi) -> None:
     """p_phi holds one dephasing rate per row."""
-    kind = ctx.kind
-    if kind in _DEPHASING_KINDS:
-        for z in ctx.dephasing_ops:
-            state.apply_pauli(z, next(uniforms) < p_phi)
-    elif kind == "binomial_n3":
-        beta = anc[:, 0, 0] + 1j * anc[:, 0, 1]
-        state.c = ctx.anc_engine.apply(beta[:, None], state.c)
-    elif kind == "shor9":
+    for z in ctx.block_dephasing:
+        state.apply_pauli(z, next(uniforms) < p_phi)
+    if ctx.kind == "binomial_n3":
+        state.displace_mode(ctx.anc_engine, anc[:, 0, 0] + 1j * anc[:, 0, 1])
+    elif ctx.kind == "shor9":
         low = np.eye(2, _SHOR_MODE_DIM, dtype=complex)  # |0>, |1> as rows
         beta = anc[..., 0] + 1j * anc[..., 1]  # [r, mode]
         disps = ctx.mode_engine.apply(beta.reshape(-1, 1), low).reshape(
@@ -935,27 +925,23 @@ def _batch_ancilla_errors(ctx, state, anc, uniforms, p_phi) -> None:
 
 def _batch_recovery(ctx, state, uniforms) -> np.ndarray:
     """Per-row flags: the syndrome fell outside the correctable set."""
-    kind = ctx.kind
     unrecoverable = np.zeros(len(state.gamma), dtype=bool)
-    if kind in ("three_qubit_phase", "shor9"):
-        # the shor9 product state takes its Paulis block by block
-        shor = kind == "shor9"
-        stabilizers = ctx.block_stabilizers if shor else ctx.stabilizers
+    if ctx.block_stabilizers:
         syndrome = np.zeros(len(state.gamma), dtype=np.int64)
-        for stab in stabilizers:
+        for stab in ctx.block_stabilizers:
             bit = next(uniforms) >= state.stabilizer_plus_probability(stab)
             state.project_stabilizer(stab, 1 - 2 * bit)
             syndrome = syndrome << 1 | bit
         for s, rows in _groups(syndrome):
-            corr, label, guaranteed = dvcodes.correction_matrix(ctx.code_name, s)
-            state.apply_pauli(_block_paulis(label) if shor else corr, rows)
+            _, label, guaranteed = dvcodes.correction_matrix(ctx.code_name, s)
+            state.apply_pauli(_block_paulis(label, ctx.n_blocks), rows)
             unrecoverable[rows] = not guaranteed
-    elif kind == "binomial_n3":
+    elif ctx.binom_kraus:
         u = next(uniforms) * state.norm()
         choice = dvcodes.kraus_choice(state.kraus_expects(), u)
         for k, rows in _groups(choice):
             kraus, _, primary = ctx.binom_kraus[k]
-            state.c[rows] = state.c[rows] @ kraus.T
+            state.apply_kraus(kraus, rows)
             unrecoverable[rows] = not primary
     return unrecoverable
 
@@ -972,7 +958,7 @@ def _run_chunk(ctx: _Context, data, anc, uni, p_phi=None):
         data, anc, uni, p_phi = (np.repeat(a, 2, axis=0) for a in (data, anc, uni, p_phi))
     uniforms = iter(uni.T)
     # the state after the first conditional displacement (_Terms)
-    state = (_ShorState if ctx.kind == "shor9" else _BranchState)(ctx, len(data))
+    state = _BranchState(ctx, len(data))
     # squeezing frame: see _one_trajectory
     beta = data[:, 0] * math.exp(2.0 * ctx.zeta) + 1j * (data[:, 1] * math.exp(-2.0 * ctx.zeta))
     state.displace_data(beta)

@@ -24,7 +24,8 @@ def minimize_scalar(f, lower: float, upper: float, tol: float = 1e-6):
 
     A 32-point scan (log-spaced when the bracket is positive) picks the
     bracketing interval, golden-section refines it to ``tol`` in argument
-    units.  Non-finite values raise; a refinement that fails to beat the
+    units, or to 1e-12 of the bracket's upper end where the float spacing
+    there is wider than ``tol``.  Non-finite values raise; a refinement that fails to beat the
     grid falls back to the best grid point with a warning.
     """
     if not lower < upper:
@@ -43,7 +44,7 @@ def minimize_scalar(f, lower: float, upper: float, tol: float = 1e-6):
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > max(tol, 1e-12 * abs(b)):
         if not (math.isfinite(fc) and math.isfinite(fd)):
             raise ValueError("objective returned a non-finite value during refinement")
         if fc < fd:

@@ -17,9 +17,10 @@ computes another way:
 - numeric_qubit_alpha, numeric_zeta: the qubit and squeezed optima found
   by grid scan plus golden section (nested for zeta) on the closed-form
   variances, against protocol's closed-form optima.
+- overlap_f: |<psi|D(beta)|psi>|^2 of the coherent and single-boson
+  states in closed form, against Fock-vector overlaps.
 - finite_difference_curvature: the central second difference of
-  fock.overlap_f at the origin, against
-  protocol.second_derivative_at_origin.
+  overlap_f at the origin, against protocol.second_derivative_at_origin.
 - qudit_filter: the qudit outcome filter as its sin^2 kernel, against
   the Fourier series an OutcomeBranch carries.
 - fock_outcome_probabilities: the bare-qubit readout probabilities from
@@ -42,7 +43,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from cvqec.fock import (DensityMatrix, DisplacementEngine, TruncationError,
-                        annihilation, overlap_f)
+                        annihilation)
 from cvqec.montecarlo import _carrier, confinement_kraus
 from cvqec.optimize import minimize_scalar
 from cvqec.protocol import _qubit_var_p
@@ -155,6 +156,20 @@ def numeric_zeta(sigma: float):
         _, var_p = numeric_qubit_alpha(sigma * math.exp(-2.0 * zeta), tol=1e-8)
         return 0.5 * (sigma * math.exp(2.0 * zeta))**2 + var_p
     return minimize_scalar(total, -0.25, 0.05)
+
+
+def overlap_f(kind: str, beta: complex) -> float:
+    """|<psi| D(beta) |psi>|^2 for the supported reference states.
+
+    Coherent states give exp(-|beta|^2) independent of amplitude; the
+    single-boson state gives exp(-|beta|^2) (1 - |beta|^2)^2.
+    """
+    b2 = abs(beta) ** 2
+    if kind == "coherent":
+        return math.exp(-b2)
+    if kind == "fock1":
+        return math.exp(-b2) * (1.0 - b2) ** 2
+    raise ValueError(f"unknown state kind {kind!r}")
 
 
 def finite_difference_curvature(state_kind: str, quadrature: str = "q") -> float:

@@ -353,6 +353,23 @@ class TestExitCodes:
     def test_unbounded_qudit_input_writes_nothing(self, tmp_path, argv):
         self._exits_3_writing_nothing(tmp_path, argv)
 
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--scheme", "qudit", "--d", "3", "--sigma", "1e-12"],
+        ["fig3", "--sigma", "1e-12", "--dmax", "3"]])
+    def test_tiny_sigma_search_ends(self, tmp_path, argv):
+        """At sigma 1e-12 the qudit search's bracket lies near 1e12, where
+        the float spacing is wider than its absolute tolerance; the search
+        must still end.  A fresh interpreter, so a hang fails at the
+        timeout instead of stalling the suite."""
+        target = (["--out-file", str(tmp_path / "opt.json")] if argv[0] == "optimize"
+                  else ["--out", str(tmp_path)])
+        src = str(Path(cvqec.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-m", "cvqec.cli", *argv, *target],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert list(tmp_path.iterdir())
+
     @staticmethod
     def _exits_3_writing_nothing(tmp_path, argv):
         target = (["--out-file", str(tmp_path / "opt.json")] if argv[0] == "optimize"

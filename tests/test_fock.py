@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from cvqec.fock import (DensityMatrix, DisplacementEngine, PureState,
                         TruncationWarning,
                         TruncationError, annihilation, coherent_state,
-                        fidelity, fock_state, overlap_f)
-from oracles import displacement_operator
+                        fidelity, fock_state)
+from oracles import displacement_operator, overlap_f
 
 N_TRUNC = 30
 DIM = N_TRUNC + 1

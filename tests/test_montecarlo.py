@@ -1,6 +1,7 @@
 """Trajectory sampling: engine agreement, statistics, and reproducibility."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import warnings
@@ -14,7 +15,7 @@ from cvqec.gaussian import qubit_outcome_mean
 from cvqec.montecarlo import (_SHOR_MODE_DIM, ANCILLA_KINDS,
                               EstimateWithError, TrajectoryPlan, _BranchState,
                               _Context, _DenseState, _int128,
-                              _pcg64_states, _run_draws, _ShorState,
+                              _pcg64_states, _run_draws,
                               _standard_draws, _sweep_rows, _Terms,
                               branch_decomposition_run, confinement_kraus,
                               estimate_qubit_var_p, run_concatenated,
@@ -151,7 +152,7 @@ class TestConfinement:
                 assert np.array_equal(sel.psi, ref.psi)
 
     def test_batched_mode_step_matches_dense(self):
-        """_ShorState.mode_weights and confine_mode, which form only the
+        """The shor9 mode_weights and confine_mode, which form only the
         mode's 2x2 moments (from its block and the block's environment) and
         the kept rows of its displacement, against the dense path
         (apply_carrier_local with disp[:, :2], then confinement Kraus j), one
@@ -182,20 +183,20 @@ class TestConfinement:
                 assert np.allclose(got, ref.psi, rtol=0, atol=1e-13)
 
 
-def _expand(state: _ShorState) -> np.ndarray:
-    """The 512-dim carrier vectors [r, t] of a product state, by np.kron."""
+def _expand(state: _BranchState) -> np.ndarray:
+    """The carrier vectors [r, t] of a product state, by np.kron over its
+    blocks."""
     n, t, p = state.coef.shape
-    out = np.zeros((n, t, 512), dtype=complex)
+    out = np.zeros((n, t, state.ctx.carrier_dim), dtype=complex)
     for r, s, q in np.ndindex(n, t, p):
-        blocks = state.v[r, s, q]
-        out[r, s] += state.coef[r, s, q] * np.kron(np.kron(blocks[0], blocks[1]), blocks[2])
+        out[r, s] += state.coef[r, s, q] * functools.reduce(np.kron, state.v[r, s, q])
     return out
 
 
-def _random_shor_state(ctx, rng, n: int, t: int = 2, p: int = 2) -> _ShorState:
+def _random_shor_state(ctx, rng, n: int, t: int = 2, p: int = 2) -> _BranchState:
     """n rows of t terms with p products each and random data factors; each
     row's carrier vectors have unit total norm."""
-    state = _ShorState(ctx, n)
+    state = _BranchState(ctx, n)
     state.coef = rng.normal(size=(n, t, p)) + 1j * rng.normal(size=(n, t, p))
     state.v = rng.normal(size=(n, t, p, 3, 8)) + 1j * rng.normal(size=(n, t, p, 3, 8))
     state.coef /= np.linalg.norm(_expand(state), axis=(1, 2))[:, None, None]
@@ -204,15 +205,22 @@ def _random_shor_state(ctx, rng, n: int, t: int = 2, p: int = 2) -> _ShorState:
     return state
 
 
+def _one_block(state: _BranchState, c: np.ndarray):
+    """Set state to the flat carrier vectors c [r, t]: one product per slot,
+    coefficient 1, its one block c."""
+    state.coef = np.ones(c.shape[:2] + (1,), dtype=complex)
+    state.v = c[:, :, None, None, :].copy()
+
+
 class TestBinomialRecovery:
     @staticmethod
     def _random_state(ctx, rng, n: int, t: int) -> _BranchState:
-        """n rows of t random carrier terms with random data factors; each
-        row's carrier vectors have unit total norm."""
+        """n rows of t random carrier terms on one block with random data
+        factors; each row's carrier vectors have unit total norm."""
         state = _BranchState(ctx, n)
         shape = (n, t, ctx.carrier_dim)
         c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        state.c = c / np.linalg.norm(c, axis=(1, 2))[:, None, None]
+        _one_block(state, c / np.linalg.norm(c, axis=(1, 2))[:, None, None])
         state.gamma = rng.normal(0.0, 0.5, (n, t)) + 1j * rng.normal(0.0, 0.5, (n, t))
         state.ph = np.exp(2j * np.pi * rng.random((n, t)))
         return state
@@ -227,7 +235,8 @@ class TestBinomialRecovery:
         rng = np.random.default_rng(100 + t)
         n = 60
         state = self._random_state(ctx, rng, n, t)
-        cc, w = state.c.conj(), state.data_gram() @ state.c
+        c = _expand(state)
+        cc, w = c.conj(), state.data_gram() @ c
         oracle = np.stack([np.sum(cc * (w @ kk.T), axis=(1, 2)).real
                            for _, kk, _ in ctx.binom_kraus], axis=1)
         assert np.allclose(state.kraus_expects(), oracle, rtol=0, atol=1e-13)
@@ -235,15 +244,15 @@ class TestBinomialRecovery:
         u = rng.random(n)
         hit = (u * state.norm())[:, None] <= oracle.cumsum(axis=1)
         choice = np.where(hit.any(axis=1), hit.argmax(axis=1), len(ctx.binom_kraus) - 1)
-        expect_c = state.c.copy()
+        expect_v = state.v.copy()
         for k in np.unique(choice).tolist():
             rows = choice == k
-            expect_c[rows] = state.c[rows] @ ctx.binom_kraus[k][0].T
+            expect_v[rows] = state.v[rows] @ ctx.binom_kraus[k][0].T
         primary = np.array([p for _, _, p in ctx.binom_kraus])
         unrecoverable = montecarlo._batch_recovery(ctx, state, iter([u]))
         assert unrecoverable.any() and not unrecoverable.all()
         assert np.array_equal(unrecoverable, ~primary[choice])
-        assert np.array_equal(state.c, expect_c)
+        assert np.array_equal(state.v, expect_v)
 
 
 @pytest.mark.parametrize("width", [2, 8])
@@ -258,69 +267,90 @@ def test_groups_match_row_unique(width):
             (k, (keys == k).tolist()) for k in sorted(set(keys.tolist()))]
 
 
+def test_chunk_size_per_kind():
+    """A chunk holds _CHUNK_BUDGET // (2**k n_blocks block_dim) rows, k the
+    stabilizers that span more than one block (two X-type ones of shor9),
+    each of whose projections doubles a slot's products."""
+    assert {kind: montecarlo._carrier(kind).chunk_size for kind in ANCILLA_KINDS} == {
+        "perfect": 1024, "bare": 1024, "three_qubit_phase": 256, "binomial_n3": 85,
+        "shor9": 21}
+
+
 class TestShorProductState:
-    """Each operation of the three-block product state against _BranchState
-    on the same state expanded to 512 dims (np.kron), on random multi-term
-    states; mode steps are checked against _DenseState in TestConfinement."""
+    """Each operation of the three-block product state against the same
+    engine with one 512-dim block, on the same state expanded by np.kron,
+    on random multi-term states; mode steps are checked against _DenseState
+    in TestConfinement."""
+
+    @staticmethod
+    def _flat_context(ctx):
+        """ctx with the shor9 carrier as one block, (g, e) at scale 1, and
+        whole-label stabilizers."""
+        flat = _Context(ctx.plan)
+        flat.blocks, flat.block_scale, flat.n_blocks = np.stack((ctx.g, ctx.e)), 1.0, 1
+        flat.block_stabilizers = tuple(montecarlo._block_paulis(label, 1)
+                                       for label in dvcodes._STABILIZERS["shor9"])
+        return flat
 
     @staticmethod
     def _pair(seed: int, n: int = 6):
         ctx = _Context(TrajectoryPlan(sigma=0.15, ancilla="shor9"))
         shor = _random_shor_state(ctx, np.random.default_rng(seed), n)
-        branch = _BranchState(ctx, n)
-        branch.c, branch.gamma, branch.ph = _expand(shor), shor.gamma, shor.ph
-        return ctx, shor, branch
+        flat = _BranchState(TestShorProductState._flat_context(ctx), n)
+        _one_block(flat, _expand(shor))
+        flat.gamma, flat.ph = shor.gamma, shor.ph
+        return ctx, shor, flat
 
     @staticmethod
-    def _assert_same(shor: _ShorState, branch: _BranchState):
-        assert np.allclose(_expand(shor), branch.c, rtol=0, atol=1e-13)
-        assert np.allclose(shor.gamma, branch.gamma, rtol=0, atol=1e-13)
-        assert np.allclose(shor.ph, branch.ph, rtol=0, atol=1e-13)
+    def _assert_same(shor: _BranchState, flat: _BranchState):
+        assert np.allclose(_expand(shor), _expand(flat), rtol=0, atol=1e-13)
+        assert np.allclose(shor.gamma, flat.gamma, rtol=0, atol=1e-13)
+        assert np.allclose(shor.ph, flat.ph, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("s", range(8))
     def test_stabilizer(self, s):
-        ctx, shor, branch = self._pair(s)
-        ops, op = ctx.block_stabilizers[s], ctx.stabilizers[s]
-        assert np.allclose(shor.norm(), branch.norm(), rtol=0, atol=1e-13)
+        ctx, shor, flat = self._pair(s)
+        ops, op = ctx.block_stabilizers[s], flat.ctx.block_stabilizers[s]
+        assert np.allclose(shor.norm(), flat.norm(), rtol=0, atol=1e-13)
         assert np.allclose(shor.stabilizer_plus_probability(ops),
-                           branch.stabilizer_plus_probability(op), rtol=0, atol=1e-13)
+                           flat.stabilizer_plus_probability(op), rtol=0, atol=1e-13)
         sign = np.where(np.arange(len(shor.gamma)) % 2 == 0, 1, -1)
         shor.project_stabilizer(ops, sign)
-        branch.project_stabilizer(op, sign)
-        self._assert_same(shor, branch)
+        flat.project_stabilizer(op, sign)
+        self._assert_same(shor, flat)
         # a projected state is an eigenstate: probability 1 or 0 by row
         assert np.allclose(shor.stabilizer_plus_probability(ops), (1 + sign) / 2,
                            rtol=0, atol=1e-13)
 
     def test_best_effort_correction(self):
-        ctx, shor, branch = self._pair(20)
+        ctx, shor, flat = self._pair(20)
         syndrome = next(syn for syn in range(2 ** 8)
                         if not dvcodes.correction_matrix("shor9", syn)[2])
-        op, label, _ = dvcodes.correction_matrix("shor9", syndrome)
+        _, label, _ = dvcodes.correction_matrix("shor9", syndrome)
         assert sum(ch != "I" for ch in label) >= 2
         rows = np.arange(len(shor.gamma)) % 3 != 0
-        shor.apply_pauli(montecarlo._block_paulis(label), rows)
-        branch.apply_pauli(op, rows)
-        self._assert_same(shor, branch)
+        shor.apply_pauli(montecarlo._block_paulis(label, 3), rows)
+        flat.apply_pauli(montecarlo._block_paulis(label, 1), rows)
+        self._assert_same(shor, flat)
 
     @staticmethod
     def _code_space_pair(seed: int, n: int = 6):
         """_pair with random logical amplitudes on the codeword products, the
         only carriers the circuit hands over (see test_code_space_invariant)."""
-        ctx, shor, branch = TestShorProductState._pair(seed, n)
+        ctx, shor, flat = TestShorProductState._pair(seed, n)
         amp = np.random.default_rng(seed + 1).normal(size=(*shor.coef.shape, 2)) @ [1, 1j]
         shor.coef = ctx.block_scale * amp / np.linalg.norm(amp, axis=(1, 2))[:, None, None]
         shor.v[:, :, 0], shor.v[:, :, 1] = ctx.blocks[0], ctx.blocks[1]
-        branch.c = _expand(shor)
-        return ctx, shor, branch
+        _one_block(flat, _expand(shor))
+        return ctx, shor, flat
 
     @pytest.mark.parametrize("signs", [(-1, 1), (1, -1)])
     def test_conditional_displacement(self, signs):
-        """Both engines' handoff to the logical qubit on the same states."""
-        ctx, shor, branch = self._code_space_pair(30)
+        """Both block layouts' handoff to the logical qubit on the same states."""
+        ctx, shor, flat = self._code_space_pair(30)
         nrm = shor.norm()
         alpha_g, alpha_e = signs[0] * 0.7, signs[1] * 0.7
-        got, want = shor.logical(alpha_g, alpha_e), branch.logical(alpha_g, alpha_e)
+        got, want = shor.logical(alpha_g, alpha_e), flat.logical(alpha_g, alpha_e)
         assert got.c.shape == want.c.shape == (6, 4, 2)
         for name in ("c", "gamma", "ph"):
             assert np.allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-13)
@@ -362,8 +392,8 @@ def test_closed_form_start(ancilla):
     oracle's |+>_L x psi0 after its first conditional displacement."""
     ctx = _Context(TrajectoryPlan(sigma=0.15, ancilla=ancilla, zeta=optimal_zeta(),
                                   coherent_amplitude=0.5 - 0.3j))
-    state = (_ShorState if ancilla == "shor9" else _BranchState)(ctx, 2)
-    c = _expand(state) if ancilla == "shor9" else state.c
+    state = _BranchState(ctx, 2)
+    c = _expand(state)
     dense = _DenseState(ctx)
     dense.conditional_displace(-ctx.alpha, +ctx.alpha)
     for r in range(2):
@@ -374,7 +404,7 @@ def test_closed_form_start(ancilla):
 
 @pytest.mark.parametrize("ancilla", ANCILLA_KINDS)
 def test_code_space_invariant(monkeypatch, ancilla):
-    """Both batched engines hand a chunk over to the logical qubit by
+    """The batched engine hands a chunk over to the logical qubit by
     splitting each slot into its g and e parts only, so the second
     conditional displacement of a run must see carriers in the code space:
     per row and slot, |c - <g|c> g - <e|c> e| |ph| is at most _BRANCH_TOL,
@@ -384,7 +414,7 @@ def test_code_space_invariant(monkeypatch, ancilla):
     logical = _Terms.logical
 
     def checked(state, alpha_g, alpha_e):
-        c = _expand(state) if isinstance(state, _ShorState) else state.c
+        c = _expand(state)
         g, e = state.ctx.g, state.ctx.e
         rest = c - (c @ g.conj())[..., None] * g - (c @ e.conj())[..., None] * e
         weights.append(np.max(np.linalg.norm(rest, axis=-1) * np.abs(state.ph)))
