@@ -23,7 +23,7 @@ binomial sigma sweep over the default points.
 With --trajectories it prints instead every trajectory of one fixed plan
 per ancilla kind at sigma 0.15, then of a binomial plan at sigma 0.2 with
 400 trajectories and a shor9 plan at sigma 0.25 with 105 trajectories
-(five chunks), as ``kind sigma index float.hex(infidelity) unrecoverable
+(each one chunk), as ``kind sigma index float.hex(infidelity) unrecoverable
 complement`` (the flags as 0/1): the CSV's %.9g hides last-bit changes,
 and a changed binomial Kraus choice or best-effort shor9 correction shows
 in the flags where the infidelity barely moves.  The values are the ones the chunks of

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 bad arguments, 3 numerical failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -171,53 +172,70 @@ def cmd_optimize(args) -> None:
         print(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# subcommand: (help, handler, arguments as (flag, add_argument keywords))
+_COMMANDS = {
+    "fig2": ("qubit-scheme corrected variance data", cmd_fig2, (
+        ("--sigma", dict(type=float, default=0.1)),
+        ("--out", dict(default=".")),
+    )),
+    "fig3": ("qudit-scheme variance vs d", cmd_fig3, (
+        ("--sigma", dict(type=float, default=0.1)),
+        ("--dmax", dict(type=int, default=15)),
+        ("--s", dict(type=float, default=5.0)),
+        ("--out", dict(default=".")),
+    )),
+    "fig4": ("concatenated Monte Carlo sweeps", cmd_fig4, (
+        ("--state", dict(choices=("coherent", "fock1"), default="coherent")),
+        ("--code", dict(choices=tuple(_CODE_BY_FLAG), default="none")),
+        ("--sweep", dict(choices=("pphi", "sigma"), default="pphi")),
+        ("--trajectories", dict(type=int, default=2000)),
+        ("--seed", dict(type=int, default=0)),
+        ("--sigma", dict(type=float, default=0.1,
+                         help="data-mode sigma (fixed for pphi sweeps)")),
+        ("--amplitude", dict(type=float, default=0.0,
+                             help="coherent-state amplitude of the data mode")),
+        ("--points", dict(type=float, nargs="*", default=None,
+                          help="explicit sweep values (default grid otherwise)")),
+        ("--out", dict(default=".")),
+    )),
+    "optimize": ("scheme parameter optimization", cmd_optimize, (
+        ("--scheme", dict(choices=("qubit_p", "two_qubit", "squeezed", "qudit"),
+                          required=True)),
+        ("--sigma", dict(type=float, default=0.1)),
+        ("--d", dict(type=int, default=8)),
+        ("--out-file", dict(default=None)),
+    )),
+}
+
+
+# help at a fixed width: the default formatter asks for the terminal size
+# each time argparse makes one, that is on every add_argument
+_Formatter = functools.partial(argparse.HelpFormatter, width=78)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of command alone: argparse pays
+    for a help formatter on each argument it adds, which is most of the
+    fixed cost of a command run in-process."""
     parser = argparse.ArgumentParser(
-        prog="cvqec",
+        prog="cvqec", formatter_class=_Formatter,
         description="Ancilla-assisted displacement-error correction: "
                     "figure data and parameter optimization.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p2 = sub.add_parser("fig2", help="qubit-scheme corrected variance data")
-    p2.add_argument("--sigma", type=float, default=0.1)
-    p2.add_argument("--out", default=".")
-    p2.set_defaults(func=cmd_fig2)
-
-    p3 = sub.add_parser("fig3", help="qudit-scheme variance vs d")
-    p3.add_argument("--sigma", type=float, default=0.1)
-    p3.add_argument("--dmax", type=int, default=15)
-    p3.add_argument("--s", type=float, default=5.0)
-    p3.add_argument("--out", default=".")
-    p3.set_defaults(func=cmd_fig3)
-
-    p4 = sub.add_parser("fig4", help="concatenated Monte Carlo sweeps")
-    p4.add_argument("--state", choices=("coherent", "fock1"), default="coherent")
-    p4.add_argument("--code", choices=tuple(_CODE_BY_FLAG), default="none")
-    p4.add_argument("--sweep", choices=("pphi", "sigma"), default="pphi")
-    p4.add_argument("--trajectories", type=int, default=2000)
-    p4.add_argument("--seed", type=int, default=0)
-    p4.add_argument("--sigma", type=float, default=0.1,
-                    help="data-mode sigma (fixed for pphi sweeps)")
-    p4.add_argument("--amplitude", type=float, default=0.0,
-                    help="coherent-state amplitude of the data mode")
-    p4.add_argument("--points", type=float, nargs="*", default=None,
-                    help="explicit sweep values (default grid otherwise)")
-    p4.add_argument("--out", default=".")
-    p4.set_defaults(func=cmd_fig4)
-
-    po = sub.add_parser("optimize", help="scheme parameter optimization")
-    po.add_argument("--scheme", choices=("qubit_p", "two_qubit", "squeezed", "qudit"),
-                    required=True)
-    po.add_argument("--sigma", type=float, default=0.1)
-    po.add_argument("--d", type=int, default=8)
-    po.add_argument("--out-file", default=None)
-    po.set_defaults(func=cmd_optimize)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_COMMANDS) + "}")
+    for name, (help_text, func, arguments) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text, formatter_class=_Formatter)
+            for flag, keywords in arguments:
+                p.add_argument(flag, **keywords)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         args.func(args)
     except (ValueError, ArithmeticError) as exc:

@@ -46,8 +46,10 @@ per distinct choice in the chunk; the binomial syndrome probabilities come
 from one projection onto the recovery basis
 (dvcodes.binomial_recovery_basis).  A chunk holds max(1, _CHUNK_BUDGET //
 (P_max n_blocks block_dim)) trajectories, P_max = 2**k for k stabilizers
-that span blocks: 1024 for the two-dim carriers, 256 for the phase code,
-85 for binomial_n3 and 21 for shor9.
+that span blocks: 8192 for the two-dim carriers, 2048 for the phase code,
+682 for binomial_n3 and 170 for shor9.  The budget is sized for speed (a
+shor9 chunk makes about 1200 Python calls, whatever its size); no row
+the tests check moves with it.
 
 Qubit-carrier Paulis (stabilizers, corrections, dephasing flips) are
 applied as bit masks, a basis permutation idx -> idx ^ x times a phase,
@@ -85,7 +87,9 @@ dephasing kinds a row's value then does not move with its chunk's other
 rows (checked across chunk budgets in the tests), so a trajectory
 replayed alone (trajectory_fidelity) equals its row in a run bit for bit.
 For the bosonic kinds a slot is dropped only when it is empty in every
-row of its chunk, so a replay can differ from its row in the last bit.
+row of its chunk, so a replay can differ from its row in the last bit:
+some binomial_n3 rows do in one-row chunks, while the shor9 rows the
+tests check hold at every budget from one-row chunks up.
 """
 
 from __future__ import annotations
@@ -122,7 +126,7 @@ _BOSONIC_KINDS = ("binomial_n3", "shor9")
 _SHOR_MODE_DIM = 14  # per-mode Fock levels while a single-boson qubit is displaced
 _BINOMIAL_N_TRUNC = 23
 _BRANCH_TOL = 1e-14
-_CHUNK_BUDGET = 2048  # carrier amplitudes per term slot in one chunk
+_CHUNK_BUDGET = 16384  # carrier amplitudes per term slot in one chunk
 # the logical +-Y states in the basis (g, e) of _Terms.logical
 _YPLUS = np.array([1.0, 1.0j]) / math.sqrt(2.0)
 _YMINUS = _YPLUS.conj()

@@ -11,7 +11,7 @@ import pytest
 
 import cvqec
 from cvqec import montecarlo
-from cvqec.cli import main
+from cvqec.cli import build_parser, main
 from cvqec.protocol import optimal_alpha_qubit
 
 
@@ -198,7 +198,7 @@ class TestFig4:
         assert (tmp_path / f"fig4_{code}_coherent_pphi.csv").read_text() == text
 
     # Text written with one seeded generator per trajectory and sweep point;
-    # three chunks of 85 trajectories share one set of draws across points.
+    # one chunk of 200 trajectories shares one set of draws across points.
     def test_pinned_csv_text_shared_sigma_sweep(self, tmp_path):
         assert main(["fig4", "--code", "binomial", "--sweep", "sigma",
                      "--points", "0.1", "0.15", "--trajectories", "200",
@@ -380,6 +380,39 @@ class TestExitCodes:
     def test_io_failure(self, tmp_path):
         missing = tmp_path / "does" / "not" / "exist"
         assert main(["fig2", "--out", str(missing)]) == 4
+
+
+class TestParser:
+    """main builds the arguments of the chosen subcommand only."""
+
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("    ")]
+        assert listed == ["fig2", "fig3", "fig4", "optimize"]
+
+    def test_subcommand_help_prints_its_options(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig4", "-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: cvqec fig4")
+        assert all(flag in out for flag in ("--trajectories", "--points", "--amplitude"))
+
+    @pytest.mark.parametrize("argv", [
+        ["fig2", "--sigma", "0.2"], ["fig3", "--dmax", "4", "--s", "3"],
+        ["fig4", "--code", "shor", "--sweep", "sigma", "--points", "0.1", "0.2"],
+        ["optimize", "--scheme", "qudit", "--d", "5", "--out-file", "x.json"]])
+    def test_one_subcommand_parses_as_the_full_parser(self, argv):
+        assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+
+    def test_unknown_option_of_a_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig4", "--dmax", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dmax 3" in capsys.readouterr().err
 
 
 # Run in a fresh interpreter: imports cvqec.cli, runs each argv (given as

@@ -272,8 +272,22 @@ def test_chunk_size_per_kind():
     stabilizers that span more than one block (two X-type ones of shor9),
     each of whose projections doubles a slot's products."""
     assert {kind: montecarlo._carrier(kind).chunk_size for kind in ANCILLA_KINDS} == {
-        "perfect": 1024, "bare": 1024, "three_qubit_phase": 256, "binomial_n3": 85,
-        "shor9": 21}
+        "perfect": 8192, "bare": 8192, "three_qubit_phase": 2048, "binomial_n3": 682,
+        "shor9": 170}
+
+
+@pytest.fixture
+def chunk_budget(monkeypatch):
+    """Sets montecarlo._CHUNK_BUDGET; no chunk size or sweep computed at
+    another budget stays cached, during the test or after it."""
+    def set_budget(budget):
+        monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", budget)
+        montecarlo._carrier.cache_clear()
+        _sweep_rows.cache_clear()
+    yield set_budget
+    monkeypatch.undo()
+    montecarlo._carrier.cache_clear()
+    _sweep_rows.cache_clear()
 
 
 class TestShorProductState:
@@ -463,28 +477,35 @@ class TestReproducibility:
     # Per-trajectory values of a sweep's distinct rows; the CSV's %.9g would
     # hide a last-bit change.  Budget 1 runs every row as a two-copy chunk;
     # budget 2**17 runs over 9000 rows as one chunk, past the size from
-    # which numpy reuses a temporary operand's buffer for a product.
-    @pytest.mark.parametrize("ancilla, n, points, budgets", [
-        pytest.param(ancilla, 300, (0.0, 0.05, 0.1, 0.2), (1, 14, 2048, 65536), id=ancilla)
+    # which numpy reuses a temporary operand's buffer for a product.  The
+    # shor9 leg runs chunks of 1, 21 and 120 rows, the binomial_n3 leg
+    # chunks of 85 and 300.
+    @pytest.mark.parametrize("ancilla, n, sigma, points, budgets", [
+        pytest.param(ancilla, 300, 0.15, (0.0, 0.05, 0.1, 0.2), (1, 14, 2048, 65536),
+                     id=ancilla)
         for ancilla in ("bare", "three_qubit_phase")] + [
-        pytest.param(ancilla, 9000, (0.0, 0.1), (2048, 1 << 17), id=f"{ancilla}-large")
-        for ancilla in ("bare", "three_qubit_phase")])
-    def test_chunk_budget_does_not_change_rows(self, monkeypatch, ancilla, n, points,
+        pytest.param(ancilla, 9000, 0.15, (0.0, 0.1), (2048, 1 << 17), id=f"{ancilla}-large")
+        for ancilla in ("bare", "three_qubit_phase")] + [
+        pytest.param("shor9", 120, 0.2, (0.0,), (1, 14, 2048, 16384, 65536), id="shor9"),
+        pytest.param("binomial_n3", 300, 0.2, (0.0,), (2048, 16384, 65536),
+                     id="binomial_n3"),
+        # Slot dropping (_Terms._split keeps a slot live in every row if any
+        # row needs it) still couples a binomial chunk's rows: in one-row
+        # chunks 3 of these 300 rows move by 2.2e-16.  Row-local liveness
+        # is still open, and out of scope for the chunk sizes tested here.
+        pytest.param("binomial_n3", 300, 0.2, (0.0,), (16384, 1), id="binomial_n3-one-row",
+                     marks=pytest.mark.xfail(strict=True, reason="slot dropping couples "
+                                             "the rows of a binomial chunk")),
+    ])
+    def test_chunk_budget_does_not_change_rows(self, chunk_budget, ancilla, n, sigma, points,
                                                budgets):
-        base = TrajectoryPlan(sigma=0.15, ancilla=ancilla, n_trajectories=n,
+        base = TrajectoryPlan(sigma=sigma, ancilla=ancilla, n_trajectories=n,
                               root_seed=11, zeta=optimal_zeta())
         rows = []
-        try:
-            for budget in budgets:
-                monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", budget)
-                montecarlo._carrier.cache_clear()
-                _sweep_rows.cache_clear()
-                parts, _ = _sweep_rows(base, points)
-                rows.append(b"".join(part.tobytes() for part in parts))
-        finally:
-            monkeypatch.undo()
-            montecarlo._carrier.cache_clear()
-            _sweep_rows.cache_clear()
+        for budget in budgets:
+            chunk_budget(budget)
+            parts, _ = _sweep_rows(base, points)
+            rows.append(b"".join(part.tobytes() for part in parts))
         assert rows == [rows[0]] * len(budgets)
 
     @pytest.mark.parametrize("ancilla", ["bare", "three_qubit_phase"])
@@ -632,6 +653,7 @@ class TestSeeding:
 class TestSweepSharing:
     """Points of one sweep reuse one set of standard draws (_run_draws)."""
 
+    # chunks at a budget of 2048
     @pytest.mark.parametrize("ancilla, field, points, n", [
         ("bare", "p_phi", (0.0, 0.05, 0.2), 300),
         ("three_qubit_phase", "p_phi", (0.0, 0.05, 0.2), 300),
@@ -639,7 +661,8 @@ class TestSweepSharing:
         ("shor9", "sigma", (0.1, 0.15), 8),          # one chunk
         ("shor9", "sigma", (0.1, 0.15), 45),         # three chunks of 21
     ])
-    def test_shared_draws_match_fresh_runs(self, ancilla, field, points, n):
+    def test_shared_draws_match_fresh_runs(self, chunk_budget, ancilla, field, points, n):
+        chunk_budget(2048)
         base = TrajectoryPlan(sigma=0.1, ancilla=ancilla, n_trajectories=n,
                               root_seed=13, zeta=optimal_zeta())
         plans = [dataclasses.replace(base, **{field: x}) for x in points]
@@ -659,14 +682,17 @@ class TestSweepSharing:
             assert _run_draws.cache_info().currsize == 1
         assert not any(a.flags.writeable for a in _run_draws(2, "perfect", 20))
 
-    # the first two sweeps end in a one-row chunk: 257 distinct rows in
-    # chunks of 256, 1025 in chunks of 1024
+    # the first two sweeps end in a one-row chunk at a budget of 2048: 257
+    # distinct rows in chunks of 256, 1025 in chunks of 1024
     @pytest.mark.parametrize("state_kind", ["coherent", "fock1"])
     @pytest.mark.parametrize("ancilla, seed, n, one_row_tail", [
         ("three_qubit_phase", 0, 164, True), ("bare", 0, 865, True),
         ("three_qubit_phase", 5, 300, False), ("bare", 5, 160, False),
     ])
-    def test_sweep_equals_single_runs(self, ancilla, seed, n, one_row_tail, state_kind):
+    def test_sweep_equals_single_runs(self, chunk_budget, ancilla, seed, n, one_row_tail,
+                                      state_kind):
+        if one_row_tail:
+            chunk_budget(2048)
         points = (0.0, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2)
         base = TrajectoryPlan(sigma=0.1, ancilla=ancilla, n_trajectories=n, root_seed=seed,
                               zeta=optimal_zeta(), state_kind=state_kind)
