@@ -213,19 +213,18 @@ _COMMANDS = {
 _Formatter = functools.partial(argparse.HelpFormatter, width=78)
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of command alone: argparse pays
-    for a help formatter on each argument it adds, which is most of the
-    fixed cost of a command run in-process."""
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """Every subcommand, with the arguments of command alone: argparse
+    pays for each argument it adds, which is most of the fixed cost of a
+    command run in-process."""
     parser = argparse.ArgumentParser(
         prog="cvqec", formatter_class=_Formatter,
         description="Ancilla-assisted displacement-error correction: "
                     "figure data and parameter optimization.")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="{" + ",".join(_COMMANDS) + "}")
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, func, arguments) in _COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_text, formatter_class=_Formatter)
+        p = sub.add_parser(name, help=help_text, formatter_class=_Formatter)
+        if name == command:
             for flag, keywords in arguments:
                 p.add_argument(flag, **keywords)
             p.set_defaults(func=func)
@@ -234,8 +233,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         args.func(args)
     except (ValueError, ArithmeticError) as exc:

@@ -152,21 +152,12 @@ class DisplacementEngine:
 
     def apply(self, beta, vecs: np.ndarray) -> np.ndarray:
         """D(beta) on the last axis of vecs.  beta is a scalar, or an array
-        that broadcasts against vecs.shape[:-1]: one displacement per vector.
-
-        A stack of matrices (shor9's two low levels, one per beta) runs
-        the products after the first as one flat GEMM, with the same bits
-        per row as the one-row call.  A stack of single vectors
-        (binomial's) stays stacked: numpy runs each as a GEMV, which a
-        flat GEMM would not reproduce bit for bit."""
+        that broadcasts against vecs.shape[:-1]: one displacement per vector."""
         beta = np.asarray(beta)[..., None]
         bq, bp = beta.real, beta.imag
         out = (vecs @ self._vk_conj) * np.exp(-1j * bq * self._lam_k)
-        shape = out.shape
-        rows = (-1, self.dim) if out.ndim > 2 and shape[-2] > 1 else shape
-        out = (out.reshape(rows) @ self._vk.T @ self._vx_conj).reshape(shape)
-        out = out * np.exp(1j * bp * self._lam_x)
-        return np.exp(-1j * bq * bp) * (out.reshape(rows) @ self._vx.T).reshape(shape)
+        out = (out @ self._vk.T @ self._vx_conj) * np.exp(1j * bp * self._lam_x)
+        return np.exp(-1j * bq * bp) * (out @ self._vx.T)
 
     def matrix(self, beta: complex) -> np.ndarray:
         return self.apply(beta, np.eye(self.dim, dtype=complex)).T

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import cvqec
-from cvqec import montecarlo
+from cvqec import cli, montecarlo
 from cvqec.cli import build_parser, main
 from cvqec.protocol import optimal_alpha_qubit
 
@@ -401,12 +401,27 @@ class TestParser:
         assert out.startswith("usage: cvqec fig4")
         assert all(flag in out for flag in ("--trajectories", "--points", "--amplitude"))
 
-    @pytest.mark.parametrize("argv", [
-        ["fig2", "--sigma", "0.2"], ["fig3", "--dmax", "4", "--s", "3"],
-        ["fig4", "--code", "shor", "--sweep", "sigma", "--points", "0.1", "0.2"],
-        ["optimize", "--scheme", "qudit", "--d", "5", "--out-file", "x.json"]])
-    def test_one_subcommand_parses_as_the_full_parser(self, argv):
-        assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+    @pytest.mark.parametrize("argv, expected", [
+        (["fig2", "--sigma", "0.2"], dict(sigma=0.2, out=".")),
+        (["fig3", "--dmax", "4", "--s", "3"], dict(sigma=0.1, dmax=4, s=3.0, out=".")),
+        (["fig4", "--code", "shor", "--sweep", "sigma", "--points", "0.1", "0.2"],
+         dict(state="coherent", code="shor", sweep="sigma", trajectories=2000,
+              seed=0, sigma=0.1, amplitude=0.0, points=[0.1, 0.2], out=".")),
+        (["optimize", "--scheme", "qudit", "--d", "5", "--out-file", "x.json"],
+         dict(scheme="qudit", sigma=0.1, d=5, out_file="x.json"))])
+    def test_subcommand_arguments_and_defaults(self, argv, expected):
+        args = vars(build_parser(argv[0]).parse_args(argv))
+        assert args.pop("func") is getattr(cli, f"cmd_{argv[0]}")
+        assert args == dict(command=argv[0], **expected)
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["fig9"], "argument command: invalid choice: 'fig9'")])
+    def test_missing_or_unknown_subcommand(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_unknown_option_of_a_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -135,14 +135,16 @@ class TestDisplacementEngine:
         beta = 0.2 - 0.1j
         assert np.allclose(engine.apply(beta, vec), engine.matrix(beta) @ vec)
 
-    @pytest.mark.parametrize("dim, terms", [(14, None), (24, 1), (24, 3)])
-    def test_array_beta_is_the_per_row_scalar_call(self, dim, terms):
+    # 1530 = 170 * 9: the nine mode displacements of a full shor9 chunk
+    @pytest.mark.parametrize("dim, terms, n", [
+        pytest.param(14, None, 40, id="14-None"), pytest.param(24, 1, 40, id="24-1"),
+        pytest.param(24, 3, 40, id="24-3"), pytest.param(14, None, 1530, id="14-None-1530")])
+    def test_array_beta_is_the_per_row_scalar_call(self, dim, terms, n):
         """beta of shape (n, 1) displaces row r of vecs (n, terms, dim), or
         the shared (2, dim) vecs, by beta[r], bit for bit as the scalar call
         on that row: the batched calls of the Monte Carlo engine."""
         engine = DisplacementEngine(dim)
         rng = np.random.default_rng(dim + (terms or 0))
-        n = 40
         beta = rng.normal(0.0, 0.4, n) + 1j * rng.normal(0.0, 0.4, n)
         beta[:3] = (0.0, 0.3, -0.2j)
         if terms is None:
