@@ -23,12 +23,12 @@ binomial sigma sweep over the default points.
 With --trajectories it prints instead every trajectory of one fixed plan
 per ancilla kind at sigma 0.15, then of a binomial plan at sigma 0.2 with
 400 trajectories and a shor9 plan at sigma 0.25 with 105 trajectories
-(each one chunk), as ``kind sigma index float.hex(infidelity) unrecoverable
-complement`` (the flags as 0/1): the CSV's %.9g hides last-bit changes,
-and a changed binomial Kraus choice or best-effort shor9 correction shows
-in the flags where the infidelity barely moves.  The values are the ones the chunks of
+(each one chunk), as ``kind sigma index float.hex(infidelity) unrecoverable``
+(the flag as 0/1): the CSV's %.9g hides last-bit changes, and a changed
+binomial Kraus choice or best-effort shor9 correction shows in the flag
+where the infidelity barely moves.  The values are the ones the chunks of
 a branch_decomposition_run return (montecarlo._run_chunk is wrapped while
-the run executes), not one-row replays of single trajectories.
+the run executes); a one-row replay of a trajectory gives the same value.
 
 With --header it first prints the numpy version, the BLAS name and
 version and numpy's SIMD dispatch class as ``#`` lines.  The class is
@@ -109,8 +109,8 @@ def trajectory_lines() -> list[str]:
             montecarlo.branch_decomposition_run(plan)
         finally:
             montecarlo._run_chunk = run_chunk
-        lines += [f"{kind} {sigma} {i} {value.hex()} {int(unrec)} {int(comp)}"
-                  for i, (value, unrec, comp) in enumerate(values)]
+        lines += [f"{kind} {sigma} {i} {value.hex()} {int(unrec)}"
+                  for i, (value, unrec) in enumerate(values)]
     return lines
 
 
@@ -162,7 +162,8 @@ def header_lines() -> list[str]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trajectories", action="store_true",
-                        help="print per-trajectory infidelities and flags instead of file digests")
+                        help="print per-trajectory infidelities and unrecoverable flags "
+                             "instead of file digests")
     parser.add_argument("--header", action="store_true",
                         help="first print the numpy and BLAS build and the dispatch class "
                              "as '#' lines")

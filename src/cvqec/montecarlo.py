@@ -30,26 +30,26 @@ shor9, so P <= 4).  Inner products are products of block overlaps
 weighted by the data Gram matrix, so no 512-dim vector is formed; the
 confinement of a mode needs only its 2x2 moment matrix for the outcome
 weights and the two kept rows of its displacement for the Kraus step.
-The conditional displacement is the only operation that splits terms.
-The first acts on the known |+>_L x psi0, so a chunk starts after it, in
+The conditional displacement is the only operation that splits terms.  The
+first acts on the known |+>_L x psi0, so a chunk starts after it, in
 closed form (_Terms).  At the second the carrier is back in the code space
-(every recovery maps into it; the tests check this on runs of every
-kind), so each term slot splits into a_t times its codeword, and the chunk
-ends on a logical qubit, a_t in the basis (g, e) (_Terms.logical): one
-+/-Y readout and one fidelity serve every ancilla kind.  The readout keeps
-its outcome outside the code space (RunResult.complement_count, the fig4
-CSV's complement column), which a logical qubit holds only as rounding.
-Pruned terms are exact zeros, and a slot that is empty in every row is
-dropped, so T never exceeds four.  Per-row decisions are vectorized
-comparisons, and Kraus operators and Pauli corrections are applied once
-per distinct choice in the chunk; the binomial syndrome probabilities come
-from one projection onto the recovery basis
-(dvcodes.binomial_recovery_basis).  A chunk holds max(1, _CHUNK_BUDGET //
-(P_max n_blocks block_dim)) trajectories, P_max = 2**k for k stabilizers
-that span blocks: 8192 for the two-dim carriers, 2048 for the phase code,
-682 for binomial_n3 and 170 for shor9.  The budget is sized for speed (a
-shor9 chunk makes about 1200 Python calls, whatever its size); no row
-the tests check moves with it.
+(every recovery maps into it; the tests check this on runs of every kind),
+so each term slot splits into a_t times its codeword, and the chunk ends
+on a logical qubit, one amplitude a_t per slot and the slot's codeword bit
+(_Terms.logical): one two-outcome +/-Y readout and one fidelity serve
+every ancilla kind.  Pruned terms are exact zeros, and a slot that is
+empty in every row is dropped, so T never exceeds four; the logical
+qubit's sums over slots add them elementwise in slot order (_slot_sum), so
+an empty slot adds exact zeros and no row depends on the other rows of its
+chunk.  Per-row decisions are vectorized comparisons, and Kraus operators
+and Pauli corrections are applied once per distinct choice in the chunk;
+the binomial syndrome probabilities come from one projection onto the
+recovery basis (dvcodes.binomial_recovery_basis).  A chunk holds max(1,
+_CHUNK_BUDGET // (P_max n_blocks block_dim)) trajectories, P_max = 2**k
+for k stabilizers that span blocks: 8192 for the two-dim carriers, 2048
+for the phase code, 682 for binomial_n3 and 170 for shor9.  The budget is
+sized for speed (a shor9 chunk makes about 1200 Python calls, whatever its
+size); no row moves with it.
 
 Qubit-carrier Paulis (stabilizers, corrections, dephasing flips) are
 applied as bit masks, a basis permutation idx -> idx ^ x times a phase,
@@ -81,15 +81,10 @@ trajectory i's dephasing uniforms give the same flip pattern it is the
 same computation, so the sweep's first run computes each distinct pair
 (index, flip pattern) once (_sweep_rows) and every point reads its rows
 from it.  A run's output depends only on its plan.  Chunks are cut from
-the distinct rows in order, and a one-row chunk runs as two copies of its
-row, because np.einsum sums a batch of one in another order.  For the
-dephasing kinds a row's value then does not move with its chunk's other
-rows (checked across chunk budgets in the tests), so a trajectory
-replayed alone (trajectory_fidelity) equals its row in a run bit for bit.
-For the bosonic kinds a slot is dropped only when it is empty in every
-row of its chunk, so a replay can differ from its row in the last bit:
-some binomial_n3 rows do in one-row chunks, while the shor9 rows the
-tests check hold at every budget from one-row chunks up.
+the distinct rows in order, and a row's value does not move with its
+chunk's other rows (checked across chunk budgets, from one-row chunks up,
+in the tests), so for every ancilla kind a trajectory replayed alone
+(trajectory_fidelity) equals its row in a run bit for bit.
 """
 
 from __future__ import annotations
@@ -127,9 +122,9 @@ _SHOR_MODE_DIM = 14  # per-mode Fock levels while a single-boson qubit is displa
 _BINOMIAL_N_TRUNC = 23
 _BRANCH_TOL = 1e-14
 _CHUNK_BUDGET = 16384  # carrier amplitudes per term slot in one chunk
-# the logical +-Y states in the basis (g, e) of _Terms.logical
-_YPLUS = np.array([1.0, 1.0j]) / math.sqrt(2.0)
-_YMINUS = _YPLUS.conj()
+# <+Y|codeword> and <-Y|codeword> for the codeword bits 0 (g) and 1 (e)
+_YPLUS_BRA = np.array([1.0, -1.0j]) / math.sqrt(2.0)
+_YMINUS_BRA = _YPLUS_BRA.conj()
 
 
 @dataclass(frozen=True)
@@ -190,8 +185,13 @@ class RunResult:
     infidelity: EstimateWithError
     engine: str
     unrecoverable_count: int
-    complement_count: int
     plan: TrajectoryPlan
+
+    @property
+    def complement_count(self) -> int:
+        """Always 0: the +/-Y readout of the logical qubit has two outcomes
+        and no complement.  The fig4 CSV's complement column reads it."""
+        return 0
 
 
 class _Carrier:
@@ -353,6 +353,16 @@ def confinement_kraus(dim: int) -> list[np.ndarray]:
     return ops
 
 
+def _slot_sum(x: np.ndarray) -> np.ndarray:
+    """x summed over its last axis, the term slots, one slot at a time in
+    slot order: an empty slot adds exact zeros, so a row's sum does not
+    depend on how many rows or slots its chunk holds."""
+    total = x[..., 0]
+    for t in range(1, x.shape[-1]):
+        total = total + x[..., t]
+    return total
+
+
 def _confine_levels(t: np.ndarray, outcome: int) -> np.ndarray:
     """Kraus operator ``outcome`` of confinement_kraus applied to axis 1 of
     t: outcome 0 keeps levels {0, 1}, outcome j >= 1 moves level j + 1 to
@@ -370,8 +380,9 @@ class _Terms:
     gamma and ph of shape (n, T).  Pruned terms have ph = 0.  A chunk
     starts after the first conditional displacement of |+>_L x psi0: slot
     0 carries g / sqrt(2) and gamma = -alpha, slot 1 e / sqrt(2) and +alpha.
-    logical() ends it as plain _Terms with a logical-qubit carrier c of
-    shape (n, T, 2), which norm, measure_y and fidelity read."""
+    logical() ends it as plain _Terms holding the logical qubit: slot t of
+    row r carries a[r, t] times codeword[t] (0 for g, 1 for e), a of shape
+    (n, T); measure_y and fidelity read them."""
 
     def __init__(self, ctx: _Context, n: int):
         self.ctx = ctx
@@ -418,37 +429,35 @@ class _Terms:
     def logical(self, alpha_g: float, alpha_e: float) -> _Terms:
         """The second conditional displacement, on a code-space carrier:
         _split on the engine's _codeword_overlaps.  Each new slot is a_t
-        times its codeword, returned as the logical carrier a_t (1, 0) or
-        a_t (0, 1)."""
+        times its codeword."""
         a, codeword = self._split(np.concatenate(self._codeword_overlaps(), axis=1),
                                   alpha_g, alpha_e)
         qubit = _Terms(self.ctx, 0)
         qubit.gamma, qubit.ph = self.gamma, self.ph
-        qubit.c = a[..., None] * np.eye(2, dtype=complex)[codeword]
+        qubit.a, qubit.codeword = a, codeword
         return qubit
 
-    def norm(self) -> np.ndarray:
-        return np.sum(self.c.conj() * (self.data_gram() @ self.c), axis=(1, 2)).real
+    def _data_norm(self, a: np.ndarray) -> np.ndarray:
+        """sum_ij conj(a_i) <d_i|d_j> a_j per row, for slot amplitudes a on
+        one carrier state."""
+        return _slot_sum(_slot_sum(a.conj()[:, :, None] * self.data_gram() * a[:, None, :])).real
 
     def measure_y(self, u: np.ndarray) -> np.ndarray:
-        """The logical +/-Y readout with uniforms u: per row 1 for +Y, -1 for
-        -Y, or 0 for the complement of the two, which keeps c - the
-        projections."""
-        a, b = self.c @ _YPLUS.conj(), self.c @ _YMINUS.conj()  # <y+|c_t>, <y-|c_t>
-        gd, nrm = self.data_gram(), self.norm()
-        p_plus = np.einsum("ni,nij,nj->n", a.conj(), gd, a).real / nrm
-        p_minus = np.einsum("ni,nij,nj->n", b.conj(), gd, b).real / nrm
-        outcome = np.where(u < p_plus, 1, np.where(u < p_plus + p_minus, -1, 0))
-        on_plus, on_minus = a[..., None] * _YPLUS, b[..., None] * _YMINUS
-        self.c = np.where((outcome == 1)[:, None, None], on_plus,
-                          np.where((outcome == -1)[:, None, None], on_minus,
-                                   self.c - on_plus - on_minus))
+        """The logical +/-Y readout with uniforms u: per row 1 for +Y, with
+        probability N+ / (N+ + N-), else -1 for -Y.  N+/- is the data norm
+        of the slot amplitudes a_t <+/-Y|codeword_t>, and a becomes those of
+        the outcome, on the carrier state +Y or -Y."""
+        plus, minus = self.a * _YPLUS_BRA[self.codeword], self.a * _YMINUS_BRA[self.codeword]
+        n_plus, n_minus = self._data_norm(plus), self._data_norm(minus)
+        outcome = np.where(u < n_plus / (n_plus + n_minus), 1, -1)
+        self.a = np.where((outcome == 1)[:, None], plus, minus)
         return outcome
 
     def fidelity(self) -> np.ndarray:
-        o = self.ph * self.ctx.overlap(self.gamma)
-        gc = self.c.conj() @ np.swapaxes(self.c, 1, 2)  # [r, i, j] = <c_i|c_j>
-        return np.einsum("ni,nij,nj->n", o.conj(), gc, o).real / self.norm()
+        """|sum_t a_t <psi0|d_t>|^2 over the data norm of a, after
+        measure_y."""
+        o = _slot_sum(self.a * (self.ph * self.ctx.overlap(self.gamma)))
+        return (o.real * o.real + o.imag * o.imag) / self._data_norm(self.a)
 
 
 class _BranchState(_Terms):
@@ -683,20 +692,16 @@ class _DenseState:
         return np.einsum("lyrd,lyrd->y", t.conj(), t).real
 
     def measure_y(self, u: float) -> int:
+        """+1 for +Y, with probability N+ / (N+ + N-), else -1 for -Y."""
         yp, ym = self.ctx.yplus, self.ctx.yminus
         vp = yp.conj() @ self.psi
         vm = ym.conj() @ self.psi
-        nrm = self.norm()
-        p_plus = float(np.vdot(vp, vp).real) / nrm
-        p_minus = float(np.vdot(vm, vm).real) / nrm
-        if u < p_plus:
+        n_plus, n_minus = np.vdot(vp, vp).real, np.vdot(vm, vm).real
+        if u < n_plus / (n_plus + n_minus):
             self.psi = np.outer(yp, vp)
             return +1
-        if u < p_plus + p_minus:
-            self.psi = np.outer(ym, vm)
-            return -1
-        self.psi = self.psi - np.outer(yp, vp) - np.outer(ym, vm)
-        return 0
+        self.psi = np.outer(ym, vm)
+        return -1
 
     def fidelity(self) -> float:
         w = self.psi @ self.ctx.psi0.conj()
@@ -951,15 +956,11 @@ def _batch_recovery(ctx, state, uniforms) -> np.ndarray:
 
 
 def _run_chunk(ctx: _Context, data, anc, uni, p_phi=None):
-    """Infidelity, unrecoverable flag and complement flag of the chunk of
-    trajectories with these _scaled draws and per-row dephasing rates
-    p_phi (default ctx.p_phi); the circuit of _one_trajectory, row by row.
-    np.einsum sums a batch of one row in another order than a batch of
-    two or more, so a one-row chunk runs as two copies of its row."""
-    n = len(data)
-    p_phi = np.full(n, ctx.p_phi) if p_phi is None else p_phi
-    if n == 1:
-        data, anc, uni, p_phi = (np.repeat(a, 2, axis=0) for a in (data, anc, uni, p_phi))
+    """Infidelity and unrecoverable flag of the chunk of trajectories with
+    these _scaled draws and per-row dephasing rates p_phi (default
+    ctx.p_phi); the circuit of _one_trajectory, row by row.  Each row's
+    values are those of a chunk that holds only that row."""
+    p_phi = np.full(len(data), ctx.p_phi) if p_phi is None else p_phi
     uniforms = iter(uni.T)
     # the state after the first conditional displacement (_Terms)
     state = _BranchState(ctx, len(data))
@@ -971,14 +972,14 @@ def _run_chunk(ctx: _Context, data, anc, uni, p_phi=None):
     qubit = state.logical(+ctx.alpha, -ctx.alpha)
     outcome = qubit.measure_y(next(uniforms))
     qubit.displace_data(-1j * outcome * ctx.outcome_mean)
-    return 1.0 - qubit.fidelity()[:n], unrecoverable[:n], outcome[:n] == 0
+    return 1.0 - qubit.fidelity(), unrecoverable
 
 
 @lru_cache(maxsize=1)
 def _sweep_rows(base: TrajectoryPlan, points: tuple):
     """Every distinct trajectory of the p_phi sweep over points of the plan
-    base (p_phi = 0), run once: (samples, unrecoverable, complement) of the
-    distinct rows, and [point, index] -> row.  A row is a trajectory index
+    base (p_phi = 0), run once: (samples, unrecoverable) of the distinct
+    rows, and [point, index] -> row.  A row is a trajectory index
     with the flip pattern uni[:, :k] < p of its k dephasing uniforms; it
     runs at the first point with that pattern, which flips the same Zs as
     every point that shares it, so each point's rows are its own run's."""
@@ -1047,7 +1048,7 @@ def _recovery(ctx, state, rng) -> bool:
     return False
 
 
-def _one_trajectory(ctx: _Context, state, rng) -> tuple[float, bool, bool]:
+def _one_trajectory(ctx: _Context, state, rng) -> tuple[float, bool]:
     scale = ctx.sigma / math.sqrt(2.0)
     bq, bp = rng.normal(0.0, scale, size=2)
     # In the frame where the conditional displacement acts, pre/post
@@ -1061,16 +1062,14 @@ def _one_trajectory(ctx: _Context, state, rng) -> tuple[float, bool, bool]:
     state.conditional_displace(+ctx.alpha, -ctx.alpha)
     outcome = state.measure_y(rng.random())
     state.displace_data(-1j * outcome * ctx.outcome_mean)
-    fid = state.fidelity()
-    return 1.0 - fid, unrecoverable, outcome == 0
+    return 1.0 - state.fidelity(), unrecoverable
 
 
-def _result(plan, samples, unrecoverable, complement, engine_name) -> RunResult:
+def _result(plan, samples, unrecoverable, engine_name) -> RunResult:
     n = plan.n_trajectories
     std_error = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     est = EstimateWithError(float(samples.mean()), std_error, n)
-    return RunResult(est, engine_name, int(unrecoverable.sum()),
-                     int(complement.sum()), plan)
+    return RunResult(est, engine_name, int(unrecoverable.sum()), plan)
 
 
 def run_concatenated(plan: TrajectoryPlan) -> RunResult:
@@ -1079,8 +1078,8 @@ def run_concatenated(plan: TrajectoryPlan) -> RunResult:
     ctx = _Context(plan)
     parts = [_one_trajectory(ctx, _DenseState(ctx), _rng(plan.root_seed, i))
              for i in range(plan.n_trajectories)]
-    samples, unrecoverable, complement = (np.array(p) for p in zip(*parts))
-    return _result(plan, samples, unrecoverable, complement, "direct")
+    samples, unrecoverable = (np.array(p) for p in zip(*parts))
+    return _result(plan, samples, unrecoverable, "direct")
 
 
 def branch_decomposition_run(plan: TrajectoryPlan, sweep: tuple = ()) -> RunResult:
@@ -1091,10 +1090,9 @@ def branch_decomposition_run(plan: TrajectoryPlan, sweep: tuple = ()) -> RunResu
     first call of a sweep runs each of its distinct trajectories once
     (_sweep_rows), and every call takes its own point's rows from them."""
     points = tuple(sorted(set(sweep) | {plan.p_phi}))
-    (samples, unrecoverable, complement), inverse = _sweep_rows(
-        replace(plan, p_phi=0.0), points)
+    (samples, unrecoverable), inverse = _sweep_rows(replace(plan, p_phi=0.0), points)
     pick = inverse[points.index(plan.p_phi)]
-    return _result(plan, samples[pick], unrecoverable[pick], complement[pick], "branch")
+    return _result(plan, samples[pick], unrecoverable[pick], "branch")
 
 
 def trajectory_fidelity(plan: TrajectoryPlan, index: int, engine: str = "branch") -> float:

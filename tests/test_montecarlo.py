@@ -96,27 +96,29 @@ class TestEngineAgreement:
             assert fb == pytest.approx(fd, abs=1e-12)
 
     @pytest.mark.parametrize("state_kind", ["coherent", "fock1"])
-    @pytest.mark.parametrize("ancilla, sigma", [("binomial_n3", 0.2), ("shor9", 0.25)])
-    def test_where_recovery_fails(self, ancilla, sigma, state_kind):
+    @pytest.mark.parametrize("ancilla, sigma, n", [
+        pytest.param(ancilla, sigma, n, id=f"{ancilla}-{sigma}")
+        for ancilla, sigma, n in (("binomial_n3", 0.2, 85), ("shor9", 0.25, 21))])
+    def test_where_recovery_fails(self, ancilla, sigma, n, state_kind):
         """At these sigmas some trajectories take a best-effort remainder of
         the binomial recovery or a best-effort (product) entry of the shor9
-        decoder table; at those indices of a run's first chunk the chunk, a
-        one-row branch replay and the dense oracle agree, and the dense
-        oracle flags them too."""
+        decoder table; at those indices of a chunk of a run's first n rows
+        the chunk and the dense oracle agree, the dense oracle flags them
+        too, and a one-row branch replay equals the chunk's row.  Rows are
+        local to their chunk, so these are also the rows of a run."""
         plan = TrajectoryPlan(sigma=sigma, ancilla=ancilla, root_seed=5,
                               zeta=optimal_zeta(), state_kind=state_kind)
         ctx = _Context(plan)
-        draws = montecarlo._standard_draws(plan.root_seed, plan.ancilla, 0, ctx.chunk_size)
-        infid, unrecoverable, _ = montecarlo._run_chunk(ctx, *montecarlo._scaled(ctx, *draws))
+        draws = montecarlo._standard_draws(plan.root_seed, plan.ancilla, 0, n)
+        infid, unrecoverable = montecarlo._run_chunk(ctx, *montecarlo._scaled(ctx, *draws))
         indices = np.flatnonzero(unrecoverable)
         assert len(indices) >= 2
         for index in indices.tolist():
-            dense_infid, dense_unrecoverable, _ = montecarlo._one_trajectory(
+            dense_infid, dense_unrecoverable = montecarlo._one_trajectory(
                 ctx, _DenseState(ctx), montecarlo._rng(plan.root_seed, index))
             assert dense_unrecoverable
             assert infid[index] == pytest.approx(dense_infid, abs=1e-12)
-            fb = trajectory_fidelity(plan, index, engine="branch")
-            assert fb == pytest.approx(1.0 - dense_infid, abs=1e-12)
+            assert trajectory_fidelity(plan, index, engine="branch") == 1.0 - infid[index]
 
     def test_run_means_identical(self):
         plan = TrajectoryPlan(sigma=0.1, ancilla="three_qubit_phase",
@@ -358,46 +360,53 @@ class TestShorProductState:
         _one_block(flat, _expand(shor))
         return ctx, shor, flat
 
+    @staticmethod
+    def _carriers(ctx, qubit) -> np.ndarray:
+        """The 512-dim carriers [r, t] = a[r, t] codeword_t of a logical qubit."""
+        return qubit.a[..., None] * np.stack((ctx.g, ctx.e))[qubit.codeword]
+
     @pytest.mark.parametrize("signs", [(-1, 1), (1, -1)])
     def test_conditional_displacement(self, signs):
-        """Both block layouts' handoff to the logical qubit on the same states."""
+        """Both block layouts' handoff to the logical qubit on the same
+        states, and the norm of the 512-dim carriers it stands for."""
         ctx, shor, flat = self._code_space_pair(30)
         nrm = shor.norm()
         alpha_g, alpha_e = signs[0] * 0.7, signs[1] * 0.7
         got, want = shor.logical(alpha_g, alpha_e), flat.logical(alpha_g, alpha_e)
-        assert got.c.shape == want.c.shape == (6, 4, 2)
-        for name in ("c", "gamma", "ph"):
+        assert got.a.shape == want.a.shape == (6, 4)
+        assert got.codeword.tolist() == want.codeword.tolist() == [0, 0, 1, 1]
+        for name in ("a", "gamma", "ph"):
             assert np.allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-13)
-        assert np.allclose(got.norm(), nrm, rtol=0, atol=1e-13)
+        c = self._carriers(ctx, got)
+        got_nrm = np.sum(c.conj() * (got.data_gram() @ c), axis=(1, 2)).real
+        assert np.allclose(got_nrm, nrm, rtol=0, atol=1e-13)
 
     def test_y_readout_and_fidelity(self):
         """The shared logical readout and fidelity against the same steps on
         the 512-dim carriers a_t codeword_t, with ctx.yplus and ctx.yminus."""
-        ctx, shor, _ = self._code_space_pair(40, n=3)
+        ctx, shor, _ = self._code_space_pair(40, n=2)
         qubit = shor.logical(0.7, -0.7)
-        c = qubit.c @ np.stack((ctx.g, ctx.e))
+        c = self._carriers(ctx, qubit)
         yp, ym = ctx.yplus, ctx.yminus
         gd = qubit.data_gram()
         nrm = np.sum(c.conj() * (gd @ c), axis=(1, 2)).real
         a, b = c @ yp.conj(), c @ ym.conj()
         p_plus = np.einsum("ni,nij,nj->n", a.conj(), gd, a).real / nrm
         p_minus = np.einsum("ni,nij,nj->n", b.conj(), gd, b).real / nrm
-        # one row per outcome: +1, -1 and the codespace complement, which a
-        # code-space carrier reaches only with u at or past p_plus + p_minus
-        u = np.array([0.5 * p_plus[0], p_plus[1] + 0.5 * p_minus[1],
-                      p_plus[2] + p_minus[2] + 1e-9])
-        assert qubit.measure_y(u).tolist() == [1, -1, 0]
-        c = np.stack((a[0, :, None] * yp, b[1, :, None] * ym,
-                      c[2] - a[2, :, None] * yp - b[2, :, None] * ym))
-        beta = np.array([0.3j, -0.2, 0.1 + 0.1j])
+        # +Y and -Y span the code space: the readout has these two outcomes
+        assert np.allclose(p_plus + p_minus, 1.0, rtol=0, atol=1e-13)
+        u = np.array([0.5 * p_plus[0], p_plus[1] + 0.5 * p_minus[1]])
+        assert qubit.measure_y(u).tolist() == [1, -1]
+        c = np.stack((a[0, :, None] * yp, b[1, :, None] * ym))
+        assert np.allclose(qubit.a[:, :, None] * np.stack((yp, ym))[:, None], c,
+                           rtol=0, atol=1e-13)
+        beta = np.array([0.3j, -0.2])
         qubit.displace_data(beta)
         gd = qubit.data_gram()
         nrm = np.sum(c.conj() * (gd @ c), axis=(1, 2)).real
         o = qubit.ph * ctx.overlap(qubit.gamma)
         fid = np.einsum("ni,nij,nj->n", o.conj(), c.conj() @ c.swapaxes(1, 2), o).real / nrm
-        assert np.allclose(qubit.fidelity()[:2], fid[:2], rtol=0, atol=1e-13)
-        # the complement of a code-space carrier is empty up to rounding
-        assert max(qubit.norm()[2], nrm[2]) < 1e-26
+        assert np.allclose(qubit.fidelity(), fid, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("ancilla", ANCILLA_KINDS)
@@ -475,28 +484,21 @@ class TestReproducibility:
         assert serial.infidelity.mean == threaded.infidelity.mean
 
     # Per-trajectory values of a sweep's distinct rows; the CSV's %.9g would
-    # hide a last-bit change.  Budget 1 runs every row as a two-copy chunk;
-    # budget 2**17 runs over 9000 rows as one chunk, past the size from
-    # which numpy reuses a temporary operand's buffer for a product.  The
-    # shor9 leg runs chunks of 1, 21 and 120 rows, the binomial_n3 leg
-    # chunks of 85 and 300.
+    # hide a last-bit change.  A chunk holds max(1, budget // slot size)
+    # rows, so the 300-row bare leg runs chunks of 1, 7, 1024 and all rows,
+    # the phase-code leg chunks of 1, 1, 256 and all rows, the shor9 leg
+    # chunks of 1, 1, 21 and 120 rows, and the binomial_n3 leg chunks of 1,
+    # 1, 85 and 300 rows.  Budget 2**17 runs over 9000 rows as one chunk,
+    # past the size from which numpy reuses a temporary operand's buffer
+    # for a product.
     @pytest.mark.parametrize("ancilla, n, sigma, points, budgets", [
         pytest.param(ancilla, 300, 0.15, (0.0, 0.05, 0.1, 0.2), (1, 14, 2048, 65536),
                      id=ancilla)
         for ancilla in ("bare", "three_qubit_phase")] + [
         pytest.param(ancilla, 9000, 0.15, (0.0, 0.1), (2048, 1 << 17), id=f"{ancilla}-large")
         for ancilla in ("bare", "three_qubit_phase")] + [
-        pytest.param("shor9", 120, 0.2, (0.0,), (1, 14, 2048, 16384, 65536), id="shor9"),
-        pytest.param("binomial_n3", 300, 0.2, (0.0,), (2048, 16384, 65536),
-                     id="binomial_n3"),
-        # Slot dropping (_Terms._split keeps a slot live in every row if any
-        # row needs it) still couples a binomial chunk's rows: in one-row
-        # chunks 3 of these 300 rows move by 2.2e-16.  Row-local liveness
-        # is still open, and out of scope for the chunk sizes tested here.
-        pytest.param("binomial_n3", 300, 0.2, (0.0,), (16384, 1), id="binomial_n3-one-row",
-                     marks=pytest.mark.xfail(strict=True, reason="slot dropping couples "
-                                             "the rows of a binomial chunk")),
-    ])
+        pytest.param(ancilla, n, 0.2, (0.0,), (1, 14, 2048, 16384, 65536), id=ancilla)
+        for ancilla, n in (("shor9", 120), ("binomial_n3", 300))])
     def test_chunk_budget_does_not_change_rows(self, chunk_budget, ancilla, n, sigma, points,
                                                budgets):
         base = TrajectoryPlan(sigma=sigma, ancilla=ancilla, n_trajectories=n,
@@ -508,12 +510,16 @@ class TestReproducibility:
             rows.append(b"".join(part.tobytes() for part in parts))
         assert rows == [rows[0]] * len(budgets)
 
-    @pytest.mark.parametrize("ancilla", ["bare", "three_qubit_phase"])
-    def test_replays_equal_run_rows(self, monkeypatch, ancilla):
-        # A one-row replay runs as two copies of its row; run alone, np.einsum
-        # moved the last bit of several of these rows.
-        plan = TrajectoryPlan(sigma=0.15, ancilla=ancilla, p_phi=0.1,
-                              n_trajectories=300, root_seed=11, zeta=optimal_zeta())
+    @pytest.mark.parametrize("ancilla, sigma, n", [
+        pytest.param(ancilla, sigma, n, id=ancilla) for ancilla, sigma, n in (
+            ("perfect", 0.15, 300), ("bare", 0.15, 300), ("three_qubit_phase", 0.15, 300),
+            ("binomial_n3", 0.2, 300), ("shor9", 0.25, 120))])
+    def test_replays_equal_run_rows(self, monkeypatch, ancilla, sigma, n):
+        # A trajectory replayed alone is a one-row chunk, and its value is
+        # its row's in the run, bit for bit.
+        p_phi = 0.1 if ancilla in ("bare", "three_qubit_phase") else 0.0
+        plan = TrajectoryPlan(sigma=sigma, ancilla=ancilla, p_phi=p_phi,
+                              n_trajectories=n, root_seed=11, zeta=optimal_zeta())
         run_chunk, values = montecarlo._run_chunk, []
 
         def recording(*args):
@@ -524,8 +530,8 @@ class TestReproducibility:
         monkeypatch.setattr(montecarlo, "_run_chunk", recording)
         _sweep_rows.cache_clear()
         branch_decomposition_run(plan)
-        assert len(values) == 300
-        for index in np.random.default_rng(0).choice(300, 20, replace=False).tolist():
+        assert len(values) == n
+        for index in range(n):
             assert trajectory_fidelity(plan, index, "branch") == 1.0 - values[index]
 
 
