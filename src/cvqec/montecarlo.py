@@ -17,19 +17,16 @@ gamma*)), and overlaps come from the closed form of <psi0|D(delta)|psi0>
 _DenseState, holds one trajectory as a truncated carrier x Fock tensor and
 is the per-trajectory oracle.
 
-_BranchState runs a chunk of trajectories at once as arrays: gamma and ph
-of shape (n, T), and each term's carrier as a sum of P products of
-n_blocks block vectors, coef of shape (n, T, P) and v of shape (n, T, P,
-n_blocks, block_dim).  The nine-qubit carrier has three 8-dim blocks, one
-per 3-qubit block of the Shor code, whose codewords are products of
-|000> +- |111>; every other carrier is one block, the carrier vector.
-Mode displacement, confinement, the binomial displacement and Kraus step,
-and Paulis and stabilizers on one block act block by block; a projection
-onto a stabilizer that spans blocks doubles P (the two X-type ones of
-shor9, so P <= 4).  Inner products are products of block overlaps
-weighted by the data Gram matrix, so no 512-dim vector is formed; the
-confinement of a mode needs only its 2x2 moment matrix for the outcome
-weights and the two kept rows of its displacement for the Kraus step.
+_BranchState runs a chunk of trajectories at once as arrays, each term's
+carrier a sum of at most four products of block vectors (class docstring):
+three 8-dim blocks for shor9, one, the carrier vector, for every other
+kind.  Inner products are products of block overlaps weighted by the data
+Gram matrix, so no 512-dim vector is formed.  An ancilla mode's
+displacement is exact below the mode's dim: fock.displaced_levels gives
+<y|D(beta)|k> in closed form for the few levels k the mode holds, so the
+cutoff bounds only the confinement and recovery outcomes, and a shor9
+mode's confinement needs only its 2x2 moment matrix and those columns.
+fock.DisplacementEngine serves only the dense oracle.
 The conditional displacement is the only operation that splits terms.  The
 first acts on the known |+>_L x psi0, so a chunk starts after it, in
 closed form (_Terms).  At the second the carrier is back in the code space
@@ -44,12 +41,10 @@ an empty slot adds exact zeros and no row depends on the other rows of its
 chunk.  Per-row decisions are vectorized comparisons, and Kraus operators
 and Pauli corrections are applied once per distinct choice in the chunk;
 the binomial syndrome probabilities come from one projection onto the
-recovery basis (dvcodes.binomial_recovery_basis).  A chunk holds max(1,
-_CHUNK_BUDGET // (P_max n_blocks block_dim)) trajectories, P_max = 2**k
-for k stabilizers that span blocks: 8192 for the two-dim carriers, 2048
-for the phase code, 682 for binomial_n3 and 170 for shor9.  The budget is
-sized for speed (a shor9 chunk makes about 1200 Python calls, whatever its
-size); no row moves with it.
+recovery basis (dvcodes.binomial_recovery_basis).  A chunk holds
+_Carrier.chunk_size trajectories, from 8192 for the two-dim carriers to
+170 for shor9, sized for speed (a shor9 chunk makes about 1200 Python
+calls, whatever its size); no row moves with it.
 
 Qubit-carrier Paulis (stabilizers, corrections, dephasing flips) are
 applied as bit masks, a basis permutation idx -> idx ^ x times a phase,
@@ -93,13 +88,13 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
-from . import dvcodes
+from . import dvcodes, fock
 from .fock import DisplacementEngine, coherent_state, fock_state
 from .gaussian import qubit_outcome_mean
 from .protocol import optimal_alpha_qubit
@@ -196,8 +191,10 @@ class RunResult:
 
 class _Carrier:
     """The plan-independent part of a run: codewords, Paulis, stabilizers,
-    Kraus operators and displacement engines of one ancilla kind.  Built
-    once per kind (_carrier) and shared read-only by every run."""
+    Kraus operators and, as displaced, the Fock levels an ancilla mode
+    holds (a single-boson qubit's two, or the binomial block's support)
+    and its dim.  Built once per kind (_carrier) and shared read-only by
+    every run."""
 
     def __init__(self, kind: str):
         self.kind = kind
@@ -220,12 +217,12 @@ class _Carrier:
             g, e = code.logical_g, code.logical_e
             self.code_name = code.name
             self.n_modes = 9
-            self.mode_engine = DisplacementEngine(_SHOR_MODE_DIM)
+            self.displaced = ((0, 1), _SHOR_MODE_DIM)
             self.confine = confinement_kraus(_SHOR_MODE_DIM)
         else:  # binomial_n3
             code = dvcodes.binomial_code(_BINOMIAL_N_TRUNC)
             g, e = code.logical_g, code.logical_e
-            self.anc_engine = DisplacementEngine(code.dim)
+            self.displaced = (tuple(np.flatnonzero(np.abs(g) + np.abs(e)).tolist()), code.dim)
             kraus, primary, _ = dvcodes.binomial_recovery_kraus(_BINOMIAL_N_TRUNC)
             self.binom_kraus = tuple((k, k.conj().T @ k, p) for k, p in zip(kraus, primary))
             self.binom_bras, owner = dvcodes.binomial_recovery_basis(_BINOMIAL_N_TRUNC)
@@ -285,6 +282,7 @@ class _Context:
         sigma_p = plan.sigma * math.exp(-2.0 * plan.zeta)
         self.outcome_mean = qubit_outcome_mean(sigma_p, self.alpha)
         self.anc_scale = plan.sigma / math.sqrt(2.0)
+        self.leakage = 0.0  # the most population moved past an ancilla mode's dim
 
     def overlap(self, delta: np.ndarray) -> np.ndarray:
         """<psi0| D(delta) |psi0>, elementwise and exact."""
@@ -312,6 +310,12 @@ class _Context:
     @cached_property
     def data_engine(self) -> DisplacementEngine:
         return DisplacementEngine(len(self.psi0))
+
+    @cached_property
+    def anc_engine(self) -> DisplacementEngine:
+        """At twice an ancilla mode's dim, so that its elements below that
+        dim, the ones the dense oracle keeps, are exact to rounding."""
+        return DisplacementEngine(2 * self.displaced[1])
 
 
 # --- joint-state representations --------------------------------------------
@@ -586,9 +590,13 @@ class _BranchState(_Terms):
         self.v[:, :, :, b] = np.einsum("nyx,ntpaxc->ntpayc", kraus, v6).reshape(n, t, p, 8)
         self._changed(b)
 
-    def displace_mode(self, engine: DisplacementEngine, beta: np.ndarray):
-        """D(beta[r]) on block 0 of row r: the binomial carrier's mode."""
-        self.v[:, :, :, 0] = engine.apply(beta[:, None, None], self.v[:, :, :, 0])
+    def displace_mode(self, cols: np.ndarray):
+        """D(beta[r]) on block 0 of row r, the binomial mode: sum_k v[..., n_k]
+        cols[r, k], cols[r, k] = D(beta[r])|n_k>, elementwise in the order of
+        the levels n_k of ctx.displaced.  Exact: as the carrier's first
+        operation in _run_chunk it acts on the codewords, which lie on them."""
+        self.v[:, :, :, 0] = reduce(np.add, (self.v[:, :, :, 0, n, None] * cols[:, None, None, k]
+                                             for k, n in enumerate(self.ctx.displaced[0])))
         self._changed(0)
 
     def kraus_expects(self) -> np.ndarray:
@@ -913,16 +921,17 @@ def _groups(keys: np.ndarray):
 
 
 def _batch_ancilla_errors(ctx, state, anc, uniforms, p_phi) -> None:
-    """p_phi holds one dephasing rate per row."""
+    """p_phi holds one dephasing rate per row.  ctx.leakage takes the most
+    population, 1 - sum_y |<y|D|k>|^2, an exact displacement moved past dim."""
     for z in ctx.block_dephasing:
         state.apply_pauli(z, next(uniforms) < p_phi)
+    if ctx.kind in _BOSONIC_KINDS:
+        # [r, mode, k, y] = <y|D(beta[r, mode])|levels[k]>
+        disps = fock.displaced_levels(anc[..., 0] + 1j * anc[..., 1], *ctx.displaced)
+        ctx.leakage = max(ctx.leakage, 1.0 - (disps * disps.conj()).real.sum(axis=-1).min())
     if ctx.kind == "binomial_n3":
-        state.displace_mode(ctx.anc_engine, anc[:, 0, 0] + 1j * anc[:, 0, 1])
+        state.displace_mode(disps[:, 0])
     elif ctx.kind == "shor9":
-        low = np.eye(2, _SHOR_MODE_DIM, dtype=complex)  # |0>, |1> as rows
-        beta = anc[..., 0] + 1j * anc[..., 1]  # [r, mode]
-        disps = ctx.mode_engine.apply(beta.reshape(-1, 1), low).reshape(
-            *beta.shape, 2, _SHOR_MODE_DIM)
         for m in range(ctx.n_modes):
             disp = disps[:, m]
             # cumulative weights of the outcomes: levels {0, 1}, then 2, 3, ...
@@ -995,6 +1004,9 @@ def _sweep_rows(base: TrajectoryPlan, points: tuple):
     draws = [a[rows] for a in (data, anc, uni)] + [np.array(points)[first // n]]
     parts = [_run_chunk(ctx, *(a[lo:lo + size] for a in draws))
              for lo in range(0, len(rows), size)]
+    if ctx.leakage > fock.LEAKAGE_BUDGET:  # one warning per run, on stderr
+        warnings.warn(f"ancilla-mode displacements moved {ctx.leakage:.3g} of a level's "
+                      "population past the Fock cutoff", fock.TruncationWarning, stacklevel=3)
     return tuple(np.concatenate(p) for p in zip(*parts)), inverse.reshape(len(points), n)
 
 
@@ -1009,14 +1021,15 @@ def _ancilla_errors(ctx, state, rng) -> None:
                 state.apply_carrier(z)
     elif kind == "binomial_n3":
         bq, bp = rng.normal(0.0, ctx.anc_scale, size=2)
-        state.apply_carrier(ctx.anc_engine.matrix(complex(bq, bp)))
+        dim = ctx.carrier_dim
+        state.apply_carrier(ctx.anc_engine.matrix(complex(bq, bp))[:dim, :dim])
     elif kind == "shor9":
         # Each single-boson qubit is displaced in its own mode, then the
         # confinement map pumps it back to the {|0>, |1>} subspace.
         for m in range(9):
             bq, bp = rng.normal(0.0, ctx.anc_scale, size=2)
-            disp = ctx.mode_engine.matrix(complex(bq, bp))
-            state.apply_carrier_local(m, disp[:, :2])
+            disp = ctx.anc_engine.matrix(complex(bq, bp))
+            state.apply_carrier_local(m, disp[:_SHOR_MODE_DIM, :2])
             w = state.carrier_level_weights(m)
             cum = np.concatenate(([w[0] + w[1]], w[2:])).cumsum()
             idx = int(np.searchsorted(cum, rng.random() * cum[-1]))

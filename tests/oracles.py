@@ -4,7 +4,8 @@ No command path uses them; each is a direct form of something the package
 computes another way:
 
 - displacement_operator: exp(beta a^dag - beta* a) by scipy's expm, against
-  fock.DisplacementEngine's two cached eigenbases.
+  fock.DisplacementEngine's two cached eigenbases and the closed-form
+  fock.displaced_levels.
 - apply_displacement_channel: the Gaussian displacement channel as a 2-D
   Gauss-Hermite average of density matrices, against the closed-form
   single-boson-qubit channel.

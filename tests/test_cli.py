@@ -125,6 +125,27 @@ class TestFig4:
                   for name in (f"{stem}.csv", f"{stem}_config.json")}
         assert first == second
 
+    def test_leakage_warning_goes_to_stderr_only(self, tmp_path):
+        """At sigma 3 the shor9 ancilla displacements move population past
+        the Fock cutoff: a fresh interpreter prints one TruncationWarning on
+        stderr and writes the same bytes as with warnings ignored."""
+        src = str(Path(cvqec.__file__).resolve().parent.parent)
+        runs = []
+        for flags in ([], ["-W", "ignore"]):
+            out = tmp_path / f"run{len(runs)}"
+            out.mkdir()
+            proc = subprocess.run([sys.executable, *flags, "-m", "cvqec.cli", "fig4", "--code",
+                                   "shor", "--sweep", "sigma", "--points", "3",
+                                   "--trajectories", "12", "--out", str(out)],
+                                  capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": src}, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            runs.append((proc, {path.name: path.read_bytes() for path in out.iterdir()}))
+        (warned, files), (quiet, same) = runs
+        assert warned.stderr.count("TruncationWarning") == 1 and quiet.stderr == ""
+        assert warned.stdout == quiet.stdout
+        assert len(files) == 2 and files == same
+
     def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         argv = ["fig4", "--trajectories", "80", "--points", "0.05",
                 "--out", str(tmp_path)]

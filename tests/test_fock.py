@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cvqec.fock import (DensityMatrix, DisplacementEngine, PureState,
                         TruncationWarning,
                         TruncationError, annihilation, coherent_state,
-                        fidelity, fock_state)
+                        displaced_levels, fidelity, fock_state)
 from oracles import displacement_operator, overlap_f
 
 N_TRUNC = 30
@@ -157,6 +157,51 @@ class TestDisplacementEngine:
         assert got.shape == (n, 2 if terms is None else terms, dim)
         for r in range(n):
             assert got[r].tobytes() == engine.apply(complex(beta[r]), rows[r]).tobytes()
+
+
+class TestDisplacedLevels:
+    """The closed-form <y|D(beta)|k> that displaces the batched engine's
+    ancilla modes: the two levels of a single-boson qubit at dim 14 and the
+    binomial codeword support at dim 24."""
+
+    BETAS = (0.0, 1.0, -1.0j, 0.6 - 0.8j, 0.3 + 0.2j, -0.45 + 0.7j)
+
+    @pytest.mark.parametrize("levels, dim", [((0, 1), 14), ((0, 3, 6, 9), 24), ((5, 2), 9)])
+    def test_matches_expm_of_padded_generator(self, levels, dim):
+        # exp of the generator on 64 levels, cut to y < dim: at |beta| <= 1
+        # its own truncation is far below rounding there
+        for beta in self.BETAS:
+            ref = displacement_operator(beta, 63)[:dim, list(levels)].T
+            got = displaced_levels(beta, levels, dim)
+            assert got.shape == (len(levels), dim)
+            assert np.max(np.abs(got - ref)) < 1e-14
+
+    # the engine's own truncation reaches the low levels at small dims: at
+    # dim 14 it is off by 5e-13 at level 6 for beta = 0.2 - 0.2j
+    @pytest.mark.parametrize("dim", [24, 31, 40])
+    def test_matches_engine_below_half_the_dim(self, dim):
+        engine = DisplacementEngine(dim)
+        half = dim // 2
+        for beta in (0.3, -0.3j, 0.2 - 0.2j, -0.1 + 0.25j):
+            ref = engine.matrix(beta)[:half, :half].T
+            got = displaced_levels(beta, tuple(range(half)), half)
+            assert np.max(np.abs(got - ref)) < 1e-14
+
+    # 1530 = 170 * 9: the nine mode displacements of a full shor9 chunk;
+    # 682 rows: a full binomial_n3 chunk
+    @pytest.mark.parametrize("shape, levels, dim", [
+        pytest.param((170, 9), (0, 1), 14, id="shor9-1530"),
+        pytest.param((682,), (0, 3, 6, 9), 24, id="binomial-682")])
+    def test_batched_is_the_per_row_call(self, shape, levels, dim):
+        """An array beta gives each element bit for bit as the scalar call
+        on its beta, so a chunk's rows do not depend on each other."""
+        rng = np.random.default_rng(len(shape))
+        beta = rng.normal(0.0, 0.4, shape) + 1j * rng.normal(0.0, 0.4, shape)
+        beta.flat[:3] = (0.0, 0.3, -0.2j)
+        got = displaced_levels(beta, levels, dim)
+        assert got.shape == shape + (len(levels), dim)
+        for idx in np.ndindex(shape):
+            assert got[idx].tobytes() == displaced_levels(beta[idx], levels, dim).tobytes()
 
 
 @settings(max_examples=25, deadline=None)

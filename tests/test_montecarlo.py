@@ -9,8 +9,9 @@ import warnings
 import numpy as np
 import pytest
 
-from cvqec import dvcodes, montecarlo
+from cvqec import dvcodes, fock, montecarlo
 from cvqec.cli import main
+from cvqec.fock import displaced_levels
 from cvqec.gaussian import qubit_outcome_mean
 from cvqec.montecarlo import (_SHOR_MODE_DIM, ANCILLA_KINDS,
                               EstimateWithError, TrajectoryPlan, _BranchState,
@@ -156,28 +157,29 @@ class TestConfinement:
     def test_batched_mode_step_matches_dense(self):
         """The shor9 mode_weights and confine_mode, which form only the
         mode's 2x2 moments (from its block and the block's environment) and
-        the kept rows of its displacement, against the dense path
-        (apply_carrier_local with disp[:, :2], then confinement Kraus j), one
-        row per outcome j, on random two-term states of two products."""
+        the kept rows of its exact displacement (displaced_levels), against
+        the dense path (apply_carrier_local with the oracle's anc_engine
+        matrix cut to the mode's dim and two columns, then confinement Kraus
+        j), one row per outcome j, on random two-term states of two
+        products."""
         ctx = _Context(TrajectoryPlan(sigma=0.15, ancilla="shor9"))
         kraus = confinement_kraus(_SHOR_MODE_DIM)
         n = len(kraus)
         rng = np.random.default_rng(12)
-        low = np.eye(2, _SHOR_MODE_DIM, dtype=complex)
         for m in (0, 4, 8):
             beta = rng.normal(0.0, 0.3, n) + 1j * rng.normal(0.0, 0.3, n)
             state = _random_shor_state(ctx, rng, n)
             c = _expand(state)
             data = [[ph * ctx.data_engine.apply(g, ctx.psi0)
                      for g, ph in zip(state.gamma[r], state.ph[r])] for r in range(n)]
-            disp = ctx.mode_engine.apply(beta[:, None], low)
+            disp = displaced_levels(beta, (0, 1), _SHOR_MODE_DIM)
             weights = state.mode_weights(m, disp)
             state.confine_mode(m, disp, np.arange(n))
             confined = _expand(state)
             for j in range(n):
                 ref = _DenseState(ctx)
                 ref.psi = sum(np.outer(cv, dv) for cv, dv in zip(c[j], data[j]))
-                ref.apply_carrier_local(m, ctx.mode_engine.matrix(beta[j])[:, :2])
+                ref.apply_carrier_local(m, ctx.anc_engine.matrix(beta[j])[:_SHOR_MODE_DIM, :2])
                 assert np.allclose(weights[j], ref.carrier_level_weights(m),
                                    rtol=0, atol=1e-13)
                 ref.apply_carrier_local(m, kraus[j])
@@ -457,6 +459,55 @@ def test_code_space_invariant(monkeypatch, ancilla):
     finally:
         _sweep_rows.cache_clear()
     assert len(weights) >= 9 and max(weights) <= montecarlo._BRANCH_TOL
+
+
+@pytest.mark.parametrize("ancilla", ANCILLA_KINDS)
+def test_branch_runs_use_no_displacement_engine(monkeypatch, ancilla):
+    """The batched engine displaces ancilla modes in closed form
+    (fock.displaced_levels) and the data mode by its phase and shift, so a
+    branch run and a one-row replay build and apply no DisplacementEngine;
+    only the dense oracle does."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a DisplacementEngine on the branch path")
+
+    monkeypatch.setattr(fock.DisplacementEngine, "__init__", refuse)
+    monkeypatch.setattr(fock.DisplacementEngine, "apply", refuse)
+    p_phi = 0.1 if ancilla in ("bare", "three_qubit_phase") else 0.0
+    plan = TrajectoryPlan(sigma=0.2, ancilla=ancilla, p_phi=p_phi, n_trajectories=40,
+                          root_seed=3, zeta=optimal_zeta())
+    montecarlo._carrier.cache_clear()
+    _sweep_rows.cache_clear()
+    try:
+        branch_decomposition_run(plan)
+        trajectory_fidelity(plan, 5)
+    finally:
+        montecarlo._carrier.cache_clear()
+        _sweep_rows.cache_clear()
+
+
+class TestLeakageGuard:
+    """A run whose exact ancilla-mode displacements move more than
+    fock.LEAKAGE_BUDGET of a level's population past the mode's dim warns
+    once, whatever its chunk count."""
+
+    @pytest.mark.parametrize("ancilla", ["binomial_n3", "shor9"])
+    def test_one_warning_per_run(self, chunk_budget, ancilla):
+        chunk_budget(240)  # 30 rows: three binomial chunks of 10, fifteen shor9 ones of 2
+        plan = TrajectoryPlan(sigma=3.0, ancilla=ancilla, n_trajectories=30, root_seed=1)
+        with pytest.warns(fock.TruncationWarning, match="past the Fock cutoff") as caught:
+            result = branch_decomposition_run(plan)
+        assert [w.category for w in caught] == [fock.TruncationWarning]
+        assert math.isfinite(result.infidelity.mean)
+
+    @pytest.mark.parametrize("ancilla, sigma", [
+        ("binomial_n3", 0.1), ("binomial_n3", 0.2), ("shor9", 0.1), ("shor9", 0.25)])
+    def test_silent_at_the_figure_sigmas(self, ancilla, sigma):
+        plan = TrajectoryPlan(sigma=sigma, ancilla=ancilla, n_trajectories=400, root_seed=9,
+                              zeta=optimal_zeta())
+        _sweep_rows.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", fock.TruncationWarning)
+            branch_decomposition_run(plan)
 
 
 class TestReproducibility:
