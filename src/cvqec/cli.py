@@ -123,9 +123,9 @@ def cmd_fig4(args) -> None:
             (_DEFAULT_PPHI_SWEEP if args.sweep == "pphi" else _DEFAULT_SIGMA_SWEEP))
     out = Path(args.out)
     rows = []
-    sweep = tuple(sorted(keys)) if args.sweep == "pphi" else ()
-    for key in sorted(keys):
-        result = montecarlo.branch_decomposition_run(_fig4_plan(args, key), sweep)
+    plans = tuple(_fig4_plan(args, key) for key in sorted(keys))
+    for key, plan in zip(sorted(keys), plans):
+        result = montecarlo.branch_decomposition_run(plan, plans)
         rows.append((key, result.infidelity.mean, result.infidelity.std_error,
                      str(result.infidelity.n), str(result.unrecoverable_count),
                      str(result.complement_count)))

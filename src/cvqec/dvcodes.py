@@ -43,6 +43,7 @@ _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.diag([1.0, -1.0]).astype(complex)
 _SINGLE = {"I": _I2, "X": _X, "Y": _Y, "Z": _Z}
+_BINOMIAL_DIM = 24  # Fock levels of the binomial carrier
 
 
 def pauli_matrix(label: str) -> np.ndarray:
@@ -155,14 +156,12 @@ def shor9_code() -> CodeSpec:
     return CodeSpec("shor9", "qubits", g.astype(complex), e.astype(complex))
 
 
-def binomial_code(n_trunc: int = 23) -> CodeSpec:
+def binomial_code() -> CodeSpec:
     """(|0> + sqrt(3)|6>)/2 and (sqrt(3)|3> + |9>)/2: Fock spacing 3,
-    corrects single boson loss and gain."""
-    if n_trunc < 10:
-        raise ValueError("binomial code needs n_trunc >= 10 (gain image reaches |10>)")
-    dim = n_trunc + 1
-    g = np.zeros(dim, dtype=complex)
-    e = np.zeros(dim, dtype=complex)
+    corrects single boson loss and gain.  The carrier holds Fock levels 0
+    to _BINOMIAL_DIM - 1, past the gain image's |10>."""
+    g = np.zeros(_BINOMIAL_DIM, dtype=complex)
+    e = np.zeros(_BINOMIAL_DIM, dtype=complex)
     g[0], g[6] = 0.5, np.sqrt(3.0) / 2.0
     e[3], e[9] = np.sqrt(3.0) / 2.0, 0.5
     return CodeSpec("binomial_n3", "single_mode", g, e)
@@ -262,7 +261,7 @@ def correction_matrix(code_name: str, syndrome: int):
 # --- binomial recovery ------------------------------------------------------
 
 
-def binomial_recovery_kraus(n_trunc: int = 23):
+def binomial_recovery_kraus():
     """Kraus operators of the mod-3 syndrome recovery.
 
     Per syndrome class the primary Kraus maps the designated (codeword,
@@ -270,20 +269,20 @@ def binomial_recovery_kraus(n_trunc: int = 23):
     remainders in the class are sent to the codewords incoherently.
     Returns (kraus list, primary flags, syndrome labels).
     """
-    return _binomial_recovery(n_trunc)[:3]
+    return _binomial_recovery()[:3]
 
 
-def binomial_recovery_basis(n_trunc: int = 23):
+def binomial_recovery_basis():
     """(bras, owner): rows of the conjugated orthonormal basis that the Kraus
     operators read, per syndrome class the designated pair and then the QR
     remainders; K_k^dag K_k sums |b><b| over the rows with owner k."""
-    return _binomial_recovery(n_trunc)[3:]
+    return _binomial_recovery()[3:]
 
 
 @lru_cache(maxsize=None)
-def _binomial_recovery(n_trunc: int):
-    code = binomial_code(n_trunc)
-    a = annihilation(n_trunc)
+def _binomial_recovery():
+    code = binomial_code()
+    a = annihilation(_BINOMIAL_DIM - 1)
     adag = a.conj().T
 
     def normalized(v):
@@ -390,7 +389,7 @@ def _recover_qubit_code(code, rho, mode, rng):
 
 
 def _recover_binomial(code, rho, mode, rng):
-    kraus, primary, labels = binomial_recovery_kraus(code.dim - 1)
+    kraus, primary, labels = binomial_recovery_kraus()
     if mode == "sample":
         weights = [np.trace(k @ rho.matrix @ k.conj().T).real for k in kraus]
         idx = int(kraus_choice(weights, rng.random() * sum(weights)))
@@ -419,6 +418,8 @@ def recover(code: CodeSpec, state: DensityMatrix, mode: str = "average",
     map, 'sample' draws one syndrome projectively (requires rng)."""
     if state.dim != code.dim:
         raise ValueError(f"state dimension {state.dim} != code carrier {code.dim}")
+    if code.carrier == "single_mode" and code.dim != _BINOMIAL_DIM:
+        raise ValueError(f"binomial recovery needs {_BINOMIAL_DIM} Fock levels, got {code.dim}")
     if mode not in ("average", "sample"):
         raise ValueError(f"mode must be 'average' or 'sample', got {mode!r}")
     if mode == "sample" and rng is None:

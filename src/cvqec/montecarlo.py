@@ -66,20 +66,22 @@ A trajectory with a normal off the fast path is redrawn from a generator
 at its seeded state; root seeds or indices past 2**32, or a first
 trajectory that disagrees with default_rng, draw every trajectory from
 default_rng.  The numbers depend only on the root seed, the ancilla kind
-and the index, so the points of one sweep, which differ in sigma or
-p_phi, share one set per run key (_run_draws) and scale it: normal(0, s)
-is 0.0 + s * standard_normal bit for bit.  Per-index agreement of the
-engines also checks the order.
+and the index, so the points of one sweep, which differ in sigma or p_phi,
+draw them once, and each row scales them by its own sigma: normal(0, s) is
+0.0 + s * standard_normal bit for bit.  Per-index agreement of the engines
+also checks the order.
 
-The points of a p_phi sweep also share trajectories: at two points where
-trajectory i's dephasing uniforms give the same flip pattern it is the
-same computation, so the sweep's first run computes each distinct pair
-(index, flip pattern) once (_sweep_rows) and every point reads its rows
-from it.  A run's output depends only on its plan.  Chunks are cut from
-the distinct rows in order, and a row's value does not move with its
-chunk's other rows (checked across chunk budgets, from one-row chunks up,
-in the tests), so for every ancilla kind a trajectory replayed alone
-(trajectory_fidelity) equals its row in a run bit for bit.
+A fig4 sweep runs in one pass (_sweep_rows).  A chunk reads every value of
+a plan, the normal scale, p_phi, alpha and the +/-Y outcome mean, per row
+(_rows), so it holds rows of several points.  At two points with the same
+sigma, trajectory i is the same computation wherever its dephasing
+uniforms give the same flip pattern, so the sweep runs each distinct
+(sigma, index, flip pattern) row once and every point reads its rows from
+them.  Chunks are cut from the distinct rows in order, and a row's value
+does not move with its chunk's other rows (checked across chunk budgets,
+from one-row chunks up, in the tests), so each point equals its own run
+and, for every ancilla kind, a trajectory replayed alone
+(trajectory_fidelity) equals its row bit for bit.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import groupby
 from pathlib import Path
@@ -114,7 +116,6 @@ ANCILLA_KINDS = ("perfect", "bare", "three_qubit_phase", "binomial_n3", "shor9")
 _DEPHASING_KINDS = ("bare", "three_qubit_phase")
 _BOSONIC_KINDS = ("binomial_n3", "shor9")
 _SHOR_MODE_DIM = 14  # per-mode Fock levels while a single-boson qubit is displaced
-_BINOMIAL_N_TRUNC = 23
 _BRANCH_TOL = 1e-14
 _CHUNK_BUDGET = 16384  # carrier amplitudes per term slot in one chunk
 # <+Y|codeword> and <-Y|codeword> for the codeword bits 0 (g) and 1 (e)
@@ -162,6 +163,11 @@ class TrajectoryPlan:
     @property
     def effective_alpha(self) -> float:
         return optimal_alpha_qubit(self.sigma * math.exp(-2.0 * self.zeta))
+
+    @property
+    def outcome_mean(self) -> float:
+        """The p shift that a +Y outcome heralds, which the run undoes."""
+        return qubit_outcome_mean(self.sigma * math.exp(-2.0 * self.zeta), self.effective_alpha)
 
 
 @dataclass(frozen=True)
@@ -220,12 +226,12 @@ class _Carrier:
             self.displaced = ((0, 1), _SHOR_MODE_DIM)
             self.confine = confinement_kraus(_SHOR_MODE_DIM)
         else:  # binomial_n3
-            code = dvcodes.binomial_code(_BINOMIAL_N_TRUNC)
+            code = dvcodes.binomial_code()
             g, e = code.logical_g, code.logical_e
             self.displaced = (tuple(np.flatnonzero(np.abs(g) + np.abs(e)).tolist()), code.dim)
-            kraus, primary, _ = dvcodes.binomial_recovery_kraus(_BINOMIAL_N_TRUNC)
+            kraus, primary, _ = dvcodes.binomial_recovery_kraus()
             self.binom_kraus = tuple((k, k.conj().T @ k, p) for k, p in zip(kraus, primary))
-            self.binom_bras, owner = dvcodes.binomial_recovery_basis(_BINOMIAL_N_TRUNC)
+            self.binom_bras, owner = dvcodes.binomial_recovery_basis()
             self.binom_starts = np.searchsorted(owner, np.arange(len(kraus)))
         self.g, self.e = g, e
         self.carrier_dim = len(g)
@@ -279,8 +285,7 @@ class _Context:
         self.zeta = plan.zeta
         self.p_phi = plan.p_phi
         self.alpha = plan.effective_alpha
-        sigma_p = plan.sigma * math.exp(-2.0 * plan.zeta)
-        self.outcome_mean = qubit_outcome_mean(sigma_p, self.alpha)
+        self.outcome_mean = plan.outcome_mean
         self.anc_scale = plan.sigma / math.sqrt(2.0)
         self.leakage = 0.0  # the most population moved past an ancilla mode's dim
 
@@ -382,16 +387,17 @@ class _Terms:
     """The data-mode factors of a chunk of n trajectories, each a sum of T
     terms: term k of row r carries ph[r, k] D(gamma[r, k]) |psi0>, with
     gamma and ph of shape (n, T).  Pruned terms have ph = 0.  A chunk
-    starts after the first conditional displacement of |+>_L x psi0: slot
-    0 carries g / sqrt(2) and gamma = -alpha, slot 1 e / sqrt(2) and +alpha.
-    logical() ends it as plain _Terms holding the logical qubit: slot t of
-    row r carries a[r, t] times codeword[t] (0 for g, 1 for e), a of shape
-    (n, T); measure_y and fidelity read them."""
+    starts after the first conditional displacement of |+>_L x psi0, by
+    alpha[r] in row r: slot 0 carries g / sqrt(2) and gamma = -alpha, slot
+    1 e / sqrt(2) and +alpha.  logical() ends it on the logical qubit: slot
+    t of row r carries a[r, t] times codeword[t] (0 for g, 1 for e), a of
+    shape (n, T); measure_y and fidelity read them."""
 
-    def __init__(self, ctx: _Context, n: int):
+    def __init__(self, ctx: _Context, alpha: np.ndarray):
         self.ctx = ctx
-        self.gamma = np.tile(np.array([-ctx.alpha, ctx.alpha], dtype=complex), (n, 1))
-        self.ph = np.ones((n, 2), dtype=complex)
+        self.alpha = alpha
+        self.gamma = np.stack((-alpha, alpha), axis=1).astype(complex)
+        self.ph = np.ones((len(alpha), 2), dtype=complex)
         self._gd = None
 
     def data_gram(self) -> np.ndarray:
@@ -410,17 +416,17 @@ class _Terms:
         self.gamma = self.gamma + beta
         self._gd = None
 
-    def _split(self, a: np.ndarray, alpha_g: float, alpha_e: float):
-        """Data side of the conditional displacement, which splits each term
-        slot into its g and e parts: a[r] holds <g|c_t> over the T slots,
-        then <e|c_t>.  Shifts the data factors, prunes the new terms whose
-        |a| |ph| is at most _BRANCH_TOL and drops each slot pruned in every
-        row.  Returns a on the surviving slots, zero where pruned, and the
-        codeword of each slot (0 for g, 1 for e)."""
+    def logical(self):
+        """The second conditional displacement, +alpha on g and -alpha on e:
+        each slot of the code-space carrier splits into a_t times g and e
+        (_codeword_overlaps), new terms whose |a| |ph| is at most _BRANCH_TOL
+        are pruned, slots pruned in every row dropped, and a (zero where
+        pruned) and codeword set on the surviving slots."""
+        a = np.concatenate(self._codeword_overlaps(), axis=1)
         t = self.gamma.shape[1]
         keep = np.abs(a) * np.tile(np.abs(self.ph), 2) > _BRANCH_TOL
         gamma = np.tile(self.gamma, 2)
-        shift = np.repeat([alpha_g, alpha_e], t)
+        shift = np.repeat(np.stack((self.alpha, -self.alpha), axis=1), t, axis=1)
         ph = np.multiply(np.tile(self.ph, 2), np.exp(1j * (shift * gamma.conj()).imag))
         gamma = gamma + shift
         alive = keep.any(axis=0)
@@ -428,18 +434,7 @@ class _Terms:
         self.gamma = np.where(keep, gamma[:, alive], 0.0)
         self.ph = np.where(keep, ph[:, alive], 0.0)
         self._gd = None
-        return np.where(keep, a[:, alive], 0.0), np.repeat([0, 1], t)[alive]
-
-    def logical(self, alpha_g: float, alpha_e: float) -> _Terms:
-        """The second conditional displacement, on a code-space carrier:
-        _split on the engine's _codeword_overlaps.  Each new slot is a_t
-        times its codeword."""
-        a, codeword = self._split(np.concatenate(self._codeword_overlaps(), axis=1),
-                                  alpha_g, alpha_e)
-        qubit = _Terms(self.ctx, 0)
-        qubit.gamma, qubit.ph = self.gamma, self.ph
-        qubit.a, qubit.codeword = a, codeword
-        return qubit
+        self.a, self.codeword = np.where(keep, a[:, alive], 0.0), np.repeat([0, 1], t)[alive]
 
     def _data_norm(self, a: np.ndarray) -> np.ndarray:
         """sum_ij conj(a_i) <d_i|d_j> a_j per row, for slot amplitudes a on
@@ -482,10 +477,10 @@ class _BranchState(_Terms):
     are sums over pairs of products of block overlaps.
     """
 
-    def __init__(self, ctx: _Context, n: int):
-        super().__init__(ctx, n)
-        self.coef = np.full((n, 2, 1), ctx.block_scale / math.sqrt(2.0), dtype=complex)
-        self.v = np.empty((n, 2, 1, ctx.n_blocks, ctx.blocks.shape[1]), dtype=complex)
+    def __init__(self, ctx: _Context, alpha: np.ndarray):
+        super().__init__(ctx, alpha)
+        self.coef = np.full((len(alpha), 2, 1), ctx.block_scale / math.sqrt(2.0), dtype=complex)
+        self.v = np.empty((len(alpha), 2, 1, ctx.n_blocks, ctx.blocks.shape[1]), dtype=complex)
         self.v[:, 0], self.v[:, 1] = ctx.blocks[0], ctx.blocks[1]
         self._env_block = None
 
@@ -881,7 +876,7 @@ def _standard_draws(root_seed: int, kind: str, start: int, stop: int):
     the order _one_trajectory draws them: data standard normals (n, 2),
     ancilla standard normals (n, k, 2) and uniforms (n, n_uniform).  They
     depend only on the root seed, the ancilla kind and the indices; see
-    _scaled for the normals of a plan.  Past 2**32, or when _bulk_draws'
+    _rows for the normals of a plan.  Past 2**32, or when _bulk_draws'
     guard fails, each row draws from _rng."""
     carrier = _carrier(kind)
     mask, n = carrier.normal_mask, stop - start
@@ -896,20 +891,15 @@ def _standard_draws(root_seed: int, kind: str, start: int, stop: int):
     return normals[:, :2], normals[:, 2:].reshape(n, carrier.n_anc_normals, 2), flat[:, ~mask]
 
 
-@lru_cache(maxsize=1)
-def _run_draws(root_seed: int, kind: str, n_trajectories: int):
-    """_standard_draws of a whole run, read-only.  The points of one fig4
-    sweep share their key, so they draw once."""
-    draws = _standard_draws(root_seed, kind, 0, n_trajectories)
-    for a in draws:
-        a.flags.writeable = False
-    return draws
-
-
-def _scaled(ctx: _Context, data, anc, uni):
-    """The plan's draws from standard ones: rng.normal(0.0, s) computes
-    0.0 + s * standard_normal, so these are bit for bit its numbers."""
-    return (0.0 + ctx.sigma / math.sqrt(2.0) * data, 0.0 + ctx.anc_scale * anc, uni)
+def _rows(plans: tuple, point: np.ndarray, data, anc, uni):
+    """The arguments of _run_chunk after ctx for rows with these standard
+    draws, row r a trajectory of plans[point[r]]: its draws scaled by the
+    plan's normal scale s = sigma / sqrt(2), then the plan's p_phi, alpha
+    and +Y outcome mean.  rng.normal(0.0, s) computes 0.0 + s *
+    standard_normal, so the normals are bit for bit its numbers."""
+    s, p_phi, alpha, mean = np.array([(p.sigma / math.sqrt(2.0), p.p_phi, p.effective_alpha,
+                                       p.outcome_mean) for p in plans])[point].T
+    return 0.0 + s[:, None] * data, 0.0 + s[:, None, None] * anc, uni, p_phi, alpha, mean
 
 
 def _groups(keys: np.ndarray):
@@ -964,50 +954,54 @@ def _batch_recovery(ctx, state, uniforms) -> np.ndarray:
     return unrecoverable
 
 
-def _run_chunk(ctx: _Context, data, anc, uni, p_phi=None):
+def _run_chunk(ctx: _Context, data, anc, uni, p_phi, alpha, outcome_mean):
     """Infidelity and unrecoverable flag of the chunk of trajectories with
-    these _scaled draws and per-row dephasing rates p_phi (default
-    ctx.p_phi); the circuit of _one_trajectory, row by row.  Each row's
-    values are those of a chunk that holds only that row."""
-    p_phi = np.full(len(data), ctx.p_phi) if p_phi is None else p_phi
+    these per-row arguments (_rows); the circuit of _one_trajectory, row by
+    row.  Each row's values are those of a chunk that holds only that row."""
     uniforms = iter(uni.T)
     # the state after the first conditional displacement (_Terms)
-    state = _BranchState(ctx, len(data))
+    state = _BranchState(ctx, alpha)
     # squeezing frame: see _one_trajectory
     beta = data[:, 0] * math.exp(2.0 * ctx.zeta) + 1j * (data[:, 1] * math.exp(-2.0 * ctx.zeta))
     state.displace_data(beta)
     _batch_ancilla_errors(ctx, state, anc, uniforms, p_phi)
     unrecoverable = _batch_recovery(ctx, state, uniforms)
-    qubit = state.logical(+ctx.alpha, -ctx.alpha)
-    outcome = qubit.measure_y(next(uniforms))
-    qubit.displace_data(-1j * outcome * ctx.outcome_mean)
-    return 1.0 - qubit.fidelity(), unrecoverable
+    state.logical()
+    outcome = state.measure_y(next(uniforms))
+    state.displace_data(-1j * outcome * outcome_mean)
+    return 1.0 - state.fidelity(), unrecoverable
 
 
 @lru_cache(maxsize=1)
-def _sweep_rows(base: TrajectoryPlan, points: tuple):
-    """Every distinct trajectory of the p_phi sweep over points of the plan
-    base (p_phi = 0), run once: (samples, unrecoverable) of the distinct
-    rows, and [point, index] -> row.  A row is a trajectory index
-    with the flip pattern uni[:, :k] < p of its k dephasing uniforms; it
-    runs at the first point with that pattern, which flips the same Zs as
-    every point that shares it, so each point's rows are its own run's."""
-    for p in points:
-        replace(base, p_phi=p)  # a plan validates each point
+def _sweep_rows(plans: tuple):
+    """Every distinct trajectory of the sweep over plans, which may differ
+    only in sigma and p_phi, run once: (samples, unrecoverable) of the
+    distinct rows, and [point, index] -> row.  A row is a trajectory index
+    at one sigma with the flip pattern uni[:, :k] < p_phi of its k
+    dephasing uniforms; it runs at the first point with that sigma and
+    pattern, which flips the same Zs as every point that shares both, so
+    each point's rows are its own run's."""
+    shared = [{**vars(p), "sigma": None, "p_phi": None} for p in plans]
+    if shared.count(shared[0]) < len(shared):
+        raise ValueError("the plans of one sweep may differ only in sigma and p_phi")
+    base = plans[0]
     ctx = _Context(base)
     n, k = base.n_trajectories, len(ctx.dephasing_ops)
-    data, anc, uni = _scaled(ctx, *_run_draws(base.root_seed, base.ancilla, n))
-    bits = 1 << np.arange(k)
-    keys = np.stack([np.arange(n) << k | (uni[:, :k] < p) @ bits for p in points])
+    draws = _standard_draws(base.root_seed, base.ancilla, 0, n)
+    # key[point, index]: (index + n * first point at its sigma) << k | flips
+    sigmas = [p.sigma for p in plans]
+    level = np.array([sigmas.index(s) for s in sigmas])[:, None]
+    flips = draws[2][:, :k] < np.array([p.p_phi for p in plans])[:, None, None]
+    keys = (level * n + np.arange(n)) << k | flips @ (1 << np.arange(k))
     uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    rows, size = uniq >> k, ctx.chunk_size
-    draws = [a[rows] for a in (data, anc, uni)] + [np.array(points)[first // n]]
-    parts = [_run_chunk(ctx, *(a[lo:lo + size] for a in draws))
+    rows, size = (uniq >> k) % n, ctx.chunk_size
+    args = _rows(plans, first // n, *(a[rows] for a in draws))
+    parts = [_run_chunk(ctx, *(a[lo:lo + size] for a in args))
              for lo in range(0, len(rows), size)]
-    if ctx.leakage > fock.LEAKAGE_BUDGET:  # one warning per run, on stderr
+    if ctx.leakage > fock.LEAKAGE_BUDGET:  # one warning per sweep, on stderr
         warnings.warn(f"ancilla-mode displacements moved {ctx.leakage:.3g} of a level's "
                       "population past the Fock cutoff", fock.TruncationWarning, stacklevel=3)
-    return tuple(np.concatenate(p) for p in zip(*parts)), inverse.reshape(len(points), n)
+    return tuple(np.concatenate(p) for p in zip(*parts)), inverse.reshape(len(plans), n)
 
 
 # --- per-trajectory driver of the dense oracle ------------------------------
@@ -1099,12 +1093,14 @@ def branch_decomposition_run(plan: TrajectoryPlan, sweep: tuple = ()) -> RunResu
     """Batched branch-decomposition simulation; same trajectories as the
     reference engine, without a Fock cutoff on the data mode.
 
-    sweep holds the p_phi values of the sweep that plan belongs to.  The
-    first call of a sweep runs each of its distinct trajectories once
-    (_sweep_rows), and every call takes its own point's rows from them."""
-    points = tuple(sorted(set(sweep) | {plan.p_phi}))
-    (samples, unrecoverable), inverse = _sweep_rows(replace(plan, p_phi=0.0), points)
-    pick = inverse[points.index(plan.p_phi)]
+    sweep holds the plans of the sweep that plan is one of; they may
+    differ only in sigma and p_phi.  The first call of a sweep runs each
+    of its distinct trajectories once (_sweep_rows), and every call takes
+    its own point's rows from them.  The result is plan's own run, bit for
+    bit."""
+    sweep = sweep or (plan,)
+    (samples, unrecoverable), inverse = _sweep_rows(sweep)
+    pick = inverse[sweep.index(plan)]
     return _result(plan, samples[pick], unrecoverable[pick], "branch")
 
 
@@ -1116,7 +1112,7 @@ def trajectory_fidelity(plan: TrajectoryPlan, index: int, engine: str = "branch"
     ctx = _Context(plan)
     if engine == "branch":
         draws = _standard_draws(plan.root_seed, plan.ancilla, index, index + 1)
-        infid = _run_chunk(ctx, *_scaled(ctx, *draws))[0][0]
+        infid = _run_chunk(ctx, *_rows((plan,), np.zeros(1, dtype=int), *draws))[0][0]
     else:
         infid = _one_trajectory(ctx, _DenseState(ctx), _rng(plan.root_seed, index))[0]
     return 1.0 - float(infid)

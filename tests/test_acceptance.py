@@ -7,11 +7,16 @@ them; a FAIL is an ordinary assertion error).
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cvqec
 from cvqec.cli import main as cli_main
 from cvqec.dvcodes import (binomial_code, encode,
                            logical_flip_probability_three_qubit, pauli_matrix,
@@ -228,18 +233,25 @@ def test_acceptance_8_concatenated_sweeps():
                f"independent ({elapsed:.0f}s)")
 
 
-def test_acceptance_9_cli_determinism(tmp_path, monkeypatch):
+def test_acceptance_9_cli_determinism(tmp_path):
     argv = ["fig4", "--code", "three_qubit", "--trajectories", "100",
             "--points", "0.0", "0.05", "--seed", "5", "--out", str(tmp_path)]
     names = ("fig4_three_qubit_coherent_pphi.csv",
              "fig4_three_qubit_coherent_pphi_config.json")
-    monkeypatch.delenv("CVQEC_THREADS", raising=False)
     assert cli_main(argv) == 0
     first = [(tmp_path / n).read_bytes() for n in names]
     assert cli_main(argv) == 0
     assert [(tmp_path / n).read_bytes() for n in names] == first
-    monkeypatch.setenv("CVQEC_THREADS", "4")
-    assert cli_main(argv) == 0
-    assert [(tmp_path / n).read_bytes() for n in names] == first
+    # fresh interpreters with OpenBLAS on one thread and on two
+    src = str(Path(cvqec.__file__).resolve().parent.parent)
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        proc = subprocess.run([sys.executable, "-m", "cvqec.cli", *argv[:-1], str(out)],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src,
+                                   "OPENBLAS_NUM_THREADS": threads}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert [(out / n).read_bytes() for n in names] == first
     _report(9, "command line output is byte-identical across reruns and "
                "thread counts")

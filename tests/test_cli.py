@@ -146,16 +146,22 @@ class TestFig4:
         assert warned.stdout == quiet.stdout
         assert len(files) == 2 and files == same
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
-        argv = ["fig4", "--trajectories", "80", "--points", "0.05",
-                "--out", str(tmp_path)]
-        monkeypatch.delenv("CVQEC_THREADS", raising=False)
-        assert main(argv) == 0
-        serial = (tmp_path / "fig4_none_coherent_pphi.csv").read_bytes()
-        monkeypatch.setenv("CVQEC_THREADS", "4")
-        assert main(argv) == 0
-        threaded = (tmp_path / "fig4_none_coherent_pphi.csv").read_bytes()
-        assert serial == threaded
+    def test_thread_count_does_not_change_bytes(self, tmp_path):
+        """The command in two fresh interpreters, with OpenBLAS on one
+        thread and on two, writes the same bytes."""
+        src = str(Path(cvqec.__file__).resolve().parent.parent)
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            out.mkdir()
+            proc = subprocess.run([sys.executable, "-m", "cvqec.cli", "fig4", "--trajectories",
+                                   "80", "--points", "0.05", "--out", str(out)],
+                                  capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": src,
+                                       "OPENBLAS_NUM_THREADS": threads}, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            runs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert len(runs[0]) == 2 and runs[0] == runs[1]
 
     # Budget 1 makes every chunk one row (run as two copies of it), 14 gives
     # chunks of 7 bare or 1 phase-code rows.  The sweep memo is not keyed by

@@ -65,8 +65,14 @@ class TestCodewords:
         assert ng == pytest.approx(4.5, abs=1e-12)
 
     def test_binomial_needs_headroom(self):
-        with pytest.raises(ValueError):
-            binomial_code(8)
+        """The recovery holds the gain image |10> and acts on the code's 24
+        Fock levels; recover rejects the codewords cut to 10 levels."""
+        code = binomial_code()
+        short = dvcodes.CodeSpec(code.name, code.carrier, code.logical_g[:10],
+                                 code.logical_e[:10])
+        rho = DensityMatrix(np.outer(short.logical_g, short.logical_g.conj()))
+        with pytest.raises(ValueError, match="24 Fock levels"):
+            recover(short, rho)
 
 
 class TestEncoding:
@@ -312,7 +318,7 @@ class TestBinomialRecovery:
         assert not res.unrecoverable
 
     def test_kraus_complete(self):
-        kraus, primary, labels = binomial_recovery_kraus(23)
+        kraus, primary, labels = binomial_recovery_kraus()
         total = sum(k.conj().T @ k for k in kraus)
         assert np.allclose(total, np.eye(24), atol=1e-10)
         assert sum(primary) == 3
@@ -321,8 +327,8 @@ class TestBinomialRecovery:
     def test_recovery_basis(self):
         """The bras form a unitary, and each Kraus operator's K^dag K is the
         sum of |b><b| over its bras."""
-        kraus, _, _ = binomial_recovery_kraus(23)
-        bras, owner = binomial_recovery_basis(23)
+        kraus, _, _ = binomial_recovery_kraus()
+        bras, owner = binomial_recovery_basis()
         assert bras.shape == (24, 24)
         assert np.allclose(bras @ bras.conj().T, np.eye(24), rtol=0, atol=1e-12)
         assert sorted(set(owner.tolist())) == list(range(len(kraus)))
@@ -334,7 +340,7 @@ class TestBinomialRecovery:
         """kraus_choice, scalar and per row, against a running sum that stops
         at the first u <= acc, on weights from carrier states and on draws
         at and past the total (the last operator)."""
-        kraus, _, _ = binomial_recovery_kraus(23)
+        kraus, _, _ = binomial_recovery_kraus()
         rng = np.random.default_rng(21)
         c = rng.normal(size=(40, 24)) + 1j * rng.normal(size=(40, 24))
         weights = np.stack([np.sum(np.abs(c @ k.T) ** 2, axis=1) for k in kraus], axis=1)

@@ -4,7 +4,11 @@ import dataclasses
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +20,8 @@ from cvqec.gaussian import qubit_outcome_mean
 from cvqec.montecarlo import (_SHOR_MODE_DIM, ANCILLA_KINDS,
                               EstimateWithError, TrajectoryPlan, _BranchState,
                               _Context, _DenseState, _int128,
-                              _pcg64_states, _run_draws,
-                              _standard_draws, _sweep_rows, _Terms,
+                              _pcg64_states, _standard_draws,
+                              _sweep_rows, _Terms,
                               branch_decomposition_run, confinement_kraus,
                               estimate_qubit_var_p, run_concatenated,
                               trajectory_fidelity)
@@ -111,7 +115,8 @@ class TestEngineAgreement:
                               zeta=optimal_zeta(), state_kind=state_kind)
         ctx = _Context(plan)
         draws = montecarlo._standard_draws(plan.root_seed, plan.ancilla, 0, n)
-        infid, unrecoverable = montecarlo._run_chunk(ctx, *montecarlo._scaled(ctx, *draws))
+        infid, unrecoverable = montecarlo._run_chunk(
+            ctx, *montecarlo._rows((plan,), np.zeros(n, dtype=int), *draws))
         indices = np.flatnonzero(unrecoverable)
         assert len(indices) >= 2
         for index in indices.tolist():
@@ -200,7 +205,7 @@ def _expand(state: _BranchState) -> np.ndarray:
 def _random_shor_state(ctx, rng, n: int, t: int = 2, p: int = 2) -> _BranchState:
     """n rows of t terms with p products each and random data factors; each
     row's carrier vectors have unit total norm."""
-    state = _BranchState(ctx, n)
+    state = _BranchState(ctx, np.full(n, ctx.alpha))
     state.coef = rng.normal(size=(n, t, p)) + 1j * rng.normal(size=(n, t, p))
     state.v = rng.normal(size=(n, t, p, 3, 8)) + 1j * rng.normal(size=(n, t, p, 3, 8))
     state.coef /= np.linalg.norm(_expand(state), axis=(1, 2))[:, None, None]
@@ -221,7 +226,7 @@ class TestBinomialRecovery:
     def _random_state(ctx, rng, n: int, t: int) -> _BranchState:
         """n rows of t random carrier terms on one block with random data
         factors; each row's carrier vectors have unit total norm."""
-        state = _BranchState(ctx, n)
+        state = _BranchState(ctx, np.full(n, ctx.alpha))
         shape = (n, t, ctx.carrier_dim)
         c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         _one_block(state, c / np.linalg.norm(c, axis=(1, 2))[:, None, None])
@@ -314,7 +319,7 @@ class TestShorProductState:
     def _pair(seed: int, n: int = 6):
         ctx = _Context(TrajectoryPlan(sigma=0.15, ancilla="shor9"))
         shor = _random_shor_state(ctx, np.random.default_rng(seed), n)
-        flat = _BranchState(TestShorProductState._flat_context(ctx), n)
+        flat = _BranchState(TestShorProductState._flat_context(ctx), np.full(n, ctx.alpha))
         _one_block(flat, _expand(shor))
         flat.gamma, flat.ph = shor.gamma, shor.ph
         return ctx, shor, flat
@@ -369,25 +374,28 @@ class TestShorProductState:
 
     @pytest.mark.parametrize("signs", [(-1, 1), (1, -1)])
     def test_conditional_displacement(self, signs):
-        """Both block layouts' handoff to the logical qubit on the same
-        states, and the norm of the 512-dim carriers it stands for."""
+        """Both block layouts' handoff to the logical qubit, displacing g by
+        signs[0] 0.7 and e by signs[1] 0.7, on the same states, and the norm
+        of the 512-dim carriers it stands for."""
         ctx, shor, flat = self._code_space_pair(30)
         nrm = shor.norm()
-        alpha_g, alpha_e = signs[0] * 0.7, signs[1] * 0.7
-        got, want = shor.logical(alpha_g, alpha_e), flat.logical(alpha_g, alpha_e)
-        assert got.a.shape == want.a.shape == (6, 4)
-        assert got.codeword.tolist() == want.codeword.tolist() == [0, 0, 1, 1]
+        for state in (shor, flat):
+            state.alpha = np.full(6, signs[0] * 0.7)
+            state.logical()
+        assert shor.a.shape == flat.a.shape == (6, 4)
+        assert shor.codeword.tolist() == flat.codeword.tolist() == [0, 0, 1, 1]
         for name in ("a", "gamma", "ph"):
-            assert np.allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-13)
-        c = self._carriers(ctx, got)
-        got_nrm = np.sum(c.conj() * (got.data_gram() @ c), axis=(1, 2)).real
+            assert np.allclose(getattr(shor, name), getattr(flat, name), rtol=0, atol=1e-13)
+        c = self._carriers(ctx, shor)
+        got_nrm = np.sum(c.conj() * (shor.data_gram() @ c), axis=(1, 2)).real
         assert np.allclose(got_nrm, nrm, rtol=0, atol=1e-13)
 
     def test_y_readout_and_fidelity(self):
         """The shared logical readout and fidelity against the same steps on
         the 512-dim carriers a_t codeword_t, with ctx.yplus and ctx.yminus."""
-        ctx, shor, _ = self._code_space_pair(40, n=2)
-        qubit = shor.logical(0.7, -0.7)
+        ctx, qubit, _ = self._code_space_pair(40, n=2)
+        qubit.alpha = np.full(2, 0.7)
+        qubit.logical()
         c = self._carriers(ctx, qubit)
         yp, ym = ctx.yplus, ctx.yminus
         gd = qubit.data_gram()
@@ -417,7 +425,7 @@ def test_closed_form_start(ancilla):
     oracle's |+>_L x psi0 after its first conditional displacement."""
     ctx = _Context(TrajectoryPlan(sigma=0.15, ancilla=ancilla, zeta=optimal_zeta(),
                                   coherent_amplitude=0.5 - 0.3j))
-    state = _BranchState(ctx, 2)
+    state = _BranchState(ctx, np.full(2, ctx.alpha))
     c = _expand(state)
     dense = _DenseState(ctx)
     dense.conditional_displace(-ctx.alpha, +ctx.alpha)
@@ -438,12 +446,12 @@ def test_code_space_invariant(monkeypatch, ancilla):
     weights = []
     logical = _Terms.logical
 
-    def checked(state, alpha_g, alpha_e):
+    def checked(state):
         c = _expand(state)
         g, e = state.ctx.g, state.ctx.e
         rest = c - (c @ g.conj())[..., None] * g - (c @ e.conj())[..., None] * e
         weights.append(np.max(np.linalg.norm(rest, axis=-1) * np.abs(state.ph)))
-        return logical(state, alpha_g, alpha_e)
+        logical(state)
 
     monkeypatch.setattr(_Terms, "logical", checked)
     rates = (0.05, 0.2, 0.5) if ancilla in ("bare", "three_qubit_phase") else (0.0,)
@@ -486,9 +494,9 @@ def test_branch_runs_use_no_displacement_engine(monkeypatch, ancilla):
 
 
 class TestLeakageGuard:
-    """A run whose exact ancilla-mode displacements move more than
+    """A sweep whose exact ancilla-mode displacements move more than
     fock.LEAKAGE_BUDGET of a level's population past the mode's dim warns
-    once, whatever its chunk count."""
+    once, whatever its chunk and point counts."""
 
     @pytest.mark.parametrize("ancilla", ["binomial_n3", "shor9"])
     def test_one_warning_per_run(self, chunk_budget, ancilla):
@@ -498,6 +506,18 @@ class TestLeakageGuard:
             result = branch_decomposition_run(plan)
         assert [w.category for w in caught] == [fock.TruncationWarning]
         assert math.isfinite(result.infidelity.mean)
+
+    @pytest.mark.parametrize("ancilla", ["binomial_n3", "shor9"])
+    def test_one_warning_per_sweep(self, ancilla):
+        """sigma 3 leaks and sigma 0.1 does not; their sweep runs in one
+        pass and warns once."""
+        plans = tuple(TrajectoryPlan(sigma=sigma, ancilla=ancilla, n_trajectories=30,
+                                     root_seed=1) for sigma in (0.1, 3.0))
+        _sweep_rows.cache_clear()
+        with pytest.warns(fock.TruncationWarning, match="past the Fock cutoff") as caught:
+            for plan in plans:
+                branch_decomposition_run(plan, plans)
+        assert [w.category for w in caught] == [fock.TruncationWarning]
 
     @pytest.mark.parametrize("ancilla, sigma", [
         ("binomial_n3", 0.1), ("binomial_n3", 0.2), ("shor9", 0.1), ("shor9", 0.25)])
@@ -525,14 +545,21 @@ class TestReproducibility:
         assert (branch_decomposition_run(base).infidelity.mean
                 != branch_decomposition_run(other).infidelity.mean)
 
-    def test_thread_count_does_not_change_result(self, monkeypatch):
-        plan = TrajectoryPlan(sigma=0.1, ancilla="three_qubit_phase",
-                              n_trajectories=64, root_seed=9)
-        monkeypatch.delenv("CVQEC_THREADS", raising=False)
-        serial = branch_decomposition_run(plan)
-        monkeypatch.setenv("CVQEC_THREADS", "4")
-        threaded = branch_decomposition_run(plan)
-        assert serial.infidelity.mean == threaded.infidelity.mean
+    def test_thread_count_does_not_change_result(self):
+        """The run in two fresh interpreters, with OpenBLAS on one thread
+        and on two, gives the same result to the last bit."""
+        src = str(Path(montecarlo.__file__).resolve().parent.parent)
+        code = ("from cvqec.montecarlo import TrajectoryPlan, branch_decomposition_run\n"
+                "print(repr(branch_decomposition_run(TrajectoryPlan(\n"
+                "    sigma=0.1, ancilla='three_qubit_phase', n_trajectories=64, root_seed=9))))")
+        printed = []
+        for threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": src,
+                                       "OPENBLAS_NUM_THREADS": threads}, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            printed.append(proc.stdout)
+        assert printed[0].startswith("RunResult(") and printed[0] == printed[1]
 
     # Per-trajectory values of a sweep's distinct rows; the CSV's %.9g would
     # hide a last-bit change.  A chunk holds max(1, budget // slot size)
@@ -555,9 +582,10 @@ class TestReproducibility:
         base = TrajectoryPlan(sigma=sigma, ancilla=ancilla, n_trajectories=n,
                               root_seed=11, zeta=optimal_zeta())
         rows = []
+        plans = tuple(dataclasses.replace(base, p_phi=p) for p in points)
         for budget in budgets:
             chunk_budget(budget)
-            parts, _ = _sweep_rows(base, points)
+            parts, _ = _sweep_rows(plans)
             rows.append(b"".join(part.tobytes() for part in parts))
         assert rows == [rows[0]] * len(budgets)
 
@@ -708,65 +736,96 @@ class TestSeeding:
 
 
 class TestSweepSharing:
-    """Points of one sweep reuse one set of standard draws (_run_draws)."""
+    """A sweep runs its distinct rows in one pass (_sweep_rows), from one
+    set of standard draws, and each point equals its own run."""
 
     # chunks at a budget of 2048
     @pytest.mark.parametrize("ancilla, field, points, n", [
         ("bare", "p_phi", (0.0, 0.05, 0.2), 300),
         ("three_qubit_phase", "p_phi", (0.0, 0.05, 0.2), 300),
-        ("binomial_n3", "sigma", (0.1, 0.15), 200),  # three chunks of 85
+        ("binomial_n3", "sigma", (0.1, 0.15), 200),  # chunks of 85, 85, 85, 85, 60
         ("shor9", "sigma", (0.1, 0.15), 8),          # one chunk
-        ("shor9", "sigma", (0.1, 0.15), 45),         # three chunks of 21
+        ("shor9", "sigma", (0.1, 0.15), 45),         # chunks of 21, the third of both sigmas
+        ("shor9", "sigma", (0.1, 0.15, 0.2), 50),    # chunks of 21, the tail of 3
     ])
-    def test_shared_draws_match_fresh_runs(self, chunk_budget, ancilla, field, points, n):
+    def test_shared_draws_match_fresh_runs(self, monkeypatch, chunk_budget, ancilla, field,
+                                           points, n):
         chunk_budget(2048)
         base = TrajectoryPlan(sigma=0.1, ancilla=ancilla, n_trajectories=n,
                               root_seed=13, zeta=optimal_zeta())
-        plans = [dataclasses.replace(base, **{field: x}) for x in points]
-        _run_draws.cache_clear()
-        shared = [branch_decomposition_run(plan) for plan in plans]
-        info = _run_draws.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, len(points) - 1, 1)
+        plans = tuple(dataclasses.replace(base, **{field: x}) for x in points)
+        calls, standard_draws = [], montecarlo._standard_draws
+        monkeypatch.setattr(montecarlo, "_standard_draws",
+                            lambda *args: calls.append(args) or standard_draws(*args))
+        shared = [branch_decomposition_run(plan, plans) for plan in plans]
+        assert calls == [(13, ancilla, 0, n)]
         for plan, result in zip(plans, shared):
-            _run_draws.cache_clear()
+            _sweep_rows.cache_clear()
             assert branch_decomposition_run(plan) == result
 
-    def test_memo_holds_one_read_only_entry(self):
-        _run_draws.cache_clear()
-        for seed in (1, 2):
-            branch_decomposition_run(TrajectoryPlan(sigma=0.1, n_trajectories=20,
-                                                    root_seed=seed))
-            assert _run_draws.cache_info().currsize == 1
-        assert not any(a.flags.writeable for a in _run_draws(2, "perfect", 20))
+    @pytest.mark.parametrize("ancilla, n, sizes", [
+        ("shor9", 50, [150]), ("binomial_n3", 400, [682, 518])])
+    def test_sigma_sweep_chunks(self, monkeypatch, ancilla, n, sizes):
+        """The three points of a sigma sweep fill chunks of the kind's
+        chunk_size together: 3 x 50 shor9 rows run as one chunk."""
+        plans = tuple(TrajectoryPlan(sigma=sigma, ancilla=ancilla, n_trajectories=n,
+                                     root_seed=3) for sigma in (0.1, 0.15, 0.2))
+        run_chunk, lengths = montecarlo._run_chunk, []
+
+        def recording(ctx, data, *args):
+            lengths.append(len(data))
+            return run_chunk(ctx, data, *args)
+
+        monkeypatch.setattr(montecarlo, "_run_chunk", recording)
+        _sweep_rows.cache_clear()
+        branch_decomposition_run(plans[0], plans)
+        assert lengths == sizes
 
     # the first two sweeps end in a one-row chunk at a budget of 2048: 257
-    # distinct rows in chunks of 256, 1025 in chunks of 1024
+    # distinct rows in chunks of 256, 1025 in chunks of 1024; the bosonic
+    # sigma sweeps over (0.1, 0.15) too: 64 rows in chunks of 21, the
+    # second of both sigmas, and 86 in chunks of 85, the first of both
     @pytest.mark.parametrize("state_kind", ["coherent", "fock1"])
     @pytest.mark.parametrize("ancilla, seed, n, one_row_tail", [
         ("three_qubit_phase", 0, 164, True), ("bare", 0, 865, True),
         ("three_qubit_phase", 5, 300, False), ("bare", 5, 160, False),
+        ("shor9", 0, 32, True), ("binomial_n3", 5, 43, True),
     ])
     def test_sweep_equals_single_runs(self, chunk_budget, ancilla, seed, n, one_row_tail,
                                       state_kind):
         if one_row_tail:
             chunk_budget(2048)
-        points = (0.0, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2)
         base = TrajectoryPlan(sigma=0.1, ancilla=ancilla, n_trajectories=n, root_seed=seed,
                               zeta=optimal_zeta(), state_kind=state_kind)
-        plans = [dataclasses.replace(base, p_phi=p) for p in points]
+        if ancilla in ("binomial_n3", "shor9"):
+            plans = tuple(dataclasses.replace(base, sigma=s) for s in (0.1, 0.15))
+        else:
+            plans = tuple(dataclasses.replace(base, p_phi=p)
+                          for p in (0.0, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2))
         _sweep_rows.cache_clear()
-        swept = [branch_decomposition_run(plan, points) for plan in plans]
+        swept = [branch_decomposition_run(plan, plans) for plan in plans]
         info = _sweep_rows.cache_info()
-        assert (info.misses, info.hits) == (1, len(points) - 1)
-        distinct = len(_sweep_rows(base, points)[0][0])
+        assert (info.misses, info.hits) == (1, len(plans) - 1)
+        distinct = len(_sweep_rows(plans)[0][0])
         assert (distinct % _Context(base).chunk_size == 1) == one_row_tail
         for plan, result in zip(plans, swept):
+            _sweep_rows.cache_clear()
             assert branch_decomposition_run(plan) == result
 
     def test_sweep_rejects_dephasing_of_bosonic_plan(self):
         plan = TrajectoryPlan(sigma=0.1, ancilla="binomial_n3", n_trajectories=4)
         with pytest.raises(ValueError, match="dephasing rate"):
-            branch_decomposition_run(plan, sweep=(0.1,))
+            branch_decomposition_run(plan, sweep=(plan, dataclasses.replace(plan, p_phi=0.1)))
+
+    @pytest.mark.parametrize("field, value", [
+        ("ancilla", "bare"), ("n_trajectories", 5), ("root_seed", 1), ("zeta", 0.1),
+        ("state_kind", "fock1"), ("coherent_amplitude", 0.5j)])
+    def test_sweep_rejects_plans_that_differ_elsewhere(self, field, value):
+        plan = TrajectoryPlan(sigma=0.1, ancilla="three_qubit_phase", n_trajectories=4)
+        sweep = (plan, dataclasses.replace(plan, sigma=0.2, p_phi=0.1, **{field: value}))
+        _sweep_rows.cache_clear()
+        with pytest.raises(ValueError, match="differ only in sigma and p_phi"):
+            branch_decomposition_run(plan, sweep)
 
     def test_single_trajectory_past_the_run(self):
         plan = TrajectoryPlan(sigma=0.15, ancilla="three_qubit_phase", p_phi=0.1,
