@@ -20,31 +20,33 @@ is the per-trajectory oracle.
 _BranchState runs a chunk of trajectories at once as arrays, each term's
 carrier a sum of at most four products of block vectors (class docstring):
 three 8-dim blocks for shor9, one, the carrier vector, for every other
-kind.  Inner products are products of block overlaps weighted by the data
-Gram matrix, so no 512-dim vector is formed.  An ancilla mode's
-displacement is exact below the mode's dim: fock.displaced_levels gives
-<y|D(beta)|k> in closed form for the few levels k the mode holds, so the
-cutoff bounds only the confinement and recovery outcomes, and a shor9
-mode's confinement needs only its 2x2 moment matrix and those columns.
-fock.DisplacementEngine serves only the dense oracle.
-The conditional displacement is the only operation that splits terms.  The
-first acts on the known |+>_L x psi0, so a chunk starts after it, in
-closed form (_Terms).  At the second the carrier is back in the code space
-(every recovery maps into it; the tests check this on runs of every kind),
-so each term slot splits into a_t times its codeword, and the chunk ends
-on a logical qubit, one amplitude a_t per slot and the slot's codeword bit
-(_Terms.logical): one two-outcome +/-Y readout and one fidelity serve
-every ancilla kind.  Pruned terms are exact zeros, and a slot that is
-empty in every row is dropped, so T never exceeds four; the logical
-qubit's sums over slots add them elementwise in slot order (_slot_sum), so
-an empty slot adds exact zeros and no row depends on the other rows of its
-chunk.  Per-row decisions are vectorized comparisons, and Kraus operators
-and Pauli corrections are applied once per distinct choice in the chunk;
-the binomial syndrome probabilities come from one projection onto the
-recovery basis (dvcodes.binomial_recovery_basis).  A chunk holds
-_Carrier.chunk_size trajectories, from 8192 for the two-dim carriers to
-170 for shor9, sized for speed (a shor9 chunk makes about 1200 Python
-calls, whatever its size); no row moves with it.
+kind.  Carrier expectations are quadratic forms on one block
+(_BranchState._expect): the block's vectors against its environment, the
+data Gram matrix times the overlaps on the other blocks, so no 512-dim
+vector is formed.  An ancilla mode's displacement is exact below the
+mode's dim: fock.displaced_levels gives <y|D(beta)|k> in closed form for
+the few levels k the mode holds, so the cutoff bounds only the confinement
+and recovery outcomes, and a shor9 mode's confinement needs only its 2x2
+moment matrix and those columns.  fock.DisplacementEngine serves only the
+dense oracle. The conditional displacement is the only operation that
+splits terms.  The first acts on the known |+>_L x psi0, so a chunk starts
+after it, in closed form (_BranchState).  At the second the carrier is
+back in the code space (every recovery maps into it; the tests check this
+on runs of every kind), so each term slot splits into a_t times its
+codeword, and the chunk ends on a logical qubit, one amplitude a_t per
+slot and the slot's codeword bit (_BranchState.logical): one two-outcome
++/-Y readout and one fidelity serve every ancilla kind.  Pruned terms are
+exact zeros, and a slot that is empty in every row is dropped, so T never
+exceeds four; the logical qubit's sums over slots add them elementwise in
+slot order (_slot_sum), so an empty slot adds exact zeros and no row
+depends on the other rows of its chunk.  Per-row decisions are vectorized
+comparisons, and Kraus operators and Pauli corrections are applied once
+per distinct choice in the chunk; the binomial syndrome probabilities come
+from one projection onto the recovery basis
+(dvcodes.binomial_recovery_basis).  A chunk holds _Carrier.chunk_size
+trajectories, from 8192 for the two-dim carriers to 170 for shor9, sized
+for speed (a shor9 chunk makes about 1200 Python calls, whatever its
+size); no row moves with it.
 
 Qubit-carrier Paulis (stabilizers, corrections, dephasing flips) are
 applied as bit masks, a basis permutation idx -> idx ^ x times a phase,
@@ -275,17 +277,17 @@ def _carrier(kind: str) -> _Carrier:
 
 
 class _Context:
-    """Per-run precomputation shared (read-only) by all trajectories."""
+    """Per-run precomputation shared (read-only) by all trajectories.  A
+    sweep's chunks, under its first plan's context, read what differs
+    between its plans per row (_rows); only the dense oracle, one plan at a
+    time, reads p_phi, alpha and the +/-Y outcome mean from plan and the
+    normal scale sigma / sqrt(2) of its errors from anc_scale."""
 
     def __init__(self, plan: TrajectoryPlan):
         # the kind's shared carrier: g, e, stabilizers, chunk_size, ...
         vars(self).update(vars(_carrier(plan.ancilla)))
         self.plan = plan
-        self.sigma = plan.sigma
         self.zeta = plan.zeta
-        self.p_phi = plan.p_phi
-        self.alpha = plan.effective_alpha
-        self.outcome_mean = plan.outcome_mean
         self.anc_scale = plan.sigma / math.sqrt(2.0)
         self.leakage = 0.0  # the most population moved past an ancilla mode's dim
 
@@ -305,7 +307,7 @@ class _Context:
         amp = abs(plan.coherent_amplitude) if plan.state_kind == "coherent" else 1.0
         # a logical failure of a bosonic carrier leaves the data mode
         # displaced by about 2 alpha
-        reach = 2.0 * self.alpha if self.kind in _BOSONIC_KINDS else self.alpha
+        reach = (2.0 if self.kind in _BOSONIC_KINDS else 1.0) * plan.effective_alpha
         peak = amp + reach + 2.0
         n_trunc = int(peak * peak + 6.0 * peak + 12.0)
         if plan.state_kind == "coherent":
@@ -383,22 +385,49 @@ def _confine_levels(t: np.ndarray, outcome: int) -> np.ndarray:
     return out
 
 
-class _Terms:
-    """The data-mode factors of a chunk of n trajectories, each a sum of T
-    terms: term k of row r carries ph[r, k] D(gamma[r, k]) |psi0>, with
-    gamma and ph of shape (n, T).  Pruned terms have ph = 0.  A chunk
-    starts after the first conditional displacement of |+>_L x psi0, by
-    alpha[r] in row r: slot 0 carries g / sqrt(2) and gamma = -alpha, slot
-    1 e / sqrt(2) and +alpha.  logical() ends it on the logical qubit: slot
-    t of row r carries a[r, t] times codeword[t] (0 for g, 1 for e), a of
-    shape (n, T); measure_y and fidelity read them."""
+class _BranchState:
+    """A chunk of n trajectories, each a sum of T product terms: term k of
+    row r carries (carrier of slot k) x ph[r, k] D(gamma[r, k]) |psi0>,
+    with gamma and ph of shape (n, T).  Pruned terms have ph = 0.
+
+    The carrier of slot t of row r is sum_p coef[r, t, p] v[r, t, p, 0] x
+    ... x v[r, t, p, B - 1]; coef has shape (n, T, P) and v shape (n, T, P,
+    B, block_dim), over the kind's blocks (_Carrier.blocks).  shor9 has B =
+    3 blocks of 8 dims, block b holding qubits 3b..3b+2, the first the most
+    significant bit; every other kind has one block, the carrier vector.
+    The Kronecker product of the blocks is the carrier vector.  The
+    codewords are products, g = scale b0 x ... x b0 and e = scale b1 x ...
+    x b1.  Mode displacement, confinement, the binomial displacement and
+    Kraus step, and Paulis and stabilizers on one block act block by block;
+    a projection (c + sign S c) / 2 onto a stabilizer that spans blocks
+    doubles P, so P stays at most four.
+
+    A chunk starts after the first conditional displacement of |+>_L x
+    psi0, by alpha[r] in row r: slot 0 carries g / sqrt(2) and gamma =
+    -alpha, slot 1 e / sqrt(2) and +alpha, each one product.  logical()
+    ends it on the logical qubit: slot t of row r carries a[r, t] times
+    codeword[t] (0 for g, 1 for e), a of shape (n, T); measure_y and
+    fidelity read them.
+
+    Carrier expectations are quadratic forms on one block b: its
+    environment (_environment) weighs each pair of (slot, product) terms by
+    their data overlap and their overlaps on the other blocks, so <c| S |c>
+    = sum conj(v_b) . S_b (env @ v_b) (_expect); mode_weights and
+    kraus_expects read the same env @ v_b.
+    """
 
     def __init__(self, ctx: _Context, alpha: np.ndarray):
         self.ctx = ctx
         self.alpha = alpha
         self.gamma = np.stack((-alpha, alpha), axis=1).astype(complex)
         self.ph = np.ones((len(alpha), 2), dtype=complex)
+        self.coef = np.full((len(alpha), 2, 1), ctx.block_scale / math.sqrt(2.0), dtype=complex)
+        self.v = np.empty((len(alpha), 2, 1, ctx.n_blocks, ctx.blocks.shape[1]), dtype=complex)
+        self.v[:, 0], self.v[:, 1] = ctx.blocks[0], ctx.blocks[1]
         self._gd = None
+        self._env_block = None
+
+    # --- inner products
 
     def data_gram(self) -> np.ndarray:
         """[r, i, j] = <d_i|d_j> = conj(ph_i) ph_j e^{-i Im(gamma_i gamma_j*)}
@@ -409,21 +438,66 @@ class _Terms:
                         * np.exp(-1j * (gi * gj.conj()).imag) * self.ctx.overlap(gj - gi))
         return self._gd
 
+    def _product_blocks(self) -> np.ndarray:
+        """v as [r, K, b, i] over the flattened (slot, product) index K."""
+        n, t, p, n_blocks, dim = self.v.shape
+        return self.v.reshape(n, t * p, n_blocks, dim)
+
+    def _environment(self, b: int, ops=()) -> np.ndarray:
+        """[r, K, L] = conj(coef_K) coef_L <d_t(K)|d_t(L)> times <v_jK| S_j
+        |v_jL> for each block j other than b, S_j the PauliOp that ops pairs
+        with block j, or the identity: <c| A S |c> = sum_KL env_KL <v_bK| A
+        |v_bL> for an operator A on block b and the Pauli string S of ops.
+        Kept while only block b changes, when S is the identity off b."""
+        flips = {j: op for j, op in ops if j != b}
+        if flips or self._env_block != b:
+            n, t, p, n_blocks, _ = self.v.shape
+            coef, d = self.coef.reshape(n, t * p), self.data_gram()
+            env = coef.conj()[:, :, None] * d.repeat(p, axis=1).repeat(p, axis=2) * coef[:, None, :]
+            for j in [(b + k) % n_blocks for k in range(1, n_blocks)]:
+                v = self._product_blocks()[:, :, j]
+                env = env * (v.conj() @ (_pauli(flips[j], v) if j in flips else v).swapaxes(1, 2))
+            if flips:
+                return env
+            self._env, self._env_block = env, b
+        return self._env
+
+    def _changed(self, block: int | None = None):
+        """Drop the cached environment unless only its own block changed."""
+        if block is None or block != self._env_block:
+            self._env_block = None
+
+    def _expect(self, b: int, ops=()) -> np.ndarray:
+        """<c| S |c> per row, S the Pauli string that ops gives as (block,
+        PauliOp) pairs, or the identity: sum conj(v_b) . S_b (env @ v_b)."""
+        v = self._product_blocks()[:, :, b]
+        w, on_b = self._environment(b, ops) @ v, dict(ops).get(b)
+        return np.sum(v.conj() * (w if on_b is None else _pauli(on_b, w)), axis=(1, 2)).real
+
+    def norm(self) -> np.ndarray:
+        return self._expect(0 if self._env_block is None else self._env_block)
+
     def displace_data(self, beta: np.ndarray):
         beta = beta[:, None]
         # numpy never elides an explicit ufunc call: ph x exp at every size
         self.ph = np.multiply(self.ph, np.exp(1j * (beta * self.gamma.conj()).imag))
         self.gamma = self.gamma + beta
-        self._gd = None
+        self._gd = self._env_block = None
+
+    # --- the logical qubit
 
     def logical(self):
         """The second conditional displacement, +alpha on g and -alpha on e:
         each slot of the code-space carrier splits into a_t times g and e
-        (_codeword_overlaps), new terms whose |a| |ph| is at most _BRANCH_TOL
-        are pruned, slots pruned in every row dropped, and a (zero where
-        pruned) and codeword set on the surviving slots."""
-        a = np.concatenate(self._codeword_overlaps(), axis=1)
-        t = self.gamma.shape[1]
+        (<g|c_t> and <e|c_t> from block overlaps), new terms whose |a| |ph|
+        is at most _BRANCH_TOL are pruned, slots pruned in every row
+        dropped, and a (zero where pruned) and codeword set on the surviving
+        slots."""
+        n, t, p, n_blocks, dim = self.v.shape
+        over = (self.v.reshape(-1, dim) @ self.ctx.blocks.conj().T).reshape(
+            n, t, p, n_blocks, 2).prod(axis=3)
+        a = (self.coef[..., None] * over).sum(axis=2) * self.ctx.block_scale
+        a = np.concatenate((a[..., 0], a[..., 1]), axis=1)
         keep = np.abs(a) * np.tile(np.abs(self.ph), 2) > _BRANCH_TOL
         gamma = np.tile(self.gamma, 2)
         shift = np.repeat(np.stack((self.alpha, -self.alpha), axis=1), t, axis=1)
@@ -457,103 +531,6 @@ class _Terms:
         measure_y."""
         o = _slot_sum(self.a * (self.ph * self.ctx.overlap(self.gamma)))
         return (o.real * o.real + o.imag * o.imag) / self._data_norm(self.a)
-
-
-class _BranchState(_Terms):
-    """A chunk of n trajectories, each a sum of T product terms, whose
-    carriers factor over the kind's blocks (_Carrier.blocks).
-
-    The carrier of slot t of row r is sum_p coef[r, t, p] v[r, t, p, 0] x
-    ... x v[r, t, p, B - 1]; coef has shape (n, T, P) and v shape (n, T, P,
-    B, block_dim).  shor9 has B = 3 blocks of 8 dims, block b holding
-    qubits 3b..3b+2, the first the most significant bit; every other kind
-    has one block, the carrier vector.  The Kronecker product of the blocks
-    is the carrier vector.  The codewords are products, g = scale b0 x ...
-    x b0 and e = scale b1 x ... x b1, so a chunk starts with one product
-    per slot, its codeword.  Mode displacement, confinement, the binomial
-    displacement and Kraus step, and Paulis and stabilizers on one block
-    act block by block; a projection (c + sign S c) / 2 onto a stabilizer
-    that spans blocks doubles P, so P stays at most four.  Inner products
-    are sums over pairs of products of block overlaps.
-    """
-
-    def __init__(self, ctx: _Context, alpha: np.ndarray):
-        super().__init__(ctx, alpha)
-        self.coef = np.full((len(alpha), 2, 1), ctx.block_scale / math.sqrt(2.0), dtype=complex)
-        self.v = np.empty((len(alpha), 2, 1, ctx.n_blocks, ctx.blocks.shape[1]), dtype=complex)
-        self.v[:, 0], self.v[:, 1] = ctx.blocks[0], ctx.blocks[1]
-        self._env_block = None
-
-    # --- inner products
-
-    def _pair_weights(self) -> np.ndarray:
-        """[r, K, L] = conj(coef_K) coef_L <d_t(K)|d_t(L)> over the flattened
-        (slot, product) index K."""
-        n, t, p = self.coef.shape
-        coef, d = self.coef.reshape(n, t * p), self.data_gram()
-        return coef.conj()[:, :, None] * d.repeat(p, axis=1).repeat(p, axis=2) * coef[:, None, :]
-
-    def _product_blocks(self) -> np.ndarray:
-        """v as [r, K, b, i] over the flattened (slot, product) index K."""
-        n, t, p, n_blocks, dim = self.v.shape
-        return self.v.reshape(n, t * p, n_blocks, dim)
-
-    def _block_grams(self, ops=()) -> np.ndarray:
-        """[r, b, K, L] = <v_bK| S_b |v_bL>, S_b the PauliOp paired with
-        block b in ops, or the identity."""
-        v = self._product_blocks().transpose(0, 2, 1, 3)
-        right = v
-        if ops:
-            right = v.copy()
-            for b, op in ops:
-                right[:, b] = _pauli(op, v[:, b])
-        return v.conj() @ right.swapaxes(-1, -2)
-
-    @staticmethod
-    def _pair_sum(weights: np.ndarray, grams: np.ndarray) -> np.ndarray:
-        for b in range(grams.shape[1]):
-            weights = weights * grams[:, b]
-        return weights.sum(axis=(1, 2)).real
-
-    def _environment(self, b: int) -> np.ndarray:
-        """[r, K, L]: the pair weights times the overlaps of the blocks other
-        than b, so that <c| A |c> = sum_KL env_KL <v_bK| A |v_bL> for an
-        operator A on block b.  Kept while only block b changes."""
-        if self._env_block != b:
-            n_blocks = self.v.shape[3]
-            v = self._product_blocks()[:, :, [(b + j) % n_blocks for j in range(1, n_blocks)]]
-            env = self._pair_weights()
-            for gram in np.einsum("nkbi,nlbi->bnkl", v.conj(), v):
-                env = env * gram
-            self._env, self._env_block = env, b
-        return self._env
-
-    def _changed(self, block: int | None = None):
-        """Drop the cached environment unless only its own block changed."""
-        if block is None or block != self._env_block:
-            self._env_block = None
-
-    def _block_expect(self, b: int, op: dvcodes.PauliOp | None = None) -> np.ndarray:
-        """<c|c>, and with op also <c| op |c> for a PauliOp on block b."""
-        v = self._product_blocks()[:, :, b]
-        right = v if op is None else np.stack((v, _pauli(op, v)))
-        gram = v.conj() @ right.swapaxes(-1, -2)
-        return (self._environment(b) * gram).sum(axis=(-1, -2)).real
-
-    def norm(self) -> np.ndarray:
-        return self._block_expect(0 if self._env_block is None else self._env_block)
-
-    def displace_data(self, beta: np.ndarray):
-        super().displace_data(beta)
-        self._changed()
-
-    def _codeword_overlaps(self):
-        """<g|c_t> and <e|c_t>, each [r, t], from block overlaps."""
-        n, t, p, n_blocks, dim = self.v.shape
-        over = (self.v.reshape(-1, dim) @ self.ctx.blocks.conj().T).reshape(
-            n, t, p, n_blocks, 2).prod(axis=3)
-        a = (self.coef[..., None] * over).sum(axis=2) * self.ctx.block_scale
-        return a[..., 0], a[..., 1]
 
     # --- ancilla errors and recovery
 
@@ -607,16 +584,15 @@ class _BranchState(_Terms):
         self._changed(0)
 
     def stabilizer_plus_probability(self, ops) -> np.ndarray:
-        if len(ops) == 1:
-            (b, op), = ops
-            nrm, expect = self._block_expect(b, op)
-        else:
-            weights = self._pair_weights()
-            nrm = self._pair_sum(weights, self._block_grams())
-            expect = self._pair_sum(weights, self._block_grams(ops))
-        return 0.5 * (nrm + expect) / nrm
+        """(1 + <S> / <c|c>) / 2 per row for the stabilizer S that ops gives
+        as (block, PauliOp) pairs."""
+        nrm = self.norm()
+        return 0.5 * (nrm + self._expect(ops[0][0], ops)) / nrm
 
     def project_stabilizer(self, ops, sign: np.ndarray):
+        """c -> (c + sign S c) / 2: in place on its block when S acts on one
+        block, else by appending the S-flipped copy of each product, so P
+        doubles."""
         if len(ops) == 1:
             (b, op), = ops
             vb = self.v[:, :, :, b]
@@ -959,7 +935,7 @@ def _run_chunk(ctx: _Context, data, anc, uni, p_phi, alpha, outcome_mean):
     these per-row arguments (_rows); the circuit of _one_trajectory, row by
     row.  Each row's values are those of a chunk that holds only that row."""
     uniforms = iter(uni.T)
-    # the state after the first conditional displacement (_Terms)
+    # the state after the first conditional displacement (_BranchState)
     state = _BranchState(ctx, alpha)
     # squeezing frame: see _one_trajectory
     beta = data[:, 0] * math.exp(2.0 * ctx.zeta) + 1j * (data[:, 1] * math.exp(-2.0 * ctx.zeta))
@@ -1011,7 +987,7 @@ def _ancilla_errors(ctx, state, rng) -> None:
     kind = ctx.kind
     if kind in _DEPHASING_KINDS:
         for z in ctx.dephasing_ops:
-            if rng.random() < ctx.p_phi:
+            if rng.random() < ctx.plan.p_phi:
                 state.apply_carrier(z)
     elif kind == "binomial_n3":
         bq, bp = rng.normal(0.0, ctx.anc_scale, size=2)
@@ -1056,19 +1032,19 @@ def _recovery(ctx, state, rng) -> bool:
 
 
 def _one_trajectory(ctx: _Context, state, rng) -> tuple[float, bool]:
-    scale = ctx.sigma / math.sqrt(2.0)
-    bq, bp = rng.normal(0.0, scale, size=2)
+    alpha = ctx.plan.effective_alpha
+    bq, bp = rng.normal(0.0, ctx.anc_scale, size=2)
     # In the frame where the conditional displacement acts, pre/post
     # squeezing turns the error D(beta) into D(beta') with the q part
     # amplified and the p part shrunk.
     beta = complex(bq * math.exp(2.0 * ctx.zeta), bp * math.exp(-2.0 * ctx.zeta))
-    state.conditional_displace(-ctx.alpha, +ctx.alpha)
+    state.conditional_displace(-alpha, +alpha)
     state.displace_data(beta)
     _ancilla_errors(ctx, state, rng)
     unrecoverable = _recovery(ctx, state, rng)
-    state.conditional_displace(+ctx.alpha, -ctx.alpha)
+    state.conditional_displace(+alpha, -alpha)
     outcome = state.measure_y(rng.random())
-    state.displace_data(-1j * outcome * ctx.outcome_mean)
+    state.displace_data(-1j * outcome * ctx.plan.outcome_mean)
     return 1.0 - state.fidelity(), unrecoverable
 
 

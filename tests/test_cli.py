@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import cvqec
-from cvqec import cli, montecarlo
+from cvqec import cli
 from cvqec.cli import build_parser, main
 from cvqec.protocol import optimal_alpha_qubit
 
@@ -163,30 +163,20 @@ class TestFig4:
             runs.append({path.name: path.read_bytes() for path in out.iterdir()})
         assert len(runs[0]) == 2 and runs[0] == runs[1]
 
-    # Budget 1 makes every chunk one row (run as two copies of it), 14 gives
-    # chunks of 7 bare or 1 phase-code rows.  The sweep memo is not keyed by
-    # the budget, so it is emptied with the carriers.
+    # Budget 1 makes every chunk one row, 14 gives chunks of 7 bare or 1
+    # phase-code rows.  chunk_budget empties the memos at each budget.
     @pytest.mark.parametrize("code", ["none", "three_qubit"])
-    def test_chunk_budget_does_not_change_bytes(self, tmp_path, monkeypatch, code):
-        def clear():
-            montecarlo._carrier.cache_clear()
-            montecarlo._sweep_rows.cache_clear()
-
+    def test_chunk_budget_does_not_change_bytes(self, tmp_path, chunk_budget, code):
         stem = f"fig4_{code}_coherent_pphi"
         outputs = []
-        try:
-            for budget in (1, 14, 2048, 65536):
-                monkeypatch.setattr(montecarlo, "_CHUNK_BUDGET", budget)
-                clear()
-                out = tmp_path / str(budget)
-                out.mkdir()
-                assert main(["fig4", "--code", code, "--trajectories", "300",
-                             "--seed", "11", "--out", str(out)]) == 0
-                outputs.append([(out / name).read_bytes()
-                                for name in (f"{stem}.csv", f"{stem}_config.json")])
-        finally:
-            monkeypatch.undo()
-            clear()
+        for budget in (1, 14, 2048, 65536):
+            chunk_budget(budget)
+            out = tmp_path / str(budget)
+            out.mkdir()
+            assert main(["fig4", "--code", code, "--trajectories", "300",
+                         "--seed", "11", "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in (f"{stem}.csv", f"{stem}_config.json")])
         assert all(o == outputs[0] for o in outputs)
 
     # Text written by the dense-matrix implementation of the qubit-carrier
