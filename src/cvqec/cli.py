@@ -71,8 +71,7 @@ def cmd_fig2(args) -> None:
     for br in noise.p.branches:
         shifted = grid + br.mean
         corrected += gaussian_pdf(shifted, sigma) * br.filter_values(shifted)
-    dist_rows = [(b, gaussian_pdf(np.array([b]), sigma)[0], c)
-                 for b, c in zip(grid, corrected)]
+    dist_rows = list(zip(grid, gaussian_pdf(grid, sigma), corrected))
     _write_csv(out / "fig2_distribution.csv",
                ["beta_p", "p_uncorrected", "p_corrected"], dist_rows)
 
@@ -214,26 +213,33 @@ _Formatter = functools.partial(argparse.HelpFormatter, width=78)
 
 
 def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """Every subcommand, with the arguments of command alone: argparse
-    pays for each argument it adds, which is most of the fixed cost of a
-    command run in-process."""
+    """A known command's own parser, or else the top-level one, which exits with
+    the command list or argparse's error: argparse pays for each parser and
+    argument it builds, most of the fixed cost of a command run in-process."""
+    if command in _COMMANDS:
+        _, func, arguments = _COMMANDS[command]
+        parser = argparse.ArgumentParser(prog=f"cvqec {command}", formatter_class=_Formatter)
+        for flag, keywords in arguments:
+            parser.add_argument(flag, **keywords)
+        parser.set_defaults(command=command, func=func)
+        return parser
     parser = argparse.ArgumentParser(
         prog="cvqec", formatter_class=_Formatter,
         description="Ancilla-assisted displacement-error correction: "
                     "figure data and parameter optimization.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, func, arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, formatter_class=_Formatter)
-        if name == command:
-            for flag, keywords in arguments:
-                p.add_argument(flag, **keywords)
-            p.set_defaults(func=func)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    command = argv[0] if argv else None
+    parser = build_parser(command)
+    if command not in _COMMANDS:  # exits, unless the command follows a "--"
+        parser.error(f"put {parser.parse_args(argv).command} first")
+    args = parser.parse_args(argv[1:])
     try:
         args.func(args)
     except (ValueError, ArithmeticError) as exc:

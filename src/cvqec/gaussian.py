@@ -84,10 +84,11 @@ def _check_moments(probs, variances) -> None:
         raise ValueError(f"negative variance in {variances}")
 
 
-def _check_drive(sigma: float, alpha: float) -> None:
+def _check_drive(sigma: float, alpha) -> None:
     if not 0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    if not 0 <= alpha < math.inf:
+    if not (((0 <= alpha) & (alpha < math.inf)).all() if isinstance(alpha, np.ndarray)
+            else 0 <= alpha < math.inf):
         raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
 
 
@@ -174,8 +175,9 @@ def _fejer_table(d: int) -> tuple[np.ndarray, np.ndarray]:
     return _FEJER_CACHE[d]
 
 
-def qudit_moments(sigma: float, alpha: float, d: int):
-    """Unnormalized moments ``(n0, m1, m2)``, arrays over the outcomes l.
+def qudit_moments(sigma: float, alpha, d: int):
+    """Unnormalized moments ``(n0, m1, m2)``, arrays over the outcomes l, or
+    over (alpha, l) for a 1-D array of alphas, each row bit for bit its own call.
 
     The filter is a Fejer kernel, a finite Fourier series
     ``(1/d) sum_{|m|<d} (1 - |m|/d) e^{2 i m u}`` with
@@ -194,6 +196,7 @@ def qudit_moments(sigma: float, alpha: float, d: int):
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     m, factors = _fejer_table(d)
+    alpha = np.asarray(alpha, dtype=float)[..., None, None]  # axes (alpha, l, m)
     c = factors * np.exp(-(m * alpha * sigma) ** 2)
     return np.array((c, c * (1j * m * alpha * sigma**2),
                      c * (0.5 * sigma**2 - (m * alpha * sigma**2) ** 2))).sum(axis=-1).real

@@ -3,7 +3,8 @@
 It serves the one optimum without a closed form, the qudit scheme's drive
 strength (``protocol.optimize_qudit_alpha``).  That variance curve is
 cheap, smooth and unimodal except for oscillatory shoulders at large
-ancilla dimension, which the grid scan guards against.
+ancilla dimension, which the grid scan guards against.  The objective
+takes the whole scan grid as one array, then one scalar per step.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ def minimize_scalar(f, lower: float, upper: float, tol: float = 1e-6):
     A 32-point scan (log-spaced when the bracket is positive) picks the
     bracketing interval, golden-section refines it to ``tol`` in argument
     units, or to 1e-12 of the bracket's upper end where the float spacing
-    there is wider than ``tol``.  Non-finite values raise; a refinement that fails to beat the
-    grid falls back to the best grid point with a warning.
+    there is wider than ``tol``.  ``f`` maps the scan grid, one 1-D array,
+    to its values in one call; every later call passes one scalar.
+    Non-finite values raise; a refinement that fails to beat the grid
+    falls back to the best grid point with a warning.
     """
     if not lower < upper:
         raise ValueError("need lower < upper")
@@ -34,7 +37,7 @@ def minimize_scalar(f, lower: float, upper: float, tol: float = 1e-6):
         grid = np.geomspace(lower, upper, _GRID_POINTS)
     else:
         grid = np.linspace(lower, upper, _GRID_POINTS)
-    vals = np.array([f(x) for x in grid], dtype=float)
+    vals = np.asarray(f(grid), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("objective returned a non-finite value on the scan grid")
     i = int(np.argmin(vals))

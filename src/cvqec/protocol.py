@@ -119,17 +119,20 @@ def _qubit_var_p(sigma: float, alpha: float) -> float:
     return var
 
 
-def _qudit_var_p(sigma: float, alpha: float, d: int) -> float:
-    """Outcome-averaged variance ``sum_l n_l var_l`` of the d-level round, in
-    Python floats and summed left to right like the per-outcome path:
-    np.sum pairs 8+ terms differently, and numpy's square of the mean can
-    differ in the last bit from the ``mean**2`` of FilteredMoments."""
+def _qudit_var_p(sigma: float, alpha, d: int):
+    """Outcome-averaged variance ``sum_l n_l var_l`` of the d-level round, or
+    their array for a 1-D array of alphas, each the one-alpha call bit for bit:
+    Python floats summed left to right like the per-outcome path, since np.sum
+    pairs 8+ terms differently and numpy's square can differ from ``mean**2``."""
     if d < 2:
         raise ValueError("qudit scheme needs d >= 2")
-    n0, m1, m2 = gaussian.qudit_moments(sigma, alpha, d).tolist()
-    var = [second / n - (first / n) ** 2 for n, first, second in zip(n0, m1, m2)]
-    gaussian._check_moments(n0, var)
-    return sum(n * v for n, v in zip(n0, var))
+    moments = gaussian.qudit_moments(sigma, alpha, d)
+    out = []
+    for n0, m1, m2 in zip(*moments.reshape(3, -1, d).tolist()):
+        var = [second / n - (first / n) ** 2 for n, first, second in zip(n0, m1, m2)]
+        gaussian._check_moments(n0, var)
+        out.append(sum(n * v for n, v in zip(n0, var)))
+    return np.array(out) if moments.ndim == 3 else out[0]
 
 
 def run_uncorrected(sigma: float) -> CorrectedNoise:

@@ -147,7 +147,8 @@ def gauss_hermite_infidelity(state_kind: str, noise) -> float:
 def numeric_qubit_alpha(sigma: float, tol: float = 1e-6):
     """``(argmin, min)`` of the qubit scheme's corrected p variance over
     alpha in [0.2/sigma, 8/sigma]."""
-    return minimize_scalar(lambda a: _qubit_var_p(sigma, a), 0.2 / sigma, 8.0 / sigma, tol=tol)
+    var_p = np.vectorize(lambda a: _qubit_var_p(sigma, a), otypes=[float])
+    return minimize_scalar(var_p, 0.2 / sigma, 8.0 / sigma, tol=tol)
 
 
 def numeric_zeta(sigma: float):
@@ -156,7 +157,7 @@ def numeric_zeta(sigma: float):
     def total(zeta):
         _, var_p = numeric_qubit_alpha(sigma * math.exp(-2.0 * zeta), tol=1e-8)
         return 0.5 * (sigma * math.exp(2.0 * zeta))**2 + var_p
-    return minimize_scalar(total, -0.25, 0.05)
+    return minimize_scalar(np.vectorize(total, otypes=[float]), -0.25, 0.05)
 
 
 def overlap_f(kind: str, beta: complex) -> float:

@@ -1,5 +1,6 @@
 """Command line interface: file contents, determinism, and exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -427,9 +428,22 @@ class TestParser:
         (["optimize", "--scheme", "qudit", "--d", "5", "--out-file", "x.json"],
          dict(scheme="qudit", sigma=0.1, d=5, out_file="x.json"))])
     def test_subcommand_arguments_and_defaults(self, argv, expected):
-        args = vars(build_parser(argv[0]).parse_args(argv))
+        args = vars(build_parser(argv[0]).parse_args(argv[1:]))
         assert args.pop("func") is getattr(cli, f"cmd_{argv[0]}")
         assert args == dict(command=argv[0], **expected)
+
+    def test_known_command_builds_one_parser(self, monkeypatch, tmp_path):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def recorded(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", recorded)
+        assert main(["optimize", "--scheme", "qubit_p",
+                     "--out-file", str(tmp_path / "opt.json")]) == 0
+        assert built == ["cvqec optimize"]
 
     @pytest.mark.parametrize("argv, message", [
         ([], "the following arguments are required: command"),

@@ -5,7 +5,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvqec import gaussian
@@ -275,6 +275,24 @@ def test_qudit_moments_match_per_outcome_sums(d, sigma, alpha_sigma):
         n, mean, second = expect
         assert qudit_filtered_moments(sigma, alpha, d, l) == gaussian.FilteredMoments(
             n, mean / n, second / n, second / n - (mean / n) ** 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(2, 32), sigma=st.floats(0.02, 0.4),
+       alpha_sigmas=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=48))
+@example(d=26, sigma=0.3252900586237902, alpha_sigmas=[0.3252900586237902])
+def test_batched_alphas_equal_scalar_calls(d, sigma, alpha_sigmas):
+    alphas = np.array(alpha_sigmas) / sigma
+    batch = qudit_moments(sigma, alphas, d)
+    assert batch.shape == (3, len(alphas), d)
+    for i, alpha in enumerate(alphas):
+        assert batch[:, i].tolist() == qudit_moments(sigma, alpha, d).tolist()
+
+
+@pytest.mark.parametrize("bad", [-1e-9, math.nan, math.inf])
+def test_batched_alphas_reject_a_bad_alpha(bad):
+    with pytest.raises(ValueError, match="alpha must be nonnegative and finite"):
+        qudit_moments(0.1, np.array([1.0, bad, 2.0]), 4)
 
 
 def test_check_moments_rejects_elementwise():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvqec import protocol
 from cvqec.optimize import minimize_scalar
 from cvqec.protocol import optimize_qubit_alpha, optimize_zeta, run_qubit_p_scheme
 from oracles import numeric_qubit_alpha, numeric_zeta
@@ -41,6 +42,32 @@ def test_nonfinite_objective_raises():
         minimize_scalar(lambda x: float("nan"), 0.0, 1.0)
 
 
+def test_scan_grid_is_one_call():
+    args = []
+
+    def f(x):
+        args.append(np.copy(x))
+        return (x - 2.0) ** 2
+
+    minimize_scalar(f, 0.1, 5.0)
+    assert args[0].tolist() == np.geomspace(0.1, 5.0, 32).tolist()
+    assert len(args) > 1 and all(x.ndim == 0 for x in args[1:])
+
+
+def test_qudit_search_scans_in_one_call(monkeypatch):
+    shapes = []
+    var_p = protocol._qudit_var_p
+
+    def recorded(sigma, alpha, d):
+        shapes.append(np.shape(alpha))
+        return var_p(sigma, alpha, d)
+
+    monkeypatch.setattr(protocol, "_qudit_var_p", recorded)
+    protocol.optimize_qudit_alpha(0.1, 8)
+    assert shapes[0] == (32,)
+    assert len(shapes) > 1 and all(s == () for s in shapes[1:])
+
+
 def test_bad_bracket():
     with pytest.raises(ValueError):
         minimize_scalar(lambda x: x, 1.0, 1.0)
@@ -52,7 +79,7 @@ def test_pathological_objective_falls_back_with_warning():
     # grid value, not silence
     grid = np.geomspace(0.1, 6.0, 32)
     needle = grid[10]
-    f = lambda x: 0.0 if x == needle else 1.0
+    f = lambda x: np.where(x == needle, 0.0, 1.0)
     with pytest.warns(UserWarning):
         x, fx = minimize_scalar(f, 0.1, 6.0, tol=1e-10)
     assert x == pytest.approx(needle)

@@ -226,6 +226,26 @@ def test_qudit_var_p_is_the_per_outcome_sum(d, sigma, alpha_sigma):
     assert run_qudit_scheme(sigma, alpha, d).var_p == expect
 
 
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(2, 32), sigma=st.floats(0.02, 0.4),
+       alpha_sigmas=st.lists(st.floats(0.0, 20.0), max_size=16))
+@example(d=26, sigma=0.3252900586237902, alpha_sigmas=[0.3252900586237902])
+def test_batched_alphas_equal_scalar_calls(d, sigma, alpha_sigmas):
+    """Every element of the array call is the one-alpha call, on the
+    optimizer's scan grid and at drawn alphas."""
+    alphas = np.concatenate((np.geomspace(0.2 / sigma, 1.5 / sigma, 32),
+                             np.array(alpha_sigmas) / sigma))
+    batch = _qudit_var_p(sigma, alphas, d)
+    assert batch.shape == alphas.shape
+    assert batch.tolist() == [_qudit_var_p(sigma, a, d) for a in alphas]
+
+
+@pytest.mark.parametrize("bad", [-1e-9, math.nan, math.inf])
+def test_batched_alphas_reject_a_bad_alpha(bad):
+    with pytest.raises(ValueError, match="alpha must be nonnegative and finite"):
+        _qudit_var_p(0.1, np.array([1.0, bad, 2.0]), 4)
+
+
 @pytest.mark.parametrize("sigma, alpha", [(0.0, 1.0), (-0.1, 1.0), (0.1, -1e-9)])
 def test_qubit_var_p_rejects_bad_arguments(sigma, alpha):
     with pytest.raises(ValueError):
