@@ -15,7 +15,6 @@ from .gaussian import (FilteredMoments, IntegrationError, gaussian_pdf,
 from .montecarlo import (EstimateWithError, RunResult, TrajectoryPlan,
                          branch_decomposition_run, confinement_kraus,
                          estimate_qubit_var_p, run_concatenated)
-from .optimize import minimize_scalar
 from .protocol import (CorrectedNoise, OutcomeBranch, QuadratureNoise,
                        exact_infidelity, infidelity_from_noise, optimal_alpha_qubit,
                        optimal_zeta, optimize_qubit_alpha,

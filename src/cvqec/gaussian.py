@@ -21,8 +21,8 @@ of ``e^{i t b}`` are exact:
 Every qudit moment is therefore a sum of ``2d - 1`` terms, summed for
 all d outcomes at once by :func:`qudit_moments` from one coefficient
 table, whose rows are also the filters of ``protocol``'s qudit outcome
-branches; ``protocol``'s optimizers minimize the variances its scheme
-runners report from it.
+branches; their alpha-derivatives (:func:`qudit_moment_slopes`) sum the
+same terms, and ``protocol`` finds the qudit optimum where its slope is zero.
 :func:`integrate`, scipy's adaptive ``quad``, is the independent oracle
 the tests check these closed forms against; scipy is imported on its
 first call, so no command of the package loads scipy.
@@ -44,6 +44,7 @@ __all__ = [
     "qubit_filtered_moments",
     "qubit_outcome_mean",
     "qudit_filtered_moments",
+    "qudit_moment_slopes",
     "qudit_moments",
     "QUDIT_MEASUREMENT_OFFSET",
 ]
@@ -93,7 +94,7 @@ def _check_drive(sigma: float, alpha) -> None:
 
 
 def _moments(prob: float, mean: float, second_moment: float) -> FilteredMoments:
-    return FilteredMoments(prob, mean, second_moment, second_moment - mean**2)
+    return FilteredMoments(prob, mean, second_moment, second_moment - mean * mean)
 
 
 class IntegrationError(RuntimeError):
@@ -142,7 +143,7 @@ def integrate(f: Callable[[float], float], lower: float, upper: float) -> float:
 
 def qubit_outcome_mean(sigma: float, alpha: float) -> float:
     """Conditional mean of the +Y-filtered displacement, ``2 a s^2 e^{-4 a^2 s^2}``."""
-    return 2.0 * alpha * sigma**2 * math.exp(-4.0 * alpha**2 * sigma**2)
+    return 2.0 * alpha * (sigma * sigma) * math.exp(-4.0 * (alpha * alpha) * (sigma * sigma))
 
 
 def qubit_filtered_moments(sigma: float, alpha: float, outcome: str) -> FilteredMoments:
@@ -158,7 +159,7 @@ def qubit_filtered_moments(sigma: float, alpha: float, outcome: str) -> Filtered
         raise ValueError(f"outcome must be '+Y' or '-Y', got {outcome!r}")
     sign = 1.0 if outcome == "+Y" else -1.0
     mean = sign * qubit_outcome_mean(sigma, alpha)
-    return _moments(0.5, mean, 0.5 * sigma**2)
+    return _moments(0.5, mean, 0.5 * sigma * sigma)
 
 
 _FEJER_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -173,6 +174,18 @@ def _fejer_table(d: int) -> tuple[np.ndarray, np.ndarray]:
         l_eff = np.arange(d)[:, None] + QUDIT_MEASUREMENT_OFFSET
         _FEJER_CACHE[d] = m, (d - np.abs(m)) / d**2 * np.exp(2j * np.pi * l_eff * m / d)
     return _FEJER_CACHE[d]
+
+
+def _fejer_terms(sigma: float, alpha, d: int):
+    """``(m, alpha, c)``, alpha on axes (alpha, l, m) and the terms c_m of
+    :func:`qudit_moments`, which every qudit moment and slope sums over m."""
+    _check_drive(sigma, alpha)
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    m, factors = _fejer_table(d)
+    alpha = np.asarray(alpha, dtype=float)[..., None, None]
+    # complex exp: the C library's exp on every CPU, unlike numpy's AVX-512 real exp
+    return m, alpha, factors * np.exp(-(m * alpha * sigma) ** 2 + 0j).real
 
 
 def qudit_moments(sigma: float, alpha, d: int):
@@ -192,14 +205,23 @@ def qudit_moments(sigma: float, alpha, d: int):
 
     and no integral is needed.
     """
-    _check_drive(sigma, alpha)
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    m, factors = _fejer_table(d)
-    alpha = np.asarray(alpha, dtype=float)[..., None, None]  # axes (alpha, l, m)
-    c = factors * np.exp(-(m * alpha * sigma) ** 2)
-    return np.array((c, c * (1j * m * alpha * sigma**2),
-                     c * (0.5 * sigma**2 - (m * alpha * sigma**2) ** 2))).sum(axis=-1).real
+    m, alpha, c = _fejer_terms(sigma, alpha, d)
+    s2 = sigma * sigma
+    return np.array((c, c * (1j * m * alpha * s2),
+                     c * (0.5 * s2 - (m * alpha * s2) ** 2))).sum(axis=-1).real
+
+
+def qudit_moment_slopes(sigma: float, alpha: float, d: int) -> np.ndarray:
+    """:func:`qudit_moments`' n0 and m1 over the outcomes at one alpha, then
+    the alpha-derivatives of all three: with ``x = m alpha sigma^2`` and
+    ``dc_m / d alpha = k c_m = -2 m x c_m``, ``Re sum k c_m``,
+    ``Re sum i m sigma^2 (c_m + alpha k c_m)`` and ``Re sum k c_m (3 sigma^2/2 - x^2)``."""
+    m, alpha, c = _fejer_terms(sigma, alpha, d)
+    s2 = sigma * sigma
+    x = m * alpha * s2
+    kc = -2.0 * m * x * c
+    return np.array((c, 1j * x * c, kc, 1j * m * s2 * (c + alpha * kc),
+                     kc * (1.5 * s2 - x * x))).sum(axis=-1).real
 
 
 def qudit_filtered_moments(sigma: float, alpha: float, d: int, l: int) -> FilteredMoments:

@@ -161,6 +161,8 @@ class TrajectoryPlan:
             raise ValueError("need at least one trajectory")
         if self.state_kind not in ("coherent", "fock1"):
             raise ValueError(f"unknown state kind {self.state_kind!r}")
+        if self.state_kind == "fock1" and self.coherent_amplitude != 0:
+            raise ValueError("a fock1 state takes no coherent amplitude")
 
     @property
     def effective_alpha(self) -> float:

@@ -9,8 +9,8 @@ variance expansion or exactly: the outcome-averaged overlap is a sum of
 Gaussian integrals in closed form.  The qubit, two-qubit and squeezed
 optima are closed forms too (:func:`optimal_alpha_qubit`,
 :func:`optimal_zeta`); only the qudit optimum has none, so
-:func:`optimize_qudit_alpha` minimizes the closed-form variance
-:func:`_qudit_var_p` numerically.
+:func:`optimize_qudit_alpha` finds the zero of the closed-form slope
+:func:`_qudit_var_slope` of its closed-form variance :func:`_qudit_var_p`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 
 from . import gaussian
 from .gaussian import qubit_filtered_moments, qudit_filtered_moments
-from .optimize import minimize_scalar
 
 __all__ = [
     "OutcomeBranch",
@@ -45,6 +44,9 @@ __all__ = [
     "squeezing_db",
     "second_derivative_at_origin",
 ]
+
+# 32 log-spaced points over [0.2, 1.5] (np.geomspace's bits vary with numpy's SIMD dispatch)
+_SCAN = 0.2 * np.array([7.5 ** (k / 31) for k in range(32)])
 
 
 @dataclass(frozen=True, eq=False)  # array fields: compared and hashed by identity
@@ -76,7 +78,7 @@ class QuadratureNoise:
 
 
 def _plain(sigma: float) -> QuadratureNoise:
-    return QuadratureNoise(sigma, (OutcomeBranch(1.0, 0.0),), 0.5 * sigma**2)
+    return QuadratureNoise(sigma, (OutcomeBranch(1.0, 0.0),), 0.5 * sigma * sigma)
 
 
 @dataclass(frozen=True)
@@ -111,9 +113,10 @@ def _qubit_noise(sigma: float, alpha: float) -> QuadratureNoise:
 
 def _qubit_var_p(sigma: float, alpha: float) -> float:
     """Outcome-averaged variance after the +/-Y round: both outcomes have
-    probability 1/2 and the variance ``sigma^2/2 - mean^2``."""
+    probability 1/2 and the variance ``sigma^2/2 - mean^2``, squared as products."""
     gaussian._check_drive(sigma, alpha)
-    var = 0.5 * sigma**2 - gaussian.qubit_outcome_mean(sigma, alpha) ** 2
+    mean = gaussian.qubit_outcome_mean(sigma, alpha)
+    var = 0.5 * sigma * sigma - mean * mean
     if var < -1e-12:  # FilteredMoments' check; the probability is exactly 1/2
         raise ValueError(f"negative variance {var}")
     return var
@@ -123,16 +126,23 @@ def _qudit_var_p(sigma: float, alpha, d: int):
     """Outcome-averaged variance ``sum_l n_l var_l`` of the d-level round, or
     their array for a 1-D array of alphas, each the one-alpha call bit for bit:
     Python floats summed left to right like the per-outcome path, since np.sum
-    pairs 8+ terms differently and numpy's square can differ from ``mean**2``."""
+    pairs 8+ terms differently."""
     if d < 2:
         raise ValueError("qudit scheme needs d >= 2")
     moments = gaussian.qudit_moments(sigma, alpha, d)
     out = []
     for n0, m1, m2 in zip(*moments.reshape(3, -1, d).tolist()):
-        var = [second / n - (first / n) ** 2 for n, first, second in zip(n0, m1, m2)]
+        var = [second / n - (first / n) * (first / n) for n, first, second in zip(n0, m1, m2)]
         gaussian._check_moments(n0, var)
         out.append(sum(n * v for n, v in zip(n0, var)))
     return np.array(out) if moments.ndim == 3 else out[0]
+
+
+def _qudit_var_slope(sigma: float, alpha: float, d: int) -> float:
+    """d/d alpha at one alpha of :func:`_qudit_var_p`, ``sum_l m2_l - m1_l^2 / n0_l``."""
+    n0, m1, dn0, dm1, dm2 = gaussian.qudit_moment_slopes(sigma, alpha, d)
+    mean = m1 / n0
+    return float(np.sum(dm2 - 2.0 * mean * dm1 + mean * mean * dn0))
 
 
 def run_uncorrected(sigma: float) -> CorrectedNoise:
@@ -178,7 +188,7 @@ def qudit_bound(sigma: float, s: float, d: int) -> float:
     the kernel peak separation is s*sigma (i.e. alpha = pi / (s sigma))."""
     if not 4 <= s < math.inf:
         raise ValueError(f"bound assumes a finite peak separation s >= 4, got {s}")
-    return sigma**2 * s**2 / (4.0 * d)
+    return (sigma * sigma) * (s * s) / (4.0 * d)
 
 
 def optimal_alpha_qubit(sigma: float) -> float:
@@ -203,15 +213,46 @@ def optimize_qubit_alpha(sigma: float):
     return alpha, _qubit_var_p(sigma, alpha)
 
 
-def optimize_qudit_alpha(sigma: float, d: int, tol: float = 1e-6):
-    """Numerically minimize the qudit scheme's averaged p variance.
+def minimize_scalar(slope, lower: float, upper: float) -> float:
+    """The zero of ``slope`` where it rises through zero in ``[lower, upper]``,
+    the minimum of the function it is the derivative of: regula falsi with
+    the Illinois rule (an end kept twice running has its slope halved), to a
+    step below 1e-10 of the point.  A bracket the slope does not rise
+    across, a non-finite slope, or 100 steps without settling raise."""
+    a, b = lower, upper
+    fa, fb = slope(a), slope(b)
+    if not fa < 0 < fb:
+        raise ValueError(f"slope does not rise through zero on [{a}, {b}]: {fa}, {fb}")
+    x, side = math.inf, 0
+    for _ in range(100):
+        x_old, x = x, b - fb * (b - a) / (fb - fa)
+        fx = slope(x)
+        if not math.isfinite(fx):
+            raise ValueError(f"non-finite slope {fx} at {x}")
+        if fx == 0 or abs(x - x_old) <= 1e-10 * abs(x):
+            return x
+        if fx < 0:
+            fb *= 0.5 if side < 0 else 1.0
+            a, fa, side = x, fx, -1
+        else:
+            fa *= 0.5 if side > 0 else 1.0
+            b, fb, side = x, fx, 1
+    raise ValueError(f"slope search did not settle in 100 steps on [{a}, {b}]")
 
-    The optimal drive strength sits near 0.6-0.72 / sigma for every
-    dimension (it decreases slowly with d from the qubit value
-    1 / sqrt(2) / sigma), so the scan bracket stops at 1.5 / sigma.
-    """
-    return minimize_scalar(lambda a: _qudit_var_p(sigma, a, d),
-                           0.2 / sigma, 1.5 / sigma, tol=tol)
+
+def optimize_qudit_alpha(sigma: float, d: int):
+    """The qudit scheme's optimal drive strength and its averaged p variance.
+
+    The optimum sits near 0.6-0.72 / sigma for every dimension (it decreases
+    slowly with d from the qubit value 1 / sqrt(2) / sigma).  A 32-point log
+    scan of the variance over [0.2, 1.5] / sigma in one array call, which
+    guards against the shoulders at large d, brackets it between the best
+    point's neighbours for :func:`minimize_scalar` on its slope."""
+    grid = _SCAN * (1.0 / sigma)  # sigma = 0 raises here, not in numpy
+    i = int(np.argmin(_qudit_var_p(sigma, grid, d)))
+    alpha = minimize_scalar(lambda a: _qudit_var_slope(sigma, a, d),
+                            float(grid[max(i - 1, 0)]), float(grid[min(i + 1, 31)]))
+    return alpha, _qudit_var_p(sigma, alpha, d)
 
 
 def optimize_zeta(sigma: float):
@@ -219,7 +260,8 @@ def optimize_zeta(sigma: float):
     variance, with alpha at the qubit optimum for the squeezed p noise."""
     zeta = optimal_zeta()
     _, var_p = optimize_qubit_alpha_for(sigma * math.exp(-2.0 * zeta))
-    return zeta, 0.5 * (sigma * math.exp(2.0 * zeta))**2 + var_p
+    sigma_q = sigma * math.exp(2.0 * zeta)
+    return zeta, 0.5 * sigma_q * sigma_q + var_p
 
 
 def optimize_qubit_alpha_for(sigma_p: float):
@@ -253,14 +295,15 @@ def _overlap_moments(noise: QuadratureNoise) -> np.ndarray:
     C = it - 2m/sigma^2, so the integral is its weight times the
     moments 1, mu^2 + v and mu^4 + 6 mu^2 v + 3 v^2 of mean mu = C/2A
     and variance v = 1/2A."""
-    a = 1.0 + noise.sigma**-2
+    s2 = noise.sigma * noise.sigma
+    a = 1.0 + 1.0 / s2
     v = 0.5 / a
     total = np.zeros(3)
     for br in noise.branches:
         t, m = np.asarray(br.freqs), br.mean
-        c = 1j * t - 2.0 * m / noise.sigma**2
+        c = 1j * t - 2.0 * m / s2
         mu2 = (c / (2.0 * a)) ** 2
-        weight = np.exp(c * c / (4.0 * a) + 1j * t * m - (m / noise.sigma) ** 2)
+        weight = np.exp(c * c / (4.0 * a) + 1j * t * m - m * m / s2)
         moments = np.array((np.ones_like(mu2), mu2 + v, mu2 * mu2 + 6.0 * mu2 * v + 3.0 * v * v))
         total += (moments * weight @ np.asarray(br.coeffs)).real
     return total / (noise.sigma * math.sqrt(a))

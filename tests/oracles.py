@@ -15,9 +15,15 @@ computes another way:
 - gauss_hermite_infidelity: protocol.exact_infidelity as an order-200
   Gauss-Hermite grid over both quadratures for each pair of outcome
   branches, against the closed-form sum of Gaussian integrals.
+- golden_section: a grid scan plus golden-section refinement of a
+  function's values, the search that numeric_qubit_alpha, numeric_zeta and
+  numeric_qudit_alpha run.
 - numeric_qubit_alpha, numeric_zeta: the qubit and squeezed optima found
-  by grid scan plus golden section (nested for zeta) on the closed-form
-  variances, against protocol's closed-form optima.
+  by golden_section (nested for zeta) on the closed-form variances,
+  against protocol's closed-form optima.
+- numeric_qudit_alpha: the qudit optimum found by golden_section on the
+  closed-form variance, against protocol.optimize_qudit_alpha's search
+  for the zero of its closed-form slope.
 - overlap_f: |<psi|D(beta)|psi>|^2 of the coherent and single-boson
   states in closed form, against Fock-vector overlaps.
 - finite_difference_curvature: the central second difference of
@@ -46,14 +52,15 @@ from numpy.polynomial.hermite import hermgauss
 from cvqec.fock import (DensityMatrix, DisplacementEngine, TruncationError,
                         annihilation)
 from cvqec.montecarlo import _carrier, confinement_kraus
-from cvqec.optimize import minimize_scalar
-from cvqec.protocol import _qubit_var_p
+from cvqec.protocol import _qubit_var_p, _qudit_var_p
 
 # Order of the Gauss-Hermite rule in each quadrature.
 _N_NODES = 64
 _FOCK_CHUNK = 8192  # trajectories per batch of fock_outcome_probabilities
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
 _FD_STEP = 1e-4  # step of finite_difference_curvature
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GRID_POINTS = 32  # scan points of golden_section
 
 
 def displacement_operator(beta: complex, n_trunc: int) -> np.ndarray:
@@ -144,11 +151,44 @@ def gauss_hermite_infidelity(state_kind: str, noise) -> float:
     return float(1.0 - fid)
 
 
+def golden_section(f, lower: float, upper: float, tol: float = 1e-6):
+    """``(argmin, min)`` of ``f`` on ``[lower, upper]``.
+
+    A 32-point scan (log-spaced when the bracket is positive), ``f`` given
+    the grid as one 1-D array, brackets the best point between its
+    neighbours; golden section then narrows that bracket to ``tol`` in
+    argument units, ``f`` given one scalar per step.  Non-finite values
+    raise."""
+    if not lower < upper:
+        raise ValueError("need lower < upper")
+    grid = (np.geomspace if lower > 0 else np.linspace)(lower, upper, _GRID_POINTS)
+    vals = np.asarray(f(grid), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("objective returned a non-finite value on the scan grid")
+    i = int(np.argmin(vals))
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, _GRID_POINTS - 1)]
+    c, d = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if not (math.isfinite(fc) and math.isfinite(fd)):
+            raise ValueError("objective returned a non-finite value during refinement")
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_GOLDEN * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return float(x), float(f(x))
+
+
 def numeric_qubit_alpha(sigma: float, tol: float = 1e-6):
     """``(argmin, min)`` of the qubit scheme's corrected p variance over
     alpha in [0.2/sigma, 8/sigma]."""
     var_p = np.vectorize(lambda a: _qubit_var_p(sigma, a), otypes=[float])
-    return minimize_scalar(var_p, 0.2 / sigma, 8.0 / sigma, tol=tol)
+    return golden_section(var_p, 0.2 / sigma, 8.0 / sigma, tol=tol)
 
 
 def numeric_zeta(sigma: float):
@@ -157,7 +197,14 @@ def numeric_zeta(sigma: float):
     def total(zeta):
         _, var_p = numeric_qubit_alpha(sigma * math.exp(-2.0 * zeta), tol=1e-8)
         return 0.5 * (sigma * math.exp(2.0 * zeta))**2 + var_p
-    return minimize_scalar(np.vectorize(total, otypes=[float]), -0.25, 0.05)
+    return golden_section(np.vectorize(total, otypes=[float]), -0.25, 0.05)
+
+
+def numeric_qudit_alpha(sigma: float, d: int, tol: float = 1e-6):
+    """``(argmin, min)`` of the qudit scheme's corrected p variance over
+    alpha in [0.2/sigma, 1.5/sigma]."""
+    return golden_section(lambda a: _qudit_var_p(sigma, a, d), 0.2 / sigma, 1.5 / sigma,
+                          tol=tol)
 
 
 def overlap_f(kind: str, beta: complex) -> float:

@@ -86,7 +86,7 @@ def test_acceptance_4_qudit_dimension_sweep():
     sigma = 0.1
     prev = None
     for d in range(2, 16):
-        _, var = optimize_qudit_alpha(sigma, d, tol=1e-5)
+        _, var = optimize_qudit_alpha(sigma, d)
         if d == 2:
             assert var == pytest.approx((1 - math.exp(-1)) * sigma**2 / 2,
                                         abs=1e-9)

@@ -74,43 +74,45 @@ class TestFig3:
         assert main(["fig3", "--dmax", dmax, "--out", str(tmp_path)]) == 3
         assert not (tmp_path / "fig3_qudit.csv").exists()
 
-    # Text written by the quadrature implementation of the qudit moments;
-    # the closed-form Fejer sum must reproduce it exactly.
+    # The variance columns are the text the quadrature implementation of the
+    # qudit moments wrote, which the closed-form Fejer sum must reproduce
+    # exactly; alpha_opt is the zero of the closed-form slope.
     def test_pinned_csv_text(self, tmp_path):
         assert main(["fig3", "--sigma", "0.1", "--dmax", "9",
                      "--out", str(tmp_path)]) == 0
         assert (tmp_path / "fig3_qudit.csv").read_text() == (
             "d,alpha_opt,var_opt,var_at_alpha_s,bound\n"
-            "2,7.07106788,0.00316060279,0.00320751901,0.03125\n"
-            "3,5.0900311,0.00290688184,0.00303159214,0.0208333333\n"
-            "4,7.09359629,0.00266838125,0.00270892115,0.015625\n"
-            "5,6.56164848,0.00229640403,0.00230403946,0.0125\n"
-            "6,6.57603667,0.00202742618,0.00203346387,0.0104166667\n"
-            "7,6.46936875,0.00181299133,0.00181594038,0.00892857143\n"
-            "8,6.40334116,0.00164487884,0.00164598037,0.0078125\n"
-            "9,6.34963371,0.00150677035,0.00150711738,0.00694444444\n")
+            "2,7.07106781,0.00316060279,0.00320751901,0.03125\n"
+            "3,5.09003108,0.00290688184,0.00303159214,0.0208333333\n"
+            "4,7.09359621,0.00266838125,0.00270892115,0.015625\n"
+            "5,6.56164836,0.00229640403,0.00230403946,0.0125\n"
+            "6,6.5760368,0.00202742618,0.00203346387,0.0104166667\n"
+            "7,6.46936893,0.00181299133,0.00181594038,0.00892857143\n"
+            "8,6.40334137,0.00164487884,0.00164598037,0.0078125\n"
+            "9,6.34963377,0.00150677035,0.00150711738,0.00694444444\n")
 
-    # Text written when each optimizer evaluation built the per-outcome
-    # noise description; d >= 8 sums 8 or more outcome terms.
+    # The variance columns are the text written when each optimizer evaluation
+    # built the per-outcome noise description; d >= 8 sums 8 or more outcome
+    # terms.  alpha_opt is the zero of the closed-form slope.
     def test_pinned_csv_text_to_d15(self, tmp_path):
         assert main(["fig3", "--sigma", "0.2", "--dmax", "15",
                      "--out", str(tmp_path)]) == 0
         assert (tmp_path / "fig3_qudit.csv").read_text() == (
             "d,alpha_opt,var_opt,var_at_alpha_s,bound\n"
-            "2,3.53553406,0.0126424112,0.012830076,0.125\n"
-            "3,2.54501541,0.0116275274,0.0121263686,0.0833333333\n"
-            "4,3.54679802,0.010673525,0.0108356846,0.0625\n"
-            "5,3.28082394,0.00918561612,0.00921615783,0.05\n"
-            "6,3.28801841,0.0081097047,0.00813385548,0.0416666667\n"
-            "7,3.23468431,0.00725196531,0.00726376152,0.0357142857\n"
-            "8,3.20167087,0.00657951535,0.00658392148,0.03125\n"
-            "9,3.17481679,0.00602708138,0.0060284695,0.0277777778\n"
-            "10,3.14786305,0.00556784806,0.00556789585,0.025\n"
-            "11,3.1262396,0.00517872646,0.00517901033,0.0227272727\n"
-            "12,3.10548064,0.00484449905,0.00484604277,0.0208333333\n"
-            "13,3.08727367,0.00455412467,0.00455756599,0.0192307692\n"
-            "14,3.07038212,0.00429920999,0.00430504222,0.0178571429\n"
-            "15,3.05493812,0.00407352165,0.00408203744,0.0166666667\n")
+            "2,3.53553391,0.0126424112,0.012830076,0.125\n"
+            "3,2.54501554,0.0116275274,0.0121263686,0.0833333333\n"
+            "4,3.5467981,0.010673525,0.0108356846,0.0625\n"
+            "5,3.28082418,0.00918561612,0.00921615783,0.05\n"
+            "6,3.2880184,0.0081097047,0.00813385548,0.0416666667\n"
+            "7,3.23468446,0.00725196531,0.00726376152,0.0357142857\n"
+            "8,3.20167069,0.00657951535,0.00658392148,0.03125\n"
+            "9,3.17481688,0.00602708138,0.0060284695,0.0277777778\n"
+            "10,3.14786293,0.00556784806,0.00556789585,0.025\n"
+            "11,3.12623944,0.00517872646,0.00517901033,0.0227272727\n"
+            "12,3.10548073,0.00484449905,0.00484604277,0.0208333333\n"
+            "13,3.08727369,0.00455412467,0.00455756599,0.0192307692\n"
+            "14,3.07038191,0.00429920999,0.00430504222,0.0178571429\n"
+            "15,3.05493798,0.00407352165,0.00408203744,0.0166666667\n")
 
 
 class TestFig4:
@@ -277,7 +279,7 @@ class TestOptimize:
         assert payload["var_p"] < (1 - math.exp(-1)) * 0.005
 
     # JSON of the closed-form qubit and squeezed optima and of the qudit
-    # search on the closed-form variance.
+    # search on the closed-form variance and its slope.
     @pytest.mark.parametrize("argv, text", [
         (["--scheme", "qubit_p", "--sigma", "0.1"],
          '{\n'
@@ -304,11 +306,11 @@ class TestOptimize:
          '}\n'),
         (["--scheme", "qudit", "--sigma", "0.1"],
          '{\n'
-         '  "alpha_opt": 6.403341159930514,\n'
+         '  "alpha_opt": 6.403341371719448,\n'
          '  "d": 8,\n'
          '  "scheme": "qudit",\n'
          '  "sigma": 0.1,\n'
-         '  "var_p": 0.0016448788374535536\n'
+         '  "var_p": 0.0016448788374535484\n'
          '}\n'),
         (["--scheme", "squeezed", "--sigma", "0.2"],
          '{\n'
@@ -320,11 +322,11 @@ class TestOptimize:
          '}\n'),
         (["--scheme", "qudit", "--sigma", "0.1", "--d", "15"],
          '{\n'
-         '  "alpha_opt": 6.10987611684439,\n'
+         '  "alpha_opt": 6.1098759679098,\n'
          '  "d": 15,\n'
          '  "scheme": "qudit",\n'
          '  "sigma": 0.1,\n'
-         '  "var_p": 0.0010183804115292082\n'
+         '  "var_p": 0.0010183804115292065\n'
          '}\n'),
     ])
     def test_pinned_json_text(self, tmp_path, argv, text):
@@ -370,6 +372,11 @@ class TestExitCodes:
         ["optimize", "--scheme", "qudit", "--d", "1"]])
     def test_unbounded_qudit_input_writes_nothing(self, tmp_path, argv):
         self._exits_3_writing_nothing(tmp_path, argv)
+
+    def test_fock1_amplitude_writes_nothing(self, tmp_path):
+        """A fock1 data state has no amplitude to take."""
+        self._exits_3_writing_nothing(tmp_path, ["fig4", "--state", "fock1", "--amplitude",
+                                                 "1.5", "--trajectories", "4"])
 
     @pytest.mark.parametrize("argv", [
         ["optimize", "--scheme", "qudit", "--d", "3", "--sigma", "1e-12"],

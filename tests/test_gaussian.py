@@ -255,11 +255,12 @@ def _per_outcome_fejer(sigma, alpha, d, l):
     keep this expression's floating-point operation order."""
     l_eff = l + QUDIT_MEASUREMENT_OFFSET
     m = np.arange(-(d - 1), d)
+    s2 = sigma * sigma
     c = ((d - np.abs(m)) / d**2 * np.exp(2j * np.pi * l_eff * m / d)
-         * np.exp(-(m * alpha * sigma) ** 2))
+         * np.array([math.exp(-t * t) for t in (m * alpha * sigma).tolist()]))
     n0 = float(np.sum(c).real)
-    m1 = float(np.sum(c * (1j * m * alpha * sigma**2)).real)
-    m2 = float(np.sum(c * (0.5 * sigma**2 - (m * alpha * sigma**2) ** 2)).real)
+    m1 = float(np.sum(c * (1j * m * alpha * s2)).real)
+    m2 = float(np.sum(c * (0.5 * s2 - (m * alpha * s2) ** 2)).real)
     return n0, m1, m2
 
 
@@ -274,7 +275,7 @@ def test_qudit_moments_match_per_outcome_sums(d, sigma, alpha_sigma):
         assert (float(n0[l]), float(m1[l]), float(m2[l])) == expect
         n, mean, second = expect
         assert qudit_filtered_moments(sigma, alpha, d, l) == gaussian.FilteredMoments(
-            n, mean / n, second / n, second / n - (mean / n) ** 2)
+            n, mean / n, second / n, second / n - (mean / n) * (mean / n))
 
 
 @settings(max_examples=100, deadline=None)

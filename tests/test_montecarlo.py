@@ -59,6 +59,11 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             TrajectoryPlan(sigma=0.1, state_kind="gkp")
 
+    def test_rejects_fock1_amplitude(self):
+        with pytest.raises(ValueError, match="fock1 state takes no coherent amplitude"):
+            TrajectoryPlan(sigma=0.1, state_kind="fock1", coherent_amplitude=1.5)
+        assert TrajectoryPlan(sigma=0.1, state_kind="fock1").coherent_amplitude == 0
+
     def test_default_alpha_is_qubit_optimum(self):
         plan = TrajectoryPlan(sigma=0.1)
         assert plan.effective_alpha == optimal_alpha_qubit(0.1)
